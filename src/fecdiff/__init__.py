@@ -1,9 +1,11 @@
 """Diffusion inversion-and-sampling toolkit with trajectory correction.
 
-DDIM inversion plus four sampling strategies (direct, negative-prompt
-baseline, reference-path / desired-noise / KV-injection correction), a toy
-attention denoiser with an analytic Gaussian oracle, reconstruction
-metrics, and an experiment harness.
+DDIM inversion plus five samplers (direct descent, the negative-prompt
+baseline, and the reference-path, desired-noise and K/V-injection
+corrections) that share one descent loop; a toy attention denoiser whose
+self-attention K/V pass through one capture-or-inject hook, with an
+analytic Gaussian oracle; reconstruction metrics; and an experiment
+harness.
 """
 
 from .denoiser import (
@@ -11,15 +13,13 @@ from .denoiser import (
     DenoiserConfig,
     GaussianDenoiser,
     KVCache,
+    KVCapture,
+    KVInject,
     LayerRange,
     NonFiniteError,
     PromptEmbedding,
     ToyDenoiser,
     embed_prompt,
-    predict_noise,
-    predict_noise_capture,
-    predict_noise_inject,
-    predict_noise_inject_v_only,
 )
 from .editing import EditMask, EditRequest, derive_mask, run_edit
 from .harness import (
@@ -43,6 +43,7 @@ from .sampling import (
     ddim_step,
     desired_noise,
     desired_uncond,
+    guidance_contexts,
     invert,
     sample_direct,
     sample_fec_kv_reuse,

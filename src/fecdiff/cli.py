@@ -10,12 +10,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .denoiser import LayerRange, ToyDenoiser, embed_prompt
-from .editing import EditRequest, run_edit
+from .editing import EDIT_METHODS, EditRequest, run_edit
 from .harness import (
     ExperimentConfig,
     check_batch_invariance,
@@ -30,8 +28,12 @@ from .harness import (
     write_report_json,
 )
 from .io_formats import read_mask, write_kv_cache, write_mask, write_trajectory
-from .sampling import CaptureOptions, GuidanceContext, invert
-from .schedule import build_schedule, timestep_plan
+from .sampling import CaptureOptions, guidance_contexts, invert
+
+
+class UsageError(ValueError):
+    """A command-line request no command can carry out; reported as one
+    ``fecdiff <command>: error: ...`` line and exit code 2."""
 
 
 def _add_shared(p: argparse.ArgumentParser):
@@ -81,20 +83,11 @@ def _config_from_args(args) -> ExperimentConfig:
     return cfg
 
 
-def _components(cfg: ExperimentConfig):
-    sched = build_schedule(cfg.schedule_kind, cfg.total_train_steps)
-    plan = timestep_plan(cfg.steps, cfg.total_train_steps)
-    net = ToyDenoiser(cfg.denoiser)
-    return net, sched, plan
-
-
 def _cmd_invert(args) -> int:
     cfg = _config_from_args(args)
-    net, sched, plan = _components(cfg)
+    net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
-    cond = embed_prompt(cfg.prompts[0], cfg.embed_seed)
-    null = embed_prompt("", cfg.embed_seed)
-    ctx = GuidanceContext(scale=cfg.inv_guidances[0], cond=cond, uncond=null)
+    (ctx,) = guidance_contexts(net, (cfg.prompts[0],), cfg.inv_guidances[0], cfg.embed_seed)
     res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=bool(args.kv_out)),
                  seed=cfg.seeds[0])
     out = cfg.out or "trajectory.fectraj"
@@ -112,14 +105,13 @@ def _cmd_invert(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     cfg = _config_from_args(args)
-    net, sched, plan = _components(cfg)
+    net, sched, plan = cfg.components()
     method = cfg.methods[0]
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
     record: dict = {}
-    layers = LayerRange(cfg.layer_start, cfg.layer_end or net.config.layer_count)
     out, traj = reconstruct_once(
         net, sched, plan, z0, method, cfg.prompts[0],
-        cfg.inv_guidances[0], cfg.samp_guidances[0], cfg.embed_seed, layers, record,
+        cfg.inv_guidances[0], cfg.samp_guidances[0], cfg.embed_seed, cfg.layer_range(), record,
     )
     report = measure_reconstruction(z0, out, record, traj)
     for key, value in report.as_flat_dict().items():
@@ -133,18 +125,32 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
+def _edit_method(method: str) -> str:
+    """The edit sampler for a requested method; ``direct``, the default
+    method of every command, selects fec-noise."""
+    if method == "direct":
+        return "fec-noise"
+    if method not in EDIT_METHODS:
+        raise UsageError(
+            f"unknown edit method {method!r}; expected one of {', '.join(EDIT_METHODS)}"
+        )
+    return method
+
+
 def _cmd_edit(args) -> int:
+    if args.method:
+        # Before the configuration rejects a method no sampler knows.
+        _edit_method(args.method)
     cfg = _config_from_args(args)
-    net, sched, plan = _components(cfg)
-    method = cfg.methods[0] if cfg.methods[0] != "direct" else "fec-noise"
+    method = _edit_method(cfg.methods[0])
+    net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
-    layers = LayerRange(cfg.layer_start, cfg.layer_end or net.config.layer_count)
     req = EditRequest(
         source_prompt=cfg.prompts[0],
         edit_prompt=cfg.edit_prompts[0] if cfg.edit_prompts else cfg.prompts[0],
         method=method,
         blend_word=cfg.blend_word,
-        layer_range=layers,
+        layer_range=cfg.layer_range(),
         guidance=cfg.samp_guidances[0],
     )
     user_mask = read_mask(args.mask) if args.mask else None
@@ -246,7 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"fecdiff {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

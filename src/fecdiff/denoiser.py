@@ -1,10 +1,11 @@
 """Noise-prediction networks and the deterministic pseudo text embedder.
 
-Two denoisers share the sampler interface: a toy attention denoiser with
-self-attention KV capture/injection hooks, and an analytic Gaussian
-denoiser used as an oracle. Both are pure functions of their inputs;
-repeated calls are bit-identical, and batched evaluation is defined as a
-loop over samples so batch results equal single-sample results exactly.
+Two denoisers share the sampler interface: a toy attention denoiser whose
+self-attention K/V pass through one optional hook (capture or inject),
+and an analytic Gaussian denoiser used as an oracle. Both are pure
+functions of their inputs; repeated calls are bit-identical, and batched
+evaluation is defined as a loop over samples so batch results equal
+single-sample results exactly.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ class KVCache:
     latent_shape: tuple[int, ...] | None = None
     layer_count: int | None = None
 
-    def store(self, t: int, layer: int, k: np.ndarray, v: np.ndarray, overwrite: bool = False):
-        if (t, layer) in self.entries and not overwrite:
-            raise ValueError(f"duplicate KV capture at (t={t}, layer={layer}) without overwrite")
+    def store(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
+        if (t, layer) in self.entries:
+            raise ValueError(f"duplicate KV capture at (t={t}, layer={layer})")
         self.entries[(t, layer)] = (k, v)
 
     def fetch(self, t: int, layer: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +123,37 @@ class KVCache:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+class KVCapture:
+    """K/V hook that records every layer's K and V into ``cache`` and
+    returns them unchanged, so capturing never alters the output."""
+
+    def __init__(self, cache: KVCache):
+        self.cache = cache
+
+    def __call__(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
+        self.cache.store(t, layer, k.copy(), v.copy())
+        return k, v
+
+
+class KVInject:
+    """K/V hook that swaps in the cached K and V (or only V, keeping K
+    live) of each layer inside ``layers`` at the evaluated timestep."""
+
+    def __init__(self, cache: KVCache, layers: LayerRange, v_only: bool = False):
+        self.cache = cache
+        self.layers = layers
+        self.v_only = v_only
+
+    def __call__(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
+        if layer not in self.layers:
+            return k, v
+        k_cached, v_cached = self.cache.fetch(t, layer)
+        return (k if self.v_only else k_cached), v_cached
+
+
+KVHook = KVCapture | KVInject
 
 
 @dataclass
@@ -272,20 +304,16 @@ class ToyDenoiser:
         t: int,
         cond: PromptEmbedding,
         *,
-        capture_to: KVCache | None = None,
-        capture_overwrite: bool = False,
-        inject_from: KVCache | None = None,
-        inject_layers: LayerRange | None = None,
-        inject_v_only: bool = False,
+        kv: KVHook | None = None,
         trace_to: AttentionTrace | None = None,
         route: str = "other",
     ) -> np.ndarray:
         """Predicted noise eps(z, t, cond), same shape as z.
 
-        ``capture_to`` records self-attention K/V (and cross-attention
-        maps into ``trace_to``) without altering the output. Injection
-        replaces K and V (or V only) of self-attention layers inside
-        ``inject_layers`` with cached entries at timestep t.
+        ``kv`` sees every self-attention layer's K and V and returns the
+        pair the layer attends with; ``trace_to`` records the head-averaged
+        cross-attention maps. Neither changes the output unless ``kv``
+        swaps K or V.
         """
         cfg = self.config
         z = np.asarray(z, dtype=np.float64)
@@ -295,10 +323,8 @@ class ToyDenoiser:
             raise NonFiniteError(f"non-finite latent passed to denoiser at t={t}")
         if cond.tokens.shape != (cfg.n_tokens, cfg.token_dim):
             raise ValueError("prompt embedding shape does not match denoiser config")
-        if inject_from is not None and inject_layers is None:
-            raise ValueError("inject_layers required when injecting")
-        if inject_layers is not None and inject_layers.end > cfg.layer_count:
-            raise ValueError(f"layer range end {inject_layers.end} exceeds L={cfg.layer_count}")
+        if isinstance(kv, KVInject) and kv.layers.end > cfg.layer_count:
+            raise ValueError(f"layer range end {kv.layers.end} exceeds L={cfg.layer_count}")
         self.call_counts[route] += 1
 
         c, h, w = cfg.latent_shape
@@ -314,13 +340,8 @@ class ToyDenoiser:
             q = a @ blk["wq"]
             k = a @ blk["wk"]
             v = a @ blk["wv"]
-            if capture_to is not None:
-                capture_to.store(t, layer, k.copy(), v.copy(), overwrite=capture_overwrite)
-            if inject_from is not None and inject_layers is not None and layer in inject_layers:
-                k_cached, v_cached = inject_from.fetch(t, layer)
-                v = v_cached
-                if not inject_v_only:
-                    k = k_cached
+            if kv is not None:
+                k, v = kv(t, layer, k, v)
             out, _ = self._attend(self._heads(q), self._heads(k), self._heads(v))
             hdd = hdd + self._merge(out) @ blk["wo"]
 
@@ -371,10 +392,9 @@ class GaussianDenoiser:
         self.std = float(std)
         self.call_counts: Counter[str] = Counter()
 
-    def predict(self, z, t, cond=None, *, route: str = "other", **kwargs) -> np.ndarray:
-        for key, val in kwargs.items():
-            if val is not None and val is not False:
-                raise ValueError(f"GaussianDenoiser does not support {key}")
+    def predict(self, z, t, cond=None, *, kv=None, trace_to=None, route: str = "other"):
+        if kv is not None or trace_to is not None:
+            raise ValueError("GaussianDenoiser has no attention to hook or trace")
         z = np.asarray(z, dtype=np.float64)
         if not np.all(np.isfinite(z)):
             raise NonFiniteError(f"non-finite latent passed to denoiser at t={t}")
@@ -386,37 +406,3 @@ class GaussianDenoiser:
     def predict_batch(self, zs, t, cond=None, *, route: str = "other", **kwargs):
         return [self.predict(z, t, cond, route=route, **kwargs) for z in zs]
 
-
-def predict_noise(net, z, t, cond, *, route: str = "other") -> np.ndarray:
-    """Plain noise prediction eps(z, t, cond)."""
-    return net.predict(z, t, cond, route=route)
-
-
-def predict_noise_capture(
-    net, z, t, cond, cache: KVCache, trace: AttentionTrace | None = None,
-    *, overwrite: bool = False, route: str = "other",
-) -> np.ndarray:
-    """Noise prediction that records self-attention K/V (and optionally
-    cross-attention maps); the output is identical to predict_noise."""
-    if cache.latent_shape is None:
-        cache.latent_shape = net.config.latent_shape
-        cache.layer_count = net.config.layer_count
-    return net.predict(
-        z, t, cond, capture_to=cache, capture_overwrite=overwrite, trace_to=trace, route=route
-    )
-
-
-def predict_noise_inject(
-    net, z, t, cond, cache: KVCache, layers: LayerRange, *, route: str = "other"
-) -> np.ndarray:
-    """Noise prediction with cached K and V injected over ``layers``."""
-    return net.predict(z, t, cond, inject_from=cache, inject_layers=layers, route=route)
-
-
-def predict_noise_inject_v_only(
-    net, z, t, cond, cache: KVCache, layers: LayerRange, *, route: str = "other"
-) -> np.ndarray:
-    """Like predict_noise_inject, but only V is replaced; K stays live."""
-    return net.predict(
-        z, t, cond, inject_from=cache, inject_layers=layers, inject_v_only=True, route=route
-    )

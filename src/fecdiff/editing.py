@@ -7,13 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import AttentionTrace, LayerRange, PromptEmbedding, embed_prompt
+from .denoiser import AttentionTrace, LayerRange, PromptEmbedding
 from .metrics import latent_loss, trajectory_loss_curve
 from .sampling import (
     CaptureOptions,
     FixedMaskProvider,
-    GuidanceContext,
     ZeroMaskProvider,
+    guidance_contexts,
     invert,
     sample_fec_kv_reuse,
     sample_fec_noise,
@@ -159,11 +159,8 @@ def run_edit(
     reference trajectory and, for masked fec-noise edits, the locality
     metric against the method's own reconstruction.
     """
-    cond = embed_prompt(req.source_prompt, embed_seed)
-    null = embed_prompt("", embed_seed)
-    ctx = GuidanceContext(scale=req.guidance, cond=cond, uncond=null)
-    edit_ctx = GuidanceContext(
-        scale=req.guidance, cond=embed_prompt(req.edit_prompt, embed_seed), uncond=null
+    ctx, edit_ctx = guidance_contexts(
+        net, (req.source_prompt, req.edit_prompt), req.guidance, embed_seed
     )
     reconstruct = req.edit_prompt == req.source_prompt
     mode = "reconstruct" if reconstruct else "edit"
@@ -202,9 +199,8 @@ def run_edit(
             else:
                 report.locality = {"reconstruction_mse": latent_loss(out, recon)}
     else:
-        layers = req.layer_range or LayerRange(0, net.config.layer_count)
         out = sample_fec_kv_reuse(
-            net, traj[plan.timesteps[0]], res.kv_cache, ctx, plan, sched, layers,
+            net, traj[plan.timesteps[0]], res.kv_cache, ctx, plan, sched, req.layer_range,
             cache_uncond=res.kv_cache_uncond,
             edit_ctx=None if reconstruct else edit_ctx, record=record, route="edit",
         )

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoiser import DenoiserConfig, LayerRange, ToyDenoiser, embed_prompt
+from .denoiser import DenoiserConfig, LayerRange, ToyDenoiser
 from .metrics import MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve
 from .sampling import (
     CaptureOptions,
-    GuidanceContext,
+    guidance_contexts,
     invert,
     sample_direct,
     sample_fec_kv_reuse,
@@ -89,6 +89,17 @@ class ExperimentConfig:
         if self.denoiser.init_seed != self.denoiser_seed:
             self.denoiser = replace(self.denoiser, init_seed=self.denoiser_seed)
 
+    def layer_range(self) -> LayerRange:
+        """The injection layer range; ``layer_end=None`` means every layer."""
+        end = self.denoiser.layer_count if self.layer_end is None else self.layer_end
+        return LayerRange(self.layer_start, end)
+
+    def components(self):
+        """The (network, schedule, plan) triple this configuration describes."""
+        sched = build_schedule(self.schedule_kind, self.total_train_steps)
+        plan = timestep_plan(self.steps, self.total_train_steps)
+        return ToyDenoiser(self.denoiser), sched, plan
+
 
 @dataclass
 class SweepReport:
@@ -111,13 +122,6 @@ class SweepReport:
         return out
 
 
-def _make_components(cfg: ExperimentConfig):
-    sched = build_schedule(cfg.schedule_kind, cfg.total_train_steps)
-    plan = timestep_plan(cfg.steps, cfg.total_train_steps)
-    net = ToyDenoiser(cfg.denoiser)
-    return net, sched, plan
-
-
 def reconstruct_once(
     net,
     sched,
@@ -133,10 +137,8 @@ def reconstruct_once(
 ):
     """Invert ``z0`` and reconstruct it with one method; returns
     (reconstruction, trajectory)."""
-    cond = embed_prompt(prompt, embed_seed, net.config.n_tokens, net.config.token_dim)
-    null = embed_prompt("", embed_seed, net.config.n_tokens, net.config.token_dim)
-    inv_ctx = GuidanceContext(scale=inv_scale, cond=cond, uncond=null)
-    samp_ctx = GuidanceContext(scale=samp_scale, cond=cond, uncond=null)
+    (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)
+    samp_ctx = replace(inv_ctx, scale=samp_scale)
     needs_kv = method in ("fec-kv-reuse", "fec-v-reuse")
     res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=needs_kv))
     traj = res.trajectory
@@ -175,8 +177,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Reconstruction sweep over methods x guidances x prompts x seeds.
 
     Per-cell failures are recorded in the row, not raised."""
-    net, sched, plan = _make_components(cfg)
-    layers = LayerRange(cfg.layer_start, cfg.layer_end or net.config.layer_count)
+    net, sched, plan = cfg.components()
+    layers = cfg.layer_range()
     report = SweepReport()
     for method in cfg.methods:
         for inv_g in cfg.inv_guidances:
@@ -222,15 +224,12 @@ def run_ablation_v_only(cfg: ExperimentConfig) -> SweepReport:
 def check_batch_invariance(cfg: ExperimentConfig, batch: int = 2) -> dict:
     """Run identical sessions batched and sequentially; pass iff outputs
     are bit-identical at every level checked."""
-    net, sched, plan = _make_components(cfg)
-    prompt = cfg.prompts[0]
-    cond = embed_prompt(prompt, cfg.embed_seed)
-    null = embed_prompt("", cfg.embed_seed)
-    ctx = GuidanceContext(scale=cfg.samp_guidances[0], cond=cond, uncond=null)
+    net, sched, plan = cfg.components()
+    (ctx,) = guidance_contexts(net, (cfg.prompts[0],), cfg.samp_guidances[0], cfg.embed_seed)
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
 
-    single = net.predict(z0, plan.timesteps[0], cond)
-    batched = net.predict_batch([z0] * batch, plan.timesteps[0], cond)
+    single = net.predict(z0, plan.timesteps[0], ctx.cond)
+    batched = net.predict_batch([z0] * batch, plan.timesteps[0], ctx.cond)
     forward_diff = max(float(np.max(np.abs(b - single))) for b in batched)
     forward_identical = all(b.tobytes() == single.tobytes() for b in batched)
 
@@ -290,7 +289,7 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     """
     from .editing import EditRequest, run_edit
 
-    net, sched, plan = _make_components(cfg)
+    net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source + " edited"
@@ -311,12 +310,7 @@ def report_timing(cfg: ExperimentConfig) -> dict:
 
     # Paired direct editing: a reconstruction route plus an edit route.
     net.call_counts.clear()
-    cond = embed_prompt(source, cfg.embed_seed)
-    null = embed_prompt("", cfg.embed_seed)
-    ctx = GuidanceContext(scale=guidance, cond=cond, uncond=null)
-    edit_ctx = GuidanceContext(
-        scale=guidance, cond=embed_prompt(edit, cfg.embed_seed), uncond=null
-    )
+    ctx, edit_ctx = guidance_contexts(net, (source, edit), guidance, cfg.embed_seed)
     t0 = time.perf_counter()
     traj = invert(net, z0, ctx, plan, sched).trajectory
     z_start = traj[plan.timesteps[0]]

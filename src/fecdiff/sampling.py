@@ -14,13 +14,12 @@ import numpy as np
 from .denoiser import (
     AttentionTrace,
     KVCache,
+    KVCapture,
+    KVInject,
     LayerRange,
     NonFiniteError,
     PromptEmbedding,
-    predict_noise,
-    predict_noise_capture,
-    predict_noise_inject,
-    predict_noise_inject_v_only,
+    embed_prompt,
 )
 from .schedule import NoiseSchedule, TimestepPlan
 
@@ -38,6 +37,19 @@ class GuidanceContext:
             raise ValueError("guidance scale must be finite")
         if self.cond.tokens.shape != self.uncond.tokens.shape:
             raise ValueError("cond/uncond embedding shapes must match")
+
+
+def guidance_contexts(
+    net, prompts: tuple[str, ...], scale: float, embed_seed: int = 0
+) -> list[GuidanceContext]:
+    """One context per prompt at ``scale``, all sharing the null embedding,
+    with every embedding sized to the network's token shape."""
+    n_tokens, dim = net.config.n_tokens, net.config.token_dim
+    null = embed_prompt("", embed_seed, n_tokens, dim)
+    return [
+        GuidanceContext(scale=scale, cond=embed_prompt(p, embed_seed, n_tokens, dim), uncond=null)
+        for p in prompts
+    ]
 
 
 @dataclass
@@ -71,9 +83,7 @@ class CaptureOptions:
     """
 
     kv: bool = False
-    trace: bool = False
     aligned: bool = True
-    overwrite: bool = False
 
 
 @dataclass
@@ -90,7 +100,6 @@ class InvertResult:
     trajectory: Trajectory
     kv_cache: KVCache | None = None
     kv_cache_uncond: KVCache | None = None
-    trace: AttentionTrace | None = None
 
 
 def cfg_combine(eps_c: np.ndarray, eps_u: np.ndarray, scale: float) -> np.ndarray:
@@ -161,9 +170,13 @@ def desired_uncond(eps_t: np.ndarray, eps_c: np.ndarray, scale: float) -> np.nda
     return (eps_t - scale * eps_c) / (1.0 - scale)
 
 
-def guided_noise(net, z, t, ctx: GuidanceContext, *, route="other") -> np.ndarray:
-    eps_c = predict_noise(net, z, t, ctx.cond, route=route)
-    eps_u = predict_noise(net, z, t, ctx.uncond, route=route)
+def guided_noise(
+    net, z, t, ctx: GuidanceContext, *, route="other", kv=None, kv_uncond=None
+) -> np.ndarray:
+    """Classifier-free-guided noise; ``kv`` and ``kv_uncond`` hook the
+    conditional and the unconditional evaluation."""
+    eps_c = net.predict(z, t, ctx.cond, kv=kv, route=route)
+    eps_u = net.predict(z, t, ctx.uncond, kv=kv_uncond, route=route)
     return cfg_combine(eps_c, eps_u, ctx.scale)
 
 
@@ -185,41 +198,46 @@ def invert(
     """Run DDIM inversion up the plan, recording every latent.
 
     With KV capture on, each step is followed by aligned evaluations at
-    (z_t, t) purely to record K/V (and cross-attention maps when
-    requested): one under the conditional embedding and one under the
-    unconditional embedding, filling one cache per guidance branch.
+    (z_t, t) purely to record K/V: one under the conditional embedding and
+    one under the unconditional embedding, filling one cache per guidance
+    branch.
     """
     capture = capture or CaptureOptions()
     z0 = np.asarray(z0, dtype=np.float64)
     _finite(z0, 0, "inversion")
-    cache = KVCache() if capture.kv else None
-    cache_u = KVCache() if capture.kv else None
-    trace = AttentionTrace() if capture.trace else None
+    cache = cache_u = None
+    if capture.kv:
+        shape = {"latent_shape": net.config.latent_shape, "layer_count": net.config.layer_count}
+        cache, cache_u = KVCache(**shape), KVCache(**shape)
     latents: dict[int, np.ndarray] = {0: z0.copy()}
     z = z0
     for t_prev, t in plan.inversion_pairs():
         eps = guided_noise(net, z, t, ctx, route="inversion")
         z = _finite(ddim_invert_step(z, eps, t_prev, t, sched), t, "inversion")
         latents[t] = z.copy()
-        if cache is not None or (trace is not None and capture.aligned):
-            target = cache if cache is not None else KVCache()
+        if capture.kv:
             # The capture latent matches what the sampler will present at
             # this timestep when aligned; otherwise re-run the inversion
             # evaluation so capture stays observation-only either way.
             z_cap = z if capture.aligned else latents[t_prev]
-            predict_noise_capture(
-                net, z_cap, t, ctx.cond, target, trace,
-                overwrite=capture.overwrite, route="capture",
-            )
-            if cache_u is not None:
-                predict_noise_capture(
-                    net, z_cap, t, ctx.uncond, cache_u,
-                    overwrite=capture.overwrite, route="capture",
-                )
+            net.predict(z_cap, t, ctx.cond, kv=KVCapture(cache), route="capture")
+            net.predict(z_cap, t, ctx.uncond, kv=KVCapture(cache_u), route="capture")
     traj = Trajectory(
         latents=latents, timesteps=tuple(plan.timesteps), guidance=ctx.scale, seed=seed
     )
-    return InvertResult(trajectory=traj, kv_cache=cache, kv_cache_uncond=cache_u, trace=trace)
+    return InvertResult(trajectory=traj, kv_cache=cache, kv_cache_uncond=cache_u)
+
+
+def _descend(z, plan: TimestepPlan, sched: NoiseSchedule, noise, record, stage: str):
+    """DDIM descent down the plan from ``z``, taking each step's noise from
+    ``noise(z, t, t_prev)`` and recording every latent into ``record``."""
+    if record is not None:
+        record[plan.timesteps[0]] = z.copy()
+    for t, t_prev in plan.sampling_pairs():
+        z = _finite(ddim_step(z, noise(z, t, t_prev), t, t_prev, sched), t_prev, stage)
+        if record is not None:
+            record[t_prev] = z.copy()
+    return z
 
 
 def sample_direct(
@@ -233,15 +251,12 @@ def sample_direct(
     route: str = "reconstruction",
 ) -> np.ndarray:
     """Plain guided DDIM descent from the inversion endpoint."""
+
+    def noise(z, t, t_prev):
+        return guided_noise(net, z, t, ctx, route=route)
+
     z = np.asarray(traj_start, dtype=np.float64)
-    if record is not None:
-        record[plan.timesteps[0]] = z.copy()
-    for t, t_prev in plan.sampling_pairs():
-        eps = guided_noise(net, z, t, ctx, route=route)
-        z = _finite(ddim_step(z, eps, t, t_prev, sched), t_prev, "sampling")
-        if record is not None:
-            record[t_prev] = z.copy()
-    return z
+    return _descend(z, plan, sched, noise, record, "sampling")
 
 
 def sample_neg_prompt_baseline(
@@ -345,10 +360,7 @@ def sample_fec_noise(
     if mode == "reconstruct" or mask_provider is None:
         mask_provider = ZeroMaskProvider()
 
-    z = traj[plan.timesteps[0]].copy()
-    if record is not None:
-        record[plan.timesteps[0]] = z.copy()
-    for t, t_prev in plan.sampling_pairs():
+    def noise(z, t, t_prev):
         trace = AttentionTrace() if getattr(mask_provider, "needs_trace", False) else None
         eps_c = net.predict(z, t, use_ctx.cond, trace_to=trace, route=route)
         eps_des = desired_noise(z, traj[t_prev], t, t_prev, sched)
@@ -359,24 +371,18 @@ def sample_fec_noise(
         if scale == 1.0:
             # Singular Eq.-13 case: blend total noise so unmasked regions
             # still receive exactly the desired noise.
-            if live:
-                eps_u_live = net.predict(z, t, use_ctx.uncond, route=route)
-                eps_live = cfg_combine(eps_c, eps_u_live, scale)
-                eps = m * eps_live + (1.0 - m) * eps_des
-            else:
-                eps = eps_des
-        else:
-            eps_u_des = desired_uncond(eps_des, eps_c, scale)
-            if live:
-                eps_u_live = net.predict(z, t, use_ctx.uncond, route=route)
-                eps_u = m * eps_u_live + (1.0 - m) * eps_u_des
-            else:
-                eps_u = eps_u_des
-            eps = cfg_combine(eps_c, eps_u, scale)
-        z = _finite(ddim_step(z, eps, t, t_prev, sched), t_prev, "fec-noise sampling")
-        if record is not None:
-            record[t_prev] = z.copy()
-    return z
+            if not live:
+                return eps_des
+            eps_live = cfg_combine(eps_c, net.predict(z, t, use_ctx.uncond, route=route), scale)
+            return m * eps_live + (1.0 - m) * eps_des
+        eps_u = desired_uncond(eps_des, eps_c, scale)
+        if live:
+            eps_u_live = net.predict(z, t, use_ctx.uncond, route=route)
+            eps_u = m * eps_u_live + (1.0 - m) * eps_u
+        return cfg_combine(eps_c, eps_u, scale)
+
+    z = traj[plan.timesteps[0]].copy()
+    return _descend(z, plan, sched, noise, record, "fec-noise sampling")
 
 
 def sample_fec_kv_reuse(
@@ -405,20 +411,15 @@ def sample_fec_kv_reuse(
     """
     if layers is None:
         layers = LayerRange(0, net.config.layer_count)
-    inject = predict_noise_inject_v_only if v_only else predict_noise_inject
     use_ctx = edit_ctx if edit_ctx is not None else ctx
     cache_u = cache_uncond if cache_uncond is not None else cache
     for t in plan.timesteps:
         if not (cache.has_timestep(t) and cache_u.has_timestep(t)):
             raise KeyError(f"KV cache has no entries at planned timestep t={t}")
+    kv, kv_u = KVInject(cache, layers, v_only), KVInject(cache_u, layers, v_only)
+
+    def noise(z, t, t_prev):
+        return guided_noise(net, z, t, use_ctx, route=route, kv=kv, kv_uncond=kv_u)
+
     z = np.asarray(traj_start, dtype=np.float64)
-    if record is not None:
-        record[plan.timesteps[0]] = z.copy()
-    for t, t_prev in plan.sampling_pairs():
-        eps_c = inject(net, z, t, use_ctx.cond, cache, layers, route=route)
-        eps_u = inject(net, z, t, use_ctx.uncond, cache_u, layers, route=route)
-        eps = cfg_combine(eps_c, eps_u, use_ctx.scale)
-        z = _finite(ddim_step(z, eps, t, t_prev, sched), t_prev, "fec-kv-reuse sampling")
-        if record is not None:
-            record[t_prev] = z.copy()
-    return z
+    return _descend(z, plan, sched, noise, record, "fec-kv-reuse sampling")

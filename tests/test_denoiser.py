@@ -6,14 +6,12 @@ from fecdiff.denoiser import (
     DenoiserConfig,
     GaussianDenoiser,
     KVCache,
+    KVCapture,
+    KVInject,
     LayerRange,
     NonFiniteError,
     ToyDenoiser,
     embed_prompt,
-    predict_noise,
-    predict_noise_capture,
-    predict_noise_inject,
-    predict_noise_inject_v_only,
 )
 from fecdiff.schedule import build_schedule
 
@@ -109,9 +107,9 @@ def test_patch_size_validation():
 
 def test_capture_is_observation_only(net, cond):
     z = _latent(1)
-    plain = predict_noise(net, z, 500, cond)
+    plain = net.predict(z, 500, cond)
     cache = KVCache()
-    captured = predict_noise_capture(net, z, 500, cond, cache)
+    captured = net.predict(z, 500, cond, kv=KVCapture(cache))
     assert plain.tobytes() == captured.tobytes()
     assert len(cache) == net.layer_count
     k, v = cache.fetch(500, 0)
@@ -123,20 +121,19 @@ def test_capture_duplicate_guard():
     cond = embed_prompt("x", 0)
     z = _latent(0)
     cache = KVCache()
-    predict_noise_capture(net, z, 500, cond, cache)
+    net.predict(z, 500, cond, kv=KVCapture(cache))
     with pytest.raises(ValueError):
-        predict_noise_capture(net, z, 500, cond, cache)
-    predict_noise_capture(net, z, 500, cond, cache, overwrite=True)
+        net.predict(z, 500, cond, kv=KVCapture(cache))
 
 
 def test_inject_at_capture_point_is_identity(net, cond):
     # Injecting K/V captured at exactly (z, t) reproduces the plain output.
     z = _latent(2)
     cache = KVCache()
-    plain = predict_noise_capture(net, z, 500, cond, cache)
+    plain = net.predict(z, 500, cond, kv=KVCapture(cache))
     layers = LayerRange(0, net.layer_count)
-    injected = predict_noise_inject(net, z, 500, cond, cache, layers)
-    v_only = predict_noise_inject_v_only(net, z, 500, cond, cache, layers)
+    injected = net.predict(z, 500, cond, kv=KVInject(cache, layers))
+    v_only = net.predict(z, 500, cond, kv=KVInject(cache, layers, v_only=True))
     assert plain.tobytes() == injected.tobytes()
     assert plain.tobytes() == v_only.tobytes()
 
@@ -144,25 +141,23 @@ def test_inject_at_capture_point_is_identity(net, cond):
 def test_inject_elsewhere_changes_output(net, cond):
     z = _latent(2)
     cache = KVCache()
-    predict_noise_capture(net, z, 500, cond, cache)
+    net.predict(z, 500, cond, kv=KVCapture(cache))
     other = _latent(3)
     layers = LayerRange(0, net.layer_count)
-    plain = predict_noise(net, other, 500, cond)
-    injected = predict_noise_inject(net, other, 500, cond, cache, layers)
+    plain = net.predict(other, 500, cond)
+    injected = net.predict(other, 500, cond, kv=KVInject(cache, layers))
     assert not np.array_equal(plain, injected)
     # Empty layer range leaves the evaluation untouched.
-    none = predict_noise_inject(net, other, 500, cond, cache, LayerRange(0, 0))
+    none = net.predict(other, 500, cond, kv=KVInject(cache, LayerRange(0, 0)))
     assert plain.tobytes() == none.tobytes()
 
 
 def test_inject_validation(net, cond):
     z = _latent(0)
     with pytest.raises(ValueError):
-        net.predict(z, 500, cond, inject_from=KVCache())  # layers required
-    with pytest.raises(ValueError):
-        net.predict(z, 500, cond, inject_from=KVCache(), inject_layers=LayerRange(0, 99))
+        net.predict(z, 500, cond, kv=KVInject(KVCache(), LayerRange(0, 99)))
     with pytest.raises(KeyError):
-        predict_noise_inject(net, z, 500, cond, KVCache(), LayerRange(0, 1))
+        net.predict(z, 500, cond, kv=KVInject(KVCache(), LayerRange(0, 1)))
 
 
 def test_trace_rows_are_distributions(net, cond):
@@ -235,6 +230,6 @@ def test_gaussian_denoiser_rejects_hooks():
     sched = build_schedule("scaled-linear-beta", 1000)
     den = GaussianDenoiser(sched)
     with pytest.raises(ValueError):
-        den.predict(np.zeros(3), 10, capture_to=KVCache())
+        den.predict(np.zeros(3), 10, kv=KVCapture(KVCache()))
     with pytest.raises(NonFiniteError):
         den.predict(np.array([np.inf]), 10)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fecdiff.denoiser import AttentionTrace, LayerRange, embed_prompt
+from fecdiff.denoiser import AttentionTrace, DenoiserConfig, LayerRange, ToyDenoiser, embed_prompt
 from fecdiff.editing import (
     AttentionMaskProvider,
     EditRequest,
@@ -128,3 +128,24 @@ def test_kv_edit_layer_range_changes_output(net, sched, plan10):
     out_full, _ = run_edit(net, sched, plan10, z0, full)
     out_half, _ = run_edit(net, sched, plan10, z0, half)
     assert not np.array_equal(out_full, out_half)
+
+
+def test_kv_edit_empty_layer_range_injects_nothing(net, sched, plan10):
+    # No injected layer leaves plain guided descent under the edit prompt,
+    # which is what fec-ref's edit mode runs.
+    z0 = generate_synthetic_latent(2, "gaussian")
+    none = EditRequest("a cat on a mat", "a dog on a mat", "fec-kv-reuse",
+                       layer_range=LayerRange(0, 0))
+    ref = EditRequest("a cat on a mat", "a dog on a mat", "fec-ref")
+    out_none, _ = run_edit(net, sched, plan10, z0, none)
+    out_ref, _ = run_edit(net, sched, plan10, z0, ref)
+    assert out_none.tobytes() == out_ref.tobytes()
+
+
+def test_edit_embeds_prompts_at_the_network_token_shape(sched, plan10):
+    net = ToyDenoiser(DenoiserConfig(n_tokens=4))
+    z0 = generate_synthetic_latent(0, "gaussian")
+    req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise")
+    out, report = run_edit(net, sched, plan10, z0, req)
+    assert out.shape == z0.shape and np.all(np.isfinite(out))
+    assert report.locality is not None

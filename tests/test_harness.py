@@ -84,6 +84,15 @@ def test_run_sweep_records_cell_errors():
     assert "layer range" in report.rows[0]["error"]
 
 
+def test_empty_layer_range_injects_nothing():
+    # layer_end=0 is an explicit empty range, not "all layers": kv-reuse
+    # with nothing injected is direct sampling.
+    cfg = ExperimentConfig(methods=("direct", "fec-kv-reuse"), steps=5, layer_start=0, layer_end=0)
+    direct, kv = run_sweep(cfg).rows
+    assert not direct["error"] and not kv["error"]
+    assert kv["latent_loss"] == direct["latent_loss"]
+
+
 def test_ablation_includes_v_only():
     report = run_ablation_v_only(_small_cfg())
     methods = {row["method"] for row in report.rows}
@@ -191,3 +200,12 @@ def test_cli_edit_with_mask(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "locality.outside_mask_mse" in out
+
+
+@pytest.mark.parametrize("method", ["neg-prompt", "warp"])
+def test_cli_edit_rejects_non_edit_method(method, capsys):
+    rc = main(["edit", "--method", method, "--steps", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fecdiff edit: error: ")
+    assert repr(method) in err[0]

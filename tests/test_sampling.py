@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fecdiff.denoiser import KVCache, LayerRange, embed_prompt, predict_noise_inject
+from fecdiff.denoiser import KVCache, KVInject, LayerRange, embed_prompt
 from fecdiff.sampling import (
     CaptureOptions,
     FixedMaskProvider,
@@ -128,7 +128,7 @@ def test_aligned_capture_matches_sampler_inputs(net, sched, plan10):
     z_t = res.trajectory[t]
     layers = LayerRange(0, net.layer_count)
     live = net.predict(z_t, t, ctx.cond)
-    injected = predict_noise_inject(net, z_t, t, ctx.cond, res.kv_cache, layers)
+    injected = net.predict(z_t, t, ctx.cond, kv=KVInject(res.kv_cache, layers))
     assert live.tobytes() == injected.tobytes()
 
 
