@@ -86,7 +86,7 @@ def _config_from_args(args) -> ExperimentConfig:
 def _cmd_invert(args) -> int:
     cfg = _config_from_args(args)
     net, sched, plan = cfg.components()
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     (ctx,) = guidance_contexts(net, (cfg.prompts[0],), cfg.inv_guidances[0], cfg.embed_seed)
     res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=bool(args.kv_out)),
                  seed=cfg.seeds[0])
@@ -107,7 +107,7 @@ def _cmd_reconstruct(args) -> int:
     cfg = _config_from_args(args)
     net, sched, plan = cfg.components()
     method = cfg.methods[0]
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     record: dict = {}
     out, traj = reconstruct_once(
         net, sched, plan, z0, method, cfg.prompts[0],
@@ -144,7 +144,7 @@ def _cmd_edit(args) -> int:
     cfg = _config_from_args(args)
     method = _edit_method(cfg.methods[0])
     net, sched, plan = cfg.components()
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     req = EditRequest(
         source_prompt=cfg.prompts[0],
         edit_prompt=cfg.edit_prompts[0] if cfg.edit_prompts else cfg.prompts[0],

@@ -207,13 +207,16 @@ def _sinusoidal(x: float | np.ndarray, dim: int) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-5) * gain + bias
+    d = x - x.mean(axis=-1, keepdims=True)
+    # Byte-equal to ``x.var(axis=-1)``, without recomputing the mean.
+    var = (d * d).mean(axis=-1, keepdims=True)
+    return d / np.sqrt(var + 1e-5) * gain + bias
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    # ``x * x * x``, not ``x**3``: numpy sends a cube through generic pow,
+    # about 50 times slower on the MLP activations.
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:

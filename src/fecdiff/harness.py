@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -15,6 +16,8 @@ from .denoiser import DenoiserConfig, LayerRange, ToyDenoiser
 from .metrics import MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve
 from .sampling import (
     CaptureOptions,
+    GuidanceContext,
+    InvertResult,
     guidance_contexts,
     invert,
     sample_direct,
@@ -122,6 +125,9 @@ class SweepReport:
         return out
 
 
+KV_METHODS = ("fec-kv-reuse", "fec-v-reuse")
+
+
 def reconstruct_once(
     net,
     sched,
@@ -138,28 +144,40 @@ def reconstruct_once(
     """Invert ``z0`` and reconstruct it with one method; returns
     (reconstruction, trajectory)."""
     (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)
+    res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=method in KV_METHODS))
     samp_ctx = replace(inv_ctx, scale=samp_scale)
-    needs_kv = method in ("fec-kv-reuse", "fec-v-reuse")
-    res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=needs_kv))
+    return reconstruct_from(net, sched, plan, res, method, samp_ctx, layers, record), res.trajectory
+
+
+def reconstruct_from(
+    net,
+    sched,
+    plan,
+    res: InvertResult,
+    method: str,
+    ctx: GuidanceContext,
+    layers: LayerRange | None = None,
+    record: dict | None = None,
+) -> np.ndarray:
+    """Reconstruct the source of an inversion with one method under the
+    sampling context ``ctx``. The kv methods need ``res`` to carry K/V."""
     traj = res.trajectory
     z_start = traj[plan.timesteps[0]]
     if method == "direct":
-        out = sample_direct(net, z_start, samp_ctx, plan, sched, record=record)
-    elif method == "neg-prompt":
-        out = sample_neg_prompt_baseline(net, z_start, samp_ctx, plan, sched, record=record)
-    elif method == "fec-ref":
-        out = sample_fec_ref(net, traj, samp_ctx, plan, sched, record=record)
-    elif method == "fec-noise":
-        out = sample_fec_noise(net, traj, samp_ctx, plan, sched, record=record)
-    elif method in ("fec-kv-reuse", "fec-v-reuse"):
-        out = sample_fec_kv_reuse(
-            net, z_start, res.kv_cache, samp_ctx, plan, sched, layers,
+        return sample_direct(net, z_start, ctx, plan, sched, record=record)
+    if method == "neg-prompt":
+        return sample_neg_prompt_baseline(net, z_start, ctx, plan, sched, record=record)
+    if method == "fec-ref":
+        return sample_fec_ref(net, traj, ctx, plan, sched, record=record)
+    if method == "fec-noise":
+        return sample_fec_noise(net, traj, ctx, plan, sched, record=record)
+    if method in KV_METHODS:
+        return sample_fec_kv_reuse(
+            net, z_start, res.kv_cache, ctx, plan, sched, layers,
             cache_uncond=res.kv_cache_uncond,
             v_only=(method == "fec-v-reuse"), record=record,
         )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return out, traj
+    raise ValueError(f"unknown method {method!r}")
 
 
 def measure_reconstruction(z0: np.ndarray, out: np.ndarray, record, traj) -> MetricsReport:
@@ -176,39 +194,61 @@ def measure_reconstruction(z0: np.ndarray, out: np.ndarray, record, traj) -> Met
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Reconstruction sweep over methods x guidances x prompts x seeds.
 
-    Per-cell failures are recorded in the row, not raised."""
+    Each (inv_guidance, prompt, seed) key is inverted once and every
+    method x sampling guidance reconstructs from that inversion; rows come
+    out method-major. A row's ``time_s`` covers its own sampling and
+    metrics, not the shared inversion. Failures are recorded in the row,
+    not raised; a failed inversion fails, and times, every row of its key."""
     net, sched, plan = cfg.components()
     layers = cfg.layer_range()
-    report = SweepReport()
-    for method in cfg.methods:
-        for inv_g in cfg.inv_guidances:
-            for samp_g in cfg.samp_guidances:
-                for prompt in cfg.prompts:
-                    for seed in cfg.seeds:
-                        row = {
-                            "method": method,
-                            "inv_guidance": inv_g,
-                            "samp_guidance": samp_g,
-                            "prompt": prompt,
-                            "prompt_type": "empty" if not prompt.split() else "non-empty",
-                            "seed": seed,
-                            "error": "",
-                        }
-                        t0 = time.perf_counter()
-                        try:
-                            z0 = generate_synthetic_latent(seed, cfg.data_kind)
-                            record: dict = {}
-                            out, traj = reconstruct_once(
-                                net, sched, plan, z0, method, prompt, inv_g, samp_g,
-                                cfg.embed_seed, layers, record,
-                            )
-                            m = measure_reconstruction(z0, out, record, traj)
-                            row.update(latent_loss=m.latent_loss, psnr=m.psnr, ssim=m.ssim)
-                        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                            row["error"] = f"{type(exc).__name__}: {exc}"
-                        row["time_s"] = time.perf_counter() - t0
-                        report.rows.append(row)
-    return report
+    capture = CaptureOptions(kv=any(m in KV_METHODS for m in cfg.methods))
+    cells = itertools.product(
+        cfg.methods, cfg.inv_guidances, cfg.samp_guidances, cfg.prompts, cfg.seeds
+    )
+    rows = [
+        {
+            "method": method,
+            "inv_guidance": inv_g,
+            "samp_guidance": samp_g,
+            "prompt": prompt,
+            "prompt_type": "empty" if not prompt.split() else "non-empty",
+            "seed": seed,
+            "error": "",
+        }
+        for method, inv_g, samp_g, prompt, seed in cells
+    ]
+    keys: dict[tuple, list[dict]] = {}
+    for row in rows:
+        keys.setdefault((row["inv_guidance"], row["prompt"], row["seed"]), []).append(row)
+    # One key at a time, so one inversion and its K/V caches are alive at once.
+    for (inv_g, prompt, seed), key_rows in keys.items():
+        _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, key_rows)
+    return SweepReport(rows=rows)
+
+
+def _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, rows):
+    """Invert one key and fill in its rows."""
+    t0 = time.perf_counter()
+    try:
+        z0 = generate_synthetic_latent(seed, cfg.data_kind, net.config.latent_shape)
+        (inv_ctx,) = guidance_contexts(net, (prompt,), inv_g, cfg.embed_seed)
+        res = invert(net, z0, inv_ctx, plan, sched, capture)
+    except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+        failure = {"error": f"{type(exc).__name__}: {exc}", "time_s": time.perf_counter() - t0}
+        for row in rows:
+            row.update(failure)
+        return
+    for row in rows:
+        t0 = time.perf_counter()
+        try:
+            record: dict = {}
+            samp_ctx = replace(inv_ctx, scale=row["samp_guidance"])
+            out = reconstruct_from(net, sched, plan, res, row["method"], samp_ctx, layers, record)
+            m = measure_reconstruction(z0, out, record, res.trajectory)
+            row.update(latent_loss=m.latent_loss, psnr=m.psnr, ssim=m.ssim)
+        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        row["time_s"] = time.perf_counter() - t0
 
 
 def run_ablation_v_only(cfg: ExperimentConfig) -> SweepReport:
@@ -226,7 +266,7 @@ def check_batch_invariance(cfg: ExperimentConfig, batch: int = 2) -> dict:
     are bit-identical at every level checked."""
     net, sched, plan = cfg.components()
     (ctx,) = guidance_contexts(net, (cfg.prompts[0],), cfg.samp_guidances[0], cfg.embed_seed)
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
 
     single = net.predict(z0, plan.timesteps[0], ctx.cond)
     batched = net.predict_batch([z0] * batch, plan.timesteps[0], ctx.cond)
@@ -290,7 +330,7 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     from .editing import EditRequest, run_edit
 
     net, sched, plan = cfg.components()
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source + " edited"
     guidance = cfg.samp_guidances[0]

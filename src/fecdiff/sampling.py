@@ -347,7 +347,9 @@ def sample_fec_noise(
     Each step derives the unconditional noise that would land exactly on
     the saved inversion latent, then blends it with the live unconditional
     prediction under the step mask (reconstruct mode forces the mask to
-    zero, so the step takes pure desired noise). With guidance scale 1 the
+    zero, so the step takes pure desired noise and evaluates no network;
+    the conditional prediction is evaluated only under a live mask or for
+    a provider that needs its attention trace). With guidance scale 1 the
     unconditional derivation is singular and blending happens on total
     noise instead, preserving exactness in unmasked regions.
     """
@@ -360,25 +362,29 @@ def sample_fec_noise(
     if mode == "reconstruct" or mask_provider is None:
         mask_provider = ZeroMaskProvider()
 
+    needs_trace = getattr(mask_provider, "needs_trace", False)
+
     def noise(z, t, t_prev):
-        trace = AttentionTrace() if getattr(mask_provider, "needs_trace", False) else None
-        eps_c = net.predict(z, t, use_ctx.cond, trace_to=trace, route=route)
         eps_des = desired_noise(z, traj[t_prev], t, t_prev, sched)
+        eps_c = trace = None
+        if needs_trace:
+            trace = AttentionTrace()
+            eps_c = net.predict(z, t, use_ctx.cond, trace_to=trace, route=route)
         m = mask_provider.mask(t, trace, use_ctx.cond)
         if m is None:
             m = 0.0
-        live = not np.isscalar(m) or m != 0.0
+        if np.isscalar(m) and m == 0.0:
+            # Eq. 13 cancels the conditional prediction exactly under a
+            # zero mask, so the step is the desired noise itself.
+            return eps_des
+        if eps_c is None:
+            eps_c = net.predict(z, t, use_ctx.cond, route=route)
+        eps_u_live = net.predict(z, t, use_ctx.uncond, route=route)
         if scale == 1.0:
             # Singular Eq.-13 case: blend total noise so unmasked regions
             # still receive exactly the desired noise.
-            if not live:
-                return eps_des
-            eps_live = cfg_combine(eps_c, net.predict(z, t, use_ctx.uncond, route=route), scale)
-            return m * eps_live + (1.0 - m) * eps_des
-        eps_u = desired_uncond(eps_des, eps_c, scale)
-        if live:
-            eps_u_live = net.predict(z, t, use_ctx.uncond, route=route)
-            eps_u = m * eps_u_live + (1.0 - m) * eps_u
+            return m * cfg_combine(eps_c, eps_u_live, scale) + (1.0 - m) * eps_des
+        eps_u = m * eps_u_live + (1.0 - m) * desired_uncond(eps_des, eps_c, scale)
         return cfg_combine(eps_c, eps_u, scale)
 
     z = traj[plan.timesteps[0]].copy()

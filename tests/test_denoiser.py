@@ -11,6 +11,8 @@ from fecdiff.denoiser import (
     LayerRange,
     NonFiniteError,
     ToyDenoiser,
+    _gelu,
+    _layer_norm,
     embed_prompt,
 )
 from fecdiff.schedule import build_schedule
@@ -190,6 +192,32 @@ def test_call_count_routes(cond):
     assert net.call_counts["inversion"] == 2
     assert net.call_counts["edit"] == 1
     assert net.call_counts["reconstruction"] == 0
+
+
+def test_layer_norm_is_byte_equal_to_the_np_var_form():
+    rng = np.random.default_rng(0)
+    gain, bias = rng.standard_normal(128), rng.standard_normal(128)
+    for offset in (0.0, 1e-3, 3.0, -1e4, 1e8):
+        for scale in (1e-6, 1e-2, 1.0, 1e3):
+            x = offset + scale * rng.standard_normal((64, 128))
+            mu = x.mean(axis=-1, keepdims=True)
+            var = x.var(axis=-1, keepdims=True)
+            reference = (x - mu) / np.sqrt(var + 1e-5) * gain + bias
+            assert _layer_norm(x, gain, bias).tobytes() == reference.tobytes()
+
+
+def _gelu_pow(x):
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+
+
+def test_gelu_matches_the_pow_form():
+    x = np.linspace(-10.0, 10.0, 20001)
+    assert np.max(np.abs(_gelu(x) - _gelu_pow(x))) <= 1e-15
+    # Past the cube's overflow both forms saturate to the same values.
+    with np.errstate(over="ignore"):
+        for big in (1e110, 1e200):
+            x = np.array([big, -big])
+            assert _gelu(x).tobytes() == _gelu_pow(x).tobytes()
 
 
 # ---------------------------------------------------------------- gaussian

@@ -10,6 +10,7 @@ from fecdiff.editing import (
 )
 from fecdiff.harness import generate_synthetic_latent, reconstruct_once
 from fecdiff.metrics import latent_loss
+from fecdiff.sampling import guidance_contexts, invert, sample_fec_noise
 
 
 def test_edit_request_validation():
@@ -75,6 +76,21 @@ def test_attention_mask_provider_records_steps(net, cond):
     m = provider.mask(500, trace, cond)
     assert m.shape == net.config.latent_shape[1:]
     assert 500 in provider.derived
+
+
+def test_attention_mask_provider_gets_a_trace_every_step(net, sched, plan10):
+    class TraceLog(AttentionMaskProvider):
+        def mask(self, t, trace, embedding):
+            self.seen[t] = trace.layers_at(t)
+            return super().mask(t, trace, embedding)
+
+    ctx, edit_ctx = guidance_contexts(net, ("a cat on a mat", "a dog on a mat"), 7.5)
+    traj = invert(net, generate_synthetic_latent(1), ctx, plan10, sched).trajectory
+    provider = TraceLog("dog", spatial_shape=net.config.latent_shape[1:])
+    provider.seen = {}
+    sample_fec_noise(net, traj, ctx, plan10, sched, provider, mode="edit", edit_ctx=edit_ctx)
+    every_layer = list(range(net.layer_count))
+    assert provider.seen == {t: every_layer for t in plan10.timesteps}
 
 
 def test_identical_prompt_edit_degenerates_to_reconstruction(net, sched, plan10):

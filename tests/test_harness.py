@@ -1,14 +1,19 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from fecdiff.cli import main
+from fecdiff.denoiser import DenoiserConfig
 from fecdiff.harness import (
+    RECON_METHODS,
     ExperimentConfig,
     check_batch_invariance,
     generate_synthetic_latent,
     load_config_file,
+    measure_reconstruction,
+    reconstruct_once,
     report_timing,
     run_ablation_v_only,
     run_sweep,
@@ -91,6 +96,84 @@ def test_empty_layer_range_injects_nothing():
     direct, kv = run_sweep(cfg).rows
     assert not direct["error"] and not kv["error"]
     assert kv["latent_loss"] == direct["latent_loss"]
+
+
+def _sweep_nets(monkeypatch) -> list:
+    """Collects every network a configuration builds."""
+    nets = []
+    components = ExperimentConfig.components
+
+    def recording(cfg):
+        built = components(cfg)
+        nets.append(built[0])
+        return built
+
+    monkeypatch.setattr(ExperimentConfig, "components", recording)
+    return nets
+
+
+def test_sweep_inverts_once_per_key_and_matches_single_cells(monkeypatch):
+    cfg = ExperimentConfig(
+        methods=RECON_METHODS, inv_guidances=(1.0, 7.5), samp_guidances=(1.0, 7.5),
+        prompts=("a cat", ""), seeds=(0, 1), steps=10, data_kind="blocks",
+        denoiser=DenoiserConfig(latent_shape=(4, 12, 12), layer_count=2, model_dim=32),
+    )
+    nets = _sweep_nets(monkeypatch)
+    report = run_sweep(cfg)
+    (net,) = nets
+    n_keys = len(cfg.inv_guidances) * len(cfg.prompts) * len(cfg.seeds)
+    assert net.call_counts["inversion"] == 2 * cfg.steps * n_keys
+    assert net.call_counts["capture"] == 2 * cfg.steps * n_keys
+
+    cells = itertools.product(
+        cfg.methods, cfg.inv_guidances, cfg.samp_guidances, cfg.prompts, cfg.seeds
+    )
+    keys = ("method", "inv_guidance", "samp_guidance", "prompt", "seed")
+    assert [tuple(row[k] for k in keys) for row in report.rows] == list(cells)
+    _, sched, plan = cfg.components()
+    for row in report.rows:
+        assert not row["error"]
+        z0 = generate_synthetic_latent(row["seed"], cfg.data_kind, (4, 12, 12))
+        record: dict = {}
+        out, traj = reconstruct_once(
+            net, sched, plan, z0, row["method"], row["prompt"], row["inv_guidance"],
+            row["samp_guidance"], cfg.embed_seed, cfg.layer_range(), record,
+        )
+        m = measure_reconstruction(z0, out, record, traj)
+        single = (m.latent_loss, m.psnr, m.ssim)
+        assert [row[k].hex() for k in ("latent_loss", "psnr", "ssim")] == [
+            v.hex() for v in single
+        ]
+
+
+def test_sweep_captures_kv_only_for_kv_methods(monkeypatch):
+    nets = _sweep_nets(monkeypatch)
+    report = run_sweep(_small_cfg(methods=("direct", "fec-ref", "fec-noise"), steps=3))
+    (net,) = nets
+    assert not any(row["error"] for row in report.rows)
+    assert net.call_counts["inversion"] == 2 * 3
+    assert net.call_counts["capture"] == 0
+    # Only direct samples through the network: fec-ref copies the path
+    # and fec-noise's zero mask cancels the conditional prediction.
+    assert net.call_counts["reconstruction"] == 2 * 3
+
+
+def test_sweep_records_a_failed_inversion_in_every_row():
+    report = run_sweep(_small_cfg(methods=RECON_METHODS, steps=2, data_kind="checkerboard"))
+    assert [row["method"] for row in report.rows] == list(RECON_METHODS)
+    for row in report.rows:
+        assert row["error"].startswith("ValueError: unknown synthetic latent kind")
+
+
+def test_harness_draws_latents_at_the_network_shape():
+    # 12x12 is the smallest even grid the 11x11 SSIM window fits.
+    cfg = _small_cfg(
+        methods=RECON_METHODS, steps=2, edit_prompts=("a dog",),
+        denoiser=DenoiserConfig(latent_shape=(4, 12, 12)),
+    )
+    assert [row["error"] for row in run_sweep(cfg).rows] == [""] * len(RECON_METHODS)
+    assert check_batch_invariance(cfg)["passed"]
+    assert report_timing(cfg)["fec-kv-reuse"]["edit_route_calls"] == 2 * cfg.steps
 
 
 def test_ablation_includes_v_only():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fecdiff.sampling import (
     FixedMaskProvider,
     GuidanceContext,
     Trajectory,
+    ZeroMaskProvider,
     cfg_combine,
     ddim_invert_step,
     ddim_step,
@@ -210,6 +213,51 @@ def test_kv_reuse_runs_and_differs_from_direct(net, sched, plan10):
     )
     assert not np.array_equal(direct, kv)
     assert not np.array_equal(kv, v_only)
+
+
+class _PromptLog:
+    """Forwards to a network, logging the prompt of every evaluation."""
+
+    def __init__(self, net):
+        self.net, self.config, self.prompts = net, net.config, Counter()
+
+    def predict(self, z, t, cond, **kwargs):
+        self.prompts[cond.source_text] += 1
+        return self.net.predict(z, t, cond, **kwargs)
+
+
+class _ScalarZeroMask:
+    needs_trace = False
+
+    def mask(self, t, trace, embedding):
+        return 0.0
+
+
+def test_fec_noise_zero_mask_evaluates_no_network(net, sched, plan10):
+    z0 = _latent(0)
+    for scale in (1.0, 7.5):
+        ctx, edit_ctx = _ctx(scale), _ctx(scale, "a photo of a dog")
+        traj = invert(net, z0, ctx, plan10, sched).trajectory
+        log = _PromptLog(net)
+        out = sample_fec_noise(log, traj, ctx, plan10, sched)
+        assert float(np.mean((out - z0) ** 2)) < 1e-24
+        for provider in (ZeroMaskProvider(), _ScalarZeroMask()):
+            sample_fec_noise(log, traj, ctx, plan10, sched, provider, mode="edit",
+                             edit_ctx=edit_ctx)
+        assert log.prompts == Counter()
+
+
+def test_fec_noise_live_mask_evaluates_both_branches_every_step(net, sched, plan10):
+    z0 = _latent(0)
+    mask = np.zeros((16, 16))
+    mask[4:12, 4:12] = 1.0
+    for scale in (1.0, 7.5):
+        ctx, edit_ctx = _ctx(scale), _ctx(scale, "a photo of a dog")
+        traj = invert(net, z0, ctx, plan10, sched).trajectory
+        log = _PromptLog(net)
+        sample_fec_noise(log, traj, ctx, plan10, sched, FixedMaskProvider(mask), mode="edit",
+                         edit_ctx=edit_ctx)
+        assert log.prompts == Counter({"a photo of a dog": plan10.steps, "": plan10.steps})
 
 
 def test_fixed_mask_provider_validation():
