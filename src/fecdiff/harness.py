@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .denoiser import DenoiserConfig, LayerRange, ToyDenoiser
-from .metrics import MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve
+from .metrics import SSIM_WINDOW, MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve
 from .sampling import (
     CaptureOptions,
     GuidanceContext,
@@ -198,7 +198,15 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     method x sampling guidance reconstructs from that inversion; rows come
     out method-major. A row's ``time_s`` covers its own sampling and
     metrics, not the shared inversion. Failures are recorded in the row,
-    not raised; a failed inversion fails, and times, every row of its key."""
+    not raised; a failed inversion fails, and times, every row of its key.
+    A latent grid too small for the SSIM window fails every row alike, so
+    it raises ``ValueError`` before any inversion instead."""
+    h, w = cfg.denoiser.latent_shape[1:]
+    if min(h, w) < SSIM_WINDOW:
+        raise ValueError(
+            f"latent grid {h}x{w} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
+            " that scores every sweep row"
+        )
     net, sched, plan = cfg.components()
     layers = cfg.layer_range()
     capture = CaptureOptions(kv=any(m in KV_METHODS for m in cfg.methods))

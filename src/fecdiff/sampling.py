@@ -7,7 +7,7 @@ key/value injection (fec-kv-reuse, plus its V-only ablation variant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,17 +26,25 @@ from .schedule import NoiseSchedule, TimestepPlan
 
 @dataclass(frozen=True)
 class GuidanceContext:
-    """Guidance scale plus conditional / unconditional embeddings."""
+    """Guidance scale plus conditional / unconditional embeddings.
+
+    ``shared`` is true when the two embeddings are the same bytes (the
+    empty prompt, or the negative-prompt baseline's ``uncond = cond``):
+    the two guidance branches are then one network input.
+    """
 
     scale: float
     cond: PromptEmbedding
     uncond: PromptEmbedding
+    shared: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.scale):
             raise ValueError("guidance scale must be finite")
         if self.cond.tokens.shape != self.uncond.tokens.shape:
             raise ValueError("cond/uncond embedding shapes must match")
+        shared = self.cond.tokens.tobytes() == self.uncond.tokens.tobytes()
+        object.__setattr__(self, "shared", shared)
 
 
 def guidance_contexts(
@@ -170,13 +178,27 @@ def desired_uncond(eps_t: np.ndarray, eps_c: np.ndarray, scale: float) -> np.nda
     return (eps_t - scale * eps_c) / (1.0 - scale)
 
 
+def _uncond_known(ctx: GuidanceContext, kv=None, kv_uncond=None) -> bool:
+    """Whether the unconditional evaluation can be skipped: at scale 1 it
+    has no weight, and under shared branches with the same hook it is the
+    conditional evaluation again (``predict`` is deterministic). A capture
+    hook records what it sees, so its evaluation always runs."""
+    if isinstance(kv, KVCapture) or isinstance(kv_uncond, KVCapture):
+        return False
+    return ctx.scale == 1.0 or (ctx.shared and kv_uncond is kv)
+
+
 def guided_noise(
     net, z, t, ctx: GuidanceContext, *, route="other", kv=None, kv_uncond=None
 ) -> np.ndarray:
     """Classifier-free-guided noise; ``kv`` and ``kv_uncond`` hook the
-    conditional and the unconditional evaluation."""
+    conditional and the unconditional evaluation. The unconditional one
+    runs only when its result is not already known."""
     eps_c = net.predict(z, t, ctx.cond, kv=kv, route=route)
-    eps_u = net.predict(z, t, ctx.uncond, kv=kv_uncond, route=route)
+    if _uncond_known(ctx, kv, kv_uncond):
+        eps_u = eps_c
+    else:
+        eps_u = net.predict(z, t, ctx.uncond, kv=kv_uncond, route=route)
     return cfg_combine(eps_c, eps_u, ctx.scale)
 
 
@@ -200,7 +222,8 @@ def invert(
     With KV capture on, each step is followed by aligned evaluations at
     (z_t, t) purely to record K/V: one under the conditional embedding and
     one under the unconditional embedding, filling one cache per guidance
-    branch.
+    branch. Under shared branches the two evaluations are the same, so one
+    runs and ``kv_cache_uncond`` is ``kv_cache`` itself.
     """
     capture = capture or CaptureOptions()
     z0 = np.asarray(z0, dtype=np.float64)
@@ -208,7 +231,8 @@ def invert(
     cache = cache_u = None
     if capture.kv:
         shape = {"latent_shape": net.config.latent_shape, "layer_count": net.config.layer_count}
-        cache, cache_u = KVCache(**shape), KVCache(**shape)
+        cache = KVCache(**shape)
+        cache_u = cache if ctx.shared else KVCache(**shape)
     latents: dict[int, np.ndarray] = {0: z0.copy()}
     z = z0
     for t_prev, t in plan.inversion_pairs():
@@ -221,7 +245,8 @@ def invert(
             # evaluation so capture stays observation-only either way.
             z_cap = z if capture.aligned else latents[t_prev]
             net.predict(z_cap, t, ctx.cond, kv=KVCapture(cache), route="capture")
-            net.predict(z_cap, t, ctx.uncond, kv=KVCapture(cache_u), route="capture")
+            if cache_u is not cache:
+                net.predict(z_cap, t, ctx.uncond, kv=KVCapture(cache_u), route="capture")
     traj = Trajectory(
         latents=latents, timesteps=tuple(plan.timesteps), guidance=ctx.scale, seed=seed
     )
@@ -347,9 +372,11 @@ def sample_fec_noise(
     Each step derives the unconditional noise that would land exactly on
     the saved inversion latent, then blends it with the live unconditional
     prediction under the step mask (reconstruct mode forces the mask to
-    zero, so the step takes pure desired noise and evaluates no network;
-    the conditional prediction is evaluated only under a live mask or for
-    a provider that needs its attention trace). With guidance scale 1 the
+    zero, and any mask with no nonzero entry counts as zero, so the step
+    takes pure desired noise and evaluates no network; the conditional
+    prediction is evaluated only under a live mask or for a provider that
+    needs its attention trace, and the live unconditional one only when
+    ``guided_noise`` would evaluate it). With guidance scale 1 the
     unconditional derivation is singular and blending happens on total
     noise instead, preserving exactness in unmasked regions.
     """
@@ -371,15 +398,16 @@ def sample_fec_noise(
             trace = AttentionTrace()
             eps_c = net.predict(z, t, use_ctx.cond, trace_to=trace, route=route)
         m = mask_provider.mask(t, trace, use_ctx.cond)
-        if m is None:
-            m = 0.0
-        if np.isscalar(m) and m == 0.0:
+        if m is None or not np.any(m):
             # Eq. 13 cancels the conditional prediction exactly under a
             # zero mask, so the step is the desired noise itself.
             return eps_des
         if eps_c is None:
             eps_c = net.predict(z, t, use_ctx.cond, route=route)
-        eps_u_live = net.predict(z, t, use_ctx.uncond, route=route)
+        if _uncond_known(use_ctx):
+            eps_u_live = eps_c
+        else:
+            eps_u_live = net.predict(z, t, use_ctx.uncond, route=route)
         if scale == 1.0:
             # Singular Eq.-13 case: blend total noise so unmasked regions
             # still receive exactly the desired noise.
@@ -422,7 +450,8 @@ def sample_fec_kv_reuse(
     for t in plan.timesteps:
         if not (cache.has_timestep(t) and cache_u.has_timestep(t)):
             raise KeyError(f"KV cache has no entries at planned timestep t={t}")
-    kv, kv_u = KVInject(cache, layers, v_only), KVInject(cache_u, layers, v_only)
+    kv = KVInject(cache, layers, v_only)
+    kv_u = kv if cache_u is cache else KVInject(cache_u, layers, v_only)
 
     def noise(z, t, t_prev):
         return guided_noise(net, z, t, use_ctx, route=route, kv=kv, kv_uncond=kv_u)

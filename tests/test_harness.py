@@ -121,9 +121,11 @@ def test_sweep_inverts_once_per_key_and_matches_single_cells(monkeypatch):
     nets = _sweep_nets(monkeypatch)
     report = run_sweep(cfg)
     (net,) = nets
-    n_keys = len(cfg.inv_guidances) * len(cfg.prompts) * len(cfg.seeds)
-    assert net.call_counts["inversion"] == 2 * cfg.steps * n_keys
-    assert net.call_counts["capture"] == 2 * cfg.steps * n_keys
+    # Per seed and step, inversion evaluates both branches only at
+    # (7.5, "a cat"): 2 + 1 + 1 + 1 calls over the four (guidance, prompt)
+    # keys. Capture evaluates both only for "a cat": 2 + 1 per guidance.
+    assert net.call_counts["inversion"] == 100
+    assert net.call_counts["capture"] == 120
 
     cells = itertools.product(
         cfg.methods, cfg.inv_guidances, cfg.samp_guidances, cfg.prompts, cfg.seeds
@@ -176,6 +178,14 @@ def test_harness_draws_latents_at_the_network_shape():
     assert report_timing(cfg)["fec-kv-reuse"]["edit_route_calls"] == 2 * cfg.steps
 
 
+def test_sweep_rejects_a_grid_smaller_than_the_ssim_window(monkeypatch):
+    nets = _sweep_nets(monkeypatch)
+    cfg = _small_cfg(denoiser=DenoiserConfig(latent_shape=(4, 8, 8)))
+    with pytest.raises(ValueError, match="8x8 is smaller than the 11x11 SSIM window"):
+        run_sweep(cfg)
+    assert nets == []
+
+
 def test_ablation_includes_v_only():
     report = run_ablation_v_only(_small_cfg())
     methods = {row["method"] for row in report.rows}
@@ -191,6 +201,15 @@ def test_check_batch_invariance_bit_identical():
     assert result["passed"]
     assert result["forward_max_abs_diff"] == 0.0
     assert result["full_run_max_abs_diff"] == 0.0
+
+
+def test_check_batch_invariance_when_the_unconditional_branch_is_skipped():
+    # The batched reference evaluates both branches every step, so it
+    # checks the single-sample path that skips one bit for bit.
+    for prompt, scale in (("", 1.0), ("", 7.5), ("a cat", 1.0)):
+        result = check_batch_invariance(_small_cfg(prompts=(prompt,), samp_guidances=(scale,)))
+        assert result["passed"], (prompt, scale)
+        assert result["full_run_max_abs_diff"] == 0.0
 
 
 def test_report_timing_call_accounting():

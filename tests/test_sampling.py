@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fecdiff.denoiser import KVCache, KVInject, LayerRange, embed_prompt
+from fecdiff.denoiser import KVCache, KVCapture, KVInject, LayerRange, embed_prompt
 from fecdiff.sampling import (
     CaptureOptions,
     FixedMaskProvider,
@@ -15,6 +15,7 @@ from fecdiff.sampling import (
     ddim_step,
     desired_noise,
     desired_uncond,
+    guided_noise,
     invert,
     sample_direct,
     sample_fec_kv_reuse,
@@ -257,7 +258,105 @@ def test_fec_noise_live_mask_evaluates_both_branches_every_step(net, sched, plan
         log = _PromptLog(net)
         sample_fec_noise(log, traj, ctx, plan10, sched, FixedMaskProvider(mask), mode="edit",
                          edit_ctx=edit_ctx)
-        assert log.prompts == Counter({"a photo of a dog": plan10.steps, "": plan10.steps})
+        # At scale 1 the live unconditional prediction has no weight.
+        uncond_calls = 0 if scale == 1.0 else plan10.steps
+        assert log.prompts == Counter({"a photo of a dog": plan10.steps, "": uncond_calls})
+
+
+class _TracedZeroMask:
+    needs_trace = True
+
+    def mask(self, t, trace, embedding):
+        return np.zeros((16, 16))
+
+
+def test_fec_noise_all_zero_array_mask_is_the_zero_mask(net, sched, plan10):
+    z0 = _latent(0)
+    for scale in (1.0, 7.5):
+        ctx, edit_ctx = _ctx(scale), _ctx(scale, "a photo of a dog")
+        traj = invert(net, z0, ctx, plan10, sched).trajectory
+        zero = sample_fec_noise(net, traj, ctx, plan10, sched, ZeroMaskProvider(), mode="edit",
+                                edit_ctx=edit_ctx)
+        for provider in (FixedMaskProvider(np.zeros((16, 16))), FixedMaskProvider(0.0)):
+            log = _PromptLog(net)
+            out = sample_fec_noise(log, traj, ctx, plan10, sched, provider, mode="edit",
+                                   edit_ctx=edit_ctx)
+            assert log.prompts == Counter()
+            assert out.tobytes() == zero.tobytes()
+        # A provider that needs the trace pays the conditional evaluation
+        # and nothing more when its mask comes out all zero.
+        log = _PromptLog(net)
+        out = sample_fec_noise(log, traj, ctx, plan10, sched, _TracedZeroMask(), mode="edit",
+                               edit_ctx=edit_ctx)
+        assert log.prompts == Counter({"a photo of a dog": plan10.steps})
+        assert out.tobytes() == zero.tobytes()
+
+
+def _shared_cache_inject(net, sched, plan10):
+    empty = _ctx(7.5, "")
+    cache = invert(net, _latent(0), empty, plan10, sched, CaptureOptions(kv=True)).kv_cache
+    return cache, KVInject(cache, LayerRange(0, net.config.layer_count))
+
+
+def test_guided_noise_skips_an_unconditional_evaluation_whose_result_is_known(
+    net, sched, plan10
+):
+    z, t = _latent(3), plan10.timesteps[2]
+    cond = embed_prompt("a photo of a cat", 0)
+    _, inject = _shared_cache_inject(net, sched, plan10)
+    cases = {
+        "scale 1": (_ctx(1.0), None, None),
+        "empty prompt": (_ctx(7.5, ""), None, None),
+        "neg-prompt": (GuidanceContext(scale=7.5, cond=cond, uncond=cond), None, None),
+        "shared-cache injection": (_ctx(7.5, ""), inject, inject),
+    }
+    for name, (ctx, kv, kv_u) in cases.items():
+        assert ctx.scale == 1.0 or ctx.shared, name
+        log = _PromptLog(net)
+        got = guided_noise(log, z, t, ctx, kv=kv, kv_uncond=kv_u)
+        assert sum(log.prompts.values()) == 1, name
+        eps_c = net.predict(z, t, ctx.cond, kv=kv)
+        eps_u = net.predict(z, t, ctx.uncond, kv=kv_u)
+        assert got.tobytes() == cfg_combine(eps_c, eps_u, ctx.scale).tobytes(), name
+
+
+def test_guided_noise_evaluates_an_unknown_unconditional_branch(net, sched, plan10):
+    z, t = _latent(3), plan10.timesteps[2]
+    cache, inject = _shared_cache_inject(net, sched, plan10)
+    other = KVInject(cache, inject.layers)
+    assert not _ctx(7.5).shared
+    for ctx, kv, kv_u in (
+        (_ctx(7.5), None, None),
+        # Same bytes, different hook objects: not known to be the same.
+        (_ctx(7.5, ""), inject, other),
+    ):
+        log = _PromptLog(net)
+        guided_noise(log, z, t, ctx, kv=kv, kv_uncond=kv_u)
+        assert sum(log.prompts.values()) == 2
+    # A capture hook records what it sees, so it never shares, even at
+    # scale 1 where the unconditional result has no weight.
+    cap, cap_u = KVCache(), KVCache()
+    log = _PromptLog(net)
+    guided_noise(log, z, t, _ctx(1.0), kv=KVCapture(cap), kv_uncond=KVCapture(cap_u))
+    assert sum(log.prompts.values()) == 2
+    assert len(cap_u) == net.config.layer_count
+
+
+def test_invert_under_shared_branches_captures_once(net, sched, plan10):
+    before = Counter(net.call_counts)
+    res = invert(net, _latent(0), _ctx(7.5, ""), plan10, sched, CaptureOptions(kv=True))
+    assert Counter(net.call_counts) - before == Counter(
+        inversion=plan10.steps, capture=plan10.steps
+    )
+    assert res.kv_cache_uncond is res.kv_cache
+    # The one cache holds what a separate unconditional capture records.
+    ref = KVCache()
+    for t in plan10.timesteps:
+        net.predict(res.trajectory[t], t, embed_prompt("", 0), kv=KVCapture(ref))
+    assert ref.entries.keys() == res.kv_cache.entries.keys()
+    for key, (k, v) in ref.entries.items():
+        k_got, v_got = res.kv_cache.fetch(*key)
+        assert (k_got.tobytes(), v_got.tobytes()) == (k.tobytes(), v.tobytes())
 
 
 def test_fixed_mask_provider_validation():
