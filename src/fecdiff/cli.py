@@ -53,34 +53,46 @@ def _add_shared(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    cfg = load_config_file(args.config) if args.config else ExperimentConfig()
-    if args.method:
-        cfg.methods = (args.method,)
-    if args.guidance is not None:
-        cfg.samp_guidances = (args.guidance,)
-        if args.inv_guidance is None:
-            cfg.inv_guidances = (args.guidance,)
-    if args.inv_guidance is not None:
-        cfg.inv_guidances = (args.inv_guidance,)
-    if args.steps is not None:
-        cfg.steps = args.steps
-    if args.seed:
-        cfg.seeds = tuple(args.seed)
-    if args.prompt is not None:
-        cfg.prompts = (args.prompt,)
-    if args.edit_prompt is not None:
-        cfg.edit_prompts = (args.edit_prompt,)
-    if args.blend_word is not None:
-        cfg.blend_word = args.blend_word
-    if args.layers:
-        start, end = args.layers.split(":")
-        cfg.layer_start, cfg.layer_end = int(start), int(end)
-    if args.precision is not None:
-        cfg.precision = args.precision
-    if args.out is not None:
-        cfg.out = args.out
-    cfg.__post_init__()
+    """The configuration file and flags as one configuration; a value the
+    configuration rejects is a ``UsageError``."""
+    try:
+        cfg = load_config_file(args.config) if args.config else ExperimentConfig()
+        if args.method:
+            cfg.methods = (args.method,)
+        if args.guidance is not None:
+            cfg.samp_guidances = (args.guidance,)
+            if args.inv_guidance is None:
+                cfg.inv_guidances = (args.guidance,)
+        if args.inv_guidance is not None:
+            cfg.inv_guidances = (args.inv_guidance,)
+        if args.steps is not None:
+            cfg.steps = args.steps
+        if args.seed:
+            cfg.seeds = tuple(args.seed)
+        if args.prompt is not None:
+            cfg.prompts = (args.prompt,)
+        if args.edit_prompt is not None:
+            cfg.edit_prompts = (args.edit_prompt,)
+        if args.blend_word is not None:
+            cfg.blend_word = args.blend_word
+        if args.layers:
+            cfg.layer_start, cfg.layer_end = _layer_bounds(args.layers)
+        if args.precision is not None:
+            cfg.precision = args.precision
+        if args.out is not None:
+            cfg.out = args.out
+        cfg.__post_init__()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return cfg
+
+
+def _layer_bounds(text: str) -> tuple[int, int]:
+    start, _, end = text.partition(":")
+    try:
+        return int(start), int(end)
+    except ValueError:
+        raise ValueError(f"--layers takes start:end, two integers; got {text!r}") from None
 
 
 def _cmd_invert(args) -> int:

@@ -207,22 +207,43 @@ def _sinusoidal(x: float | np.ndarray, dim: int) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    d = x - x.mean(axis=-1, keepdims=True)
-    # Byte-equal to ``x.var(axis=-1)``, without recomputing the mean.
-    var = (d * d).mean(axis=-1, keepdims=True)
-    return d / np.sqrt(var + 1e-5) * gain + bias
+    # ``np.add.reduce(...) / n`` is the reduction ``np.mean`` runs, without
+    # its Python wrapper; the variance is byte-equal to ``x.var(axis=-1)``.
+    n = x.shape[-1]
+    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(d * d, axis=-1, keepdims=True) / n
+    # A fresh output, not ``d /= ...``: dividing in place measured no
+    # faster, and after a K/V-capturing inversion it left a heap that
+    # reading the caches back regrew on every other read (about 4,800
+    # page faults per io benchmark job, against none).
+    y = d / np.sqrt(var + 1e-5)
+    y *= gain
+    y += bias
+    return y
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # ``x * x * x``, not ``x**3``: numpy sends a cube through generic pow,
-    # about 50 times slower on the MLP activations.
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+    # The tanh form, one operation at a time in place on ``y``. ``x * x * x``,
+    # not ``x**3``: numpy sends a cube through generic pow, about 50 times
+    # slower on the MLP activations.
+    y = x * x
+    y *= x
+    y *= 0.044715
+    y += x
+    y *= np.sqrt(2.0 / np.pi)
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5 * x
+    return y
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place: ``x`` is overwritten
+    with the weights and returned. Callers pass an array they own."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 class ToyDenoiser:
@@ -278,6 +299,8 @@ class ToyDenoiser:
         self.w_out = 0.5 * lin(d, c * p * p)
         self.b_out = np.zeros(c * p * p)
         self.call_counts: Counter[str] = Counter()
+        dh = d // config.head_count
+        self._logit_scale = float(dh) if config.attn_scale == "dim" else float(np.sqrt(dh))
 
     @property
     def layer_count(self) -> int:
@@ -292,12 +315,9 @@ class ToyDenoiser:
         nh, n, dh = x.shape
         return x.transpose(1, 0, 2).reshape(n, nh * dh)
 
-    def _logit_scale(self) -> float:
-        dh = self.config.model_dim // self.config.head_count
-        return float(dh) if self.config.attn_scale == "dim" else float(np.sqrt(dh))
-
     def _attend(self, q, k, v):
-        logits = q @ k.transpose(0, 2, 1) / self._logit_scale()
+        logits = q @ k.transpose(0, 2, 1)
+        logits /= self._logit_scale
         weights = _softmax(logits)
         return weights @ v, weights
 
@@ -334,9 +354,12 @@ class ToyDenoiser:
         p = cfg.patch_size
         gh, gw = self.grid_shape
         x = z.reshape(c, gh, p, gw, p).transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * p * p)
-        hdd = x @ self.w_in + self.b_in
-        hdd = hdd + _sinusoidal(float(t), cfg.model_dim) @ self.w_time
-        hdd = hdd + self.pos
+        # ``hdd`` is a fresh array from here on, so the residual adds below
+        # run in place, each keeping its expression's association.
+        hdd = x @ self.w_in
+        hdd += self.b_in
+        hdd += _sinusoidal(float(t), cfg.model_dim) @ self.w_time
+        hdd += self.pos
 
         for layer, blk in enumerate(self.blocks):
             a = _layer_norm(hdd, *blk["ln1"])
@@ -346,7 +369,7 @@ class ToyDenoiser:
             if kv is not None:
                 k, v = kv(t, layer, k, v)
             out, _ = self._attend(self._heads(q), self._heads(k), self._heads(v))
-            hdd = hdd + self._merge(out) @ blk["wo"]
+            hdd += self._merge(out) @ blk["wo"]
 
             a = _layer_norm(hdd, *blk["ln2"])
             q = a @ blk["cq"]
@@ -361,12 +384,16 @@ class ToyDenoiser:
                 trace_to.grid_shape = self.grid_shape
                 trace_to.n_tokens = cfg.n_tokens
                 trace_to.store(t, layer, weights.mean(axis=0))
-            hdd = hdd + self._merge(out) @ blk["co"]
+            hdd += self._merge(out) @ blk["co"]
 
             a = _layer_norm(hdd, *blk["ln3"])
-            hdd = hdd + _gelu(a @ blk["w1"] + blk["b1"]) @ blk["w2"] + blk["b2"]
+            u = a @ blk["w1"]
+            u += blk["b1"]
+            hdd += _gelu(u) @ blk["w2"]
+            hdd += blk["b2"]
 
-        out = _layer_norm(hdd, *self.ln_out) @ self.w_out + self.b_out
+        out = _layer_norm(hdd, *self.ln_out) @ self.w_out
+        out += self.b_out
         out = out.reshape(gh, gw, c, p, p).transpose(2, 0, 3, 1, 4)
         return np.ascontiguousarray(out.reshape(c, h, w))
 

@@ -13,6 +13,7 @@ from .sampling import (
     CaptureOptions,
     FixedMaskProvider,
     ZeroMaskProvider,
+    as_mask,
     guidance_contexts,
     invert,
     sample_fec_kv_reuse,
@@ -35,10 +36,7 @@ class EditMask:
     degenerate: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise ValueError("mask values must lie in [0, 1]")
-        self.values = v
+        self.values = as_mask(self.values)
 
 
 @dataclass(frozen=True)

@@ -86,11 +86,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seed list must be non-empty")
+        if not 1 <= self.steps <= self.total_train_steps:
+            raise ValueError(
+                f"steps must be in [1, {self.total_train_steps}], got {self.steps}"
+            )
         for m in self.methods:
             if m not in RECON_METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {RECON_METHODS}")
         if self.denoiser.init_seed != self.denoiser_seed:
             self.denoiser = replace(self.denoiser, init_seed=self.denoiser_seed)
+        self.layer_range()  # raises for a start below 0 or past the end
 
     def layer_range(self) -> LayerRange:
         """The injection layer range; ``layer_end=None`` means every layer."""

@@ -41,7 +41,9 @@ def _write_u32s(f, *values: int):
 
 
 def _write_array(f, arr: np.ndarray, width: int):
-    f.write(np.ascontiguousarray(arr, dtype=_dtype(width)).tobytes())
+    # The array's own buffer: no bytes copy when it is already stored at
+    # ``width`` and contiguous.
+    f.write(np.ascontiguousarray(arr, dtype=_dtype(width)).data)
 
 
 class _Reader:
@@ -94,8 +96,13 @@ class _Reader:
             self.fail(f"{kind}: the header describes {n_bytes} payload bytes, {self.left} left")
 
     def array(self, shape: tuple[int, ...], width: int) -> np.ndarray:
-        raw = self.f.read(math.prod(shape) * (width // 8))
-        return np.frombuffer(raw, dtype=_dtype(width)).reshape(shape).astype(np.float64)
+        """Decode straight into a new array; a width-32 payload is then
+        widened, a width-64 one on a little-endian host is the result."""
+        out = np.empty(shape, dtype=_dtype(width))
+        got = self.f.readinto(out)
+        if got != out.nbytes:
+            self.fail(f"truncated: read {got} of {out.nbytes} payload bytes")
+        return out.astype(np.float64, copy=False)
 
 
 def write_trajectory(path, traj: Trajectory, float_width: int = 64):

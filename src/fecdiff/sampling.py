@@ -339,16 +339,24 @@ class ZeroMaskProvider:
         return None
 
 
+def as_mask(values) -> np.ndarray:
+    """``values`` as a float64 mask, after checking that every value is
+    finite and lies in [0, 1]."""
+    mask = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(mask)):
+        raise ValueError("mask values must be finite; the mask holds NaN or infinity")
+    if mask.min() < 0.0 or mask.max() > 1.0:
+        raise ValueError("mask values must lie in [0, 1]")
+    return mask
+
+
 class FixedMaskProvider:
     """One user-supplied mask applied at every step."""
 
     needs_trace = False
 
     def __init__(self, mask: np.ndarray):
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.min() < 0.0 or mask.max() > 1.0:
-            raise ValueError("mask values must lie in [0, 1]")
-        self._mask = mask
+        self._mask = as_mask(mask)
 
     def mask(self, t, trace, embedding):
         return self._mask

@@ -13,8 +13,10 @@ from fecdiff.denoiser import (
     ToyDenoiser,
     _gelu,
     _layer_norm,
+    _sinusoidal,
     embed_prompt,
 )
+from fecdiff.sampling import CaptureOptions, GuidanceContext, invert, sample_fec_kv_reuse
 from fecdiff.schedule import build_schedule
 
 
@@ -218,6 +220,135 @@ def test_gelu_matches_the_pow_form():
         for big in (1e110, 1e200):
             x = np.array([big, -big])
             assert _gelu(x).tobytes() == _gelu_pow(x).tobytes()
+
+
+# ------------------------------------------------- reference forward
+
+
+def _ref_layer_norm(x, gain, bias):
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = (d * d).mean(axis=-1, keepdims=True)
+    return d / np.sqrt(var + 1e-5) * gain + bias
+
+
+def _ref_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+
+
+def _ref_softmax(x):
+    x = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(x)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_predict(net, z, t, cond, kv=None, trace_to=None):
+    """The forward pass written out of place, one expression per step:
+    ``predict`` runs the same operations in the same order in place, so it
+    must give the same bytes."""
+    cfg = net.config
+    c, h, w = cfg.latent_shape
+    p = cfg.patch_size
+    gh, gw = net.grid_shape
+    nh = cfg.head_count
+    dh = cfg.model_dim // nh
+    scale = float(dh) if cfg.attn_scale == "dim" else float(np.sqrt(dh))
+
+    def heads(x):
+        return x.reshape(x.shape[0], nh, dh).transpose(1, 0, 2)
+
+    def attend(q, k, v):
+        weights = _ref_softmax(heads(q) @ heads(k).transpose(0, 2, 1) / scale)
+        out = weights @ heads(v)
+        return out.transpose(1, 0, 2).reshape(out.shape[1], nh * dh), weights
+
+    x = z.reshape(c, gh, p, gw, p).transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * p * p)
+    hdd = x @ net.w_in + net.b_in
+    hdd = hdd + _sinusoidal(float(t), cfg.model_dim) @ net.w_time
+    hdd = hdd + net.pos
+    for layer, blk in enumerate(net.blocks):
+        a = _ref_layer_norm(hdd, *blk["ln1"])
+        q, k, v = a @ blk["wq"], a @ blk["wk"], a @ blk["wv"]
+        if kv is not None:
+            k, v = kv(t, layer, k, v)
+        out, _ = attend(q, k, v)
+        hdd = hdd + out @ blk["wo"]
+        a = _ref_layer_norm(hdd, *blk["ln2"])
+        out, weights = attend(a @ blk["cq"], cond.tokens @ blk["ck"], cond.tokens @ blk["cv"])
+        if trace_to is not None:
+            trace_to.store(t, layer, weights.mean(axis=0))
+        hdd = hdd + out @ blk["co"]
+        a = _ref_layer_norm(hdd, *blk["ln3"])
+        hdd = hdd + _ref_gelu(a @ blk["w1"] + blk["b1"]) @ blk["w2"] + blk["b2"]
+    out = _ref_layer_norm(hdd, *net.ln_out) @ net.w_out + net.b_out
+    return out.reshape(gh, gw, c, p, p).transpose(2, 0, 3, 1, 4).reshape(c, h, w)
+
+
+def _entries(cache):
+    return {key: (k.tobytes(), v.tobytes()) for key, (k, v) in cache.entries.items()}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        DenoiserConfig(),
+        DenoiserConfig(attn_scale="dim"),
+        DenoiserConfig(model_dim=48, head_count=3),
+        DenoiserConfig(latent_shape=(4, 12, 12)),
+    ],
+    ids=["default", "dim-scale", "dim48-3heads", "latent-12x12"],
+)
+def test_predict_matches_the_reference_forward(config):
+    net = ToyDenoiser(config)
+    cond = embed_prompt("a photo of a cat", 0)
+    L = net.layer_count
+    rng = np.random.default_rng(7)
+    for t in (999, 500, 20):
+        z_src = rng.standard_normal(config.latent_shape)
+        z = rng.standard_normal(config.latent_shape) * (1.0 + t / 100)
+
+        got, ref = KVCache(), KVCache()
+        out = net.predict(z_src, t, cond, kv=KVCapture(got))
+        assert out.tobytes() == _reference_predict(net, z_src, t, cond, KVCapture(ref)).tobytes()
+        assert _entries(got) == _entries(ref)
+
+        trace, ref_trace = AttentionTrace(), AttentionTrace()
+        out = net.predict(z, t, cond, trace_to=trace)
+        assert out.tobytes() == _reference_predict(net, z, t, cond, trace_to=ref_trace).tobytes()
+        assert trace.maps.keys() == ref_trace.maps.keys()
+        assert all(trace.maps[key].tobytes() == ref_trace.maps[key].tobytes() for key in trace.maps)
+
+        for hook in (
+            KVInject(got, LayerRange(0, L)),
+            KVInject(got, LayerRange(1, L)),
+            KVInject(got, LayerRange(0, L), v_only=True),
+        ):
+            out = net.predict(z, t, cond, kv=hook)
+            assert out.tobytes() == _reference_predict(net, z, t, cond, hook).tobytes()
+
+
+def test_predict_leaves_inputs_and_cached_kv_unchanged(net, sched, plan10):
+    ctx = GuidanceContext(7.5, embed_prompt("a cat on a mat", 0), embed_prompt("", 0))
+    edit_ctx = GuidanceContext(7.5, embed_prompt("a dog on a mat", 0), embed_prompt("", 0))
+    res = invert(net, _latent(5), ctx, plan10, sched, CaptureOptions(kv=True))
+    z_T = res.trajectory[plan10.timesteps[0]]
+    before = (
+        z_T.tobytes(),
+        [e.tokens.tobytes() for e in (ctx.cond, ctx.uncond, edit_ctx.cond)],
+        _entries(res.kv_cache),
+        _entries(res.kv_cache_uncond),
+    )
+    for v_only in (False, True):
+        sample_fec_kv_reuse(
+            net, z_T, res.kv_cache, ctx, plan10, sched, cache_uncond=res.kv_cache_uncond,
+            edit_ctx=edit_ctx, v_only=v_only,
+        )
+    after = (
+        z_T.tobytes(),
+        [e.tokens.tobytes() for e in (ctx.cond, ctx.uncond, edit_ctx.cond)],
+        _entries(res.kv_cache),
+        _entries(res.kv_cache_uncond),
+    )
+    assert after == before
 
 
 # ---------------------------------------------------------------- gaussian

@@ -4,6 +4,7 @@ import pytest
 from fecdiff.denoiser import AttentionTrace, DenoiserConfig, LayerRange, ToyDenoiser, embed_prompt
 from fecdiff.editing import (
     AttentionMaskProvider,
+    EditMask,
     EditRequest,
     derive_mask,
     run_edit,
@@ -11,6 +12,7 @@ from fecdiff.editing import (
 from fecdiff.harness import generate_synthetic_latent, reconstruct_once
 from fecdiff.metrics import latent_loss
 from fecdiff.sampling import guidance_contexts, invert, sample_fec_noise
+from fecdiff.schedule import timestep_plan
 
 
 def test_edit_request_validation():
@@ -124,6 +126,19 @@ def test_box_mask_edit_locality(net, sched, plan10):
     out, report = run_edit(net, sched, plan10, z0, req, user_mask=mask)
     assert report.locality["outside_mask_mse"] < 1e-10
     assert report.locality["inside_mask_mse"] > report.locality["outside_mask_mse"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_masks_are_rejected_as_masks(net, sched, bad):
+    mask = np.zeros((16, 16))
+    mask[4:12, 4:12] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        EditMask(mask)
+    # Rejected as a mask, not later as a non-finite latent in sampling.
+    req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise")
+    z0 = generate_synthetic_latent(1, "blocks")
+    with pytest.raises(ValueError, match="must be finite"):
+        run_edit(net, sched, timestep_plan(2, 1000), z0, req, user_mask=mask)
 
 
 def test_blend_word_edit_reports_locality(net, sched, plan10):

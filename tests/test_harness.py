@@ -63,6 +63,10 @@ def test_experiment_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(ValueError):
         ExperimentConfig(methods=("warp",))
+    for bad in (dict(steps=0), dict(steps=1001), dict(layer_start=2, layer_end=1),
+                dict(layer_start=-1)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
     cfg = ExperimentConfig(denoiser_seed=3)
     assert cfg.denoiser.init_seed == 3
 
@@ -311,3 +315,21 @@ def test_cli_edit_rejects_non_edit_method(method, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("fecdiff edit: error: ")
     assert repr(method) in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv, fault",
+    [
+        (["reconstruct", "--layers", "3"], "--layers takes start:end"),
+        (["reconstruct", "--layers", "a:b"], "--layers takes start:end"),
+        (["reconstruct", "--layers", "2:1"], "invalid layer range"),
+        (["reconstruct", "--method", "warp"], "unknown method 'warp'"),
+        (["sweep", "--steps", "0"], "steps must be in"),
+    ],
+    ids=["layers-3", "layers-a:b", "layers-2:1", "method-warp", "steps-0"],
+)
+def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"fecdiff {argv[0]}: error: ")
+    assert fault in err[0]

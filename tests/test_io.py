@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fecdiff import io_formats
 from fecdiff.denoiser import KVCache
 from fecdiff.io_formats import (
     KV_MAGIC,
@@ -228,3 +230,25 @@ def test_malformed_headers_name_the_fault(tmp_path, valid_files):
         with pytest.raises(FormatError, match=message):
             read(path)
     assert issubclass(FormatError, ValueError)
+
+
+class _ShortReads(io.BufferedReader):
+    """A file whose payload reads stop halfway, as if it shrank after its
+    size was taken."""
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")
+        return super().readinto(view[: len(view) // 2])
+
+
+@pytest.mark.parametrize("name", ["traj64", "traj32", "kv", "mask"])
+def test_short_payload_read_raises_format_error(tmp_path, valid_files, monkeypatch, name):
+    data, read = valid_files[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert read(path) is not None
+    monkeypatch.setattr(
+        io_formats, "open", lambda p, mode: _ShortReads(io.FileIO(p, mode[0])), raising=False
+    )
+    with pytest.raises(FormatError, match="truncated: read"):
+        read(path)

@@ -366,6 +366,14 @@ def test_fixed_mask_provider_validation():
     assert np.array_equal(p.mask(10, None, None), [[0.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_mask_provider_rejects_non_finite_values(bad):
+    mask = np.zeros((16, 16))
+    mask[3, 5] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        FixedMaskProvider(mask)
+
+
 def test_trajectory_covers():
     traj = Trajectory(latents={0: np.zeros(1), 10: np.zeros(1)}, timesteps=(10,), guidance=1.0)
     from fecdiff.schedule import TimestepPlan
