@@ -1,11 +1,12 @@
 """Diffusion inversion-and-sampling toolkit with trajectory correction.
 
-DDIM inversion plus five samplers (direct descent, the negative-prompt
-baseline, and the reference-path, desired-noise and K/V-injection
-corrections) that share one descent loop; a toy attention denoiser whose
-self-attention K/V pass through one capture-or-inject hook, with an
-analytic Gaussian oracle; reconstruction metrics; and an experiment
-harness.
+DDIM inversion plus four samplers (direct descent and the reference-path,
+desired-noise and K/V-injection corrections) that share one descent loop,
+each under the one guidance context it is given; ``sample_method`` maps
+every method name, the negative-prompt baseline included, to a sampler.
+A toy attention denoiser whose self-attention K/V pass through one
+capture-or-inject hook, with an analytic Gaussian oracle; reconstruction
+metrics; and an experiment harness.
 """
 
 from .denoiser import (
@@ -33,6 +34,7 @@ from .harness import (
 )
 from .metrics import MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve
 from .sampling import (
+    RECON_METHODS,
     CaptureOptions,
     FixedMaskProvider,
     GuidanceContext,
@@ -49,7 +51,7 @@ from .sampling import (
     sample_fec_kv_reuse,
     sample_fec_noise,
     sample_fec_ref,
-    sample_neg_prompt_baseline,
+    sample_method,
 )
 from .schedule import NoiseSchedule, TimestepPlan, add_noise, build_schedule, timestep_plan
 

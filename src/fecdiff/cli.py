@@ -7,6 +7,7 @@ timing. Shared flags override configuration-file keys.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import os
 import sys
@@ -53,8 +54,8 @@ def _add_shared(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The configuration file and flags as one configuration; a value the
-    configuration rejects is a ``UsageError``."""
+    """The configuration file and flags as one configuration; a missing or
+    malformed file, or a value the configuration rejects, is a ``UsageError``."""
     try:
         cfg = load_config_file(args.config) if args.config else ExperimentConfig()
         if args.method:
@@ -82,7 +83,9 @@ def _config_from_args(args) -> ExperimentConfig:
         if args.out is not None:
             cfg.out = args.out
         cfg.__post_init__()
-    except ValueError as exc:
+    except FileNotFoundError as exc:
+        raise UsageError(f"configuration file not found: {exc}") from exc
+    except (ValueError, configparser.Error) as exc:
         raise UsageError(str(exc)) from exc
     return cfg
 
@@ -157,16 +160,20 @@ def _cmd_edit(args) -> int:
     method = _edit_method(cfg.methods[0])
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
-    req = EditRequest(
-        source_prompt=cfg.prompts[0],
-        edit_prompt=cfg.edit_prompts[0] if cfg.edit_prompts else cfg.prompts[0],
-        method=method,
-        blend_word=cfg.blend_word,
-        layer_range=cfg.layer_range(),
-        guidance=cfg.samp_guidances[0],
-    )
     user_mask = read_mask(args.mask) if args.mask else None
-    out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)
+    # ValueError here means an input the edit cannot use (blend word, mask, layers).
+    try:
+        req = EditRequest(
+            source_prompt=cfg.prompts[0],
+            edit_prompt=cfg.edit_prompts[0] if cfg.edit_prompts else cfg.prompts[0],
+            method=method,
+            blend_word=cfg.blend_word,
+            layer_range=cfg.layer_range(),
+            guidance=cfg.samp_guidances[0],
+        )
+        out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     print(f"method = {req.method}")
     print(f"reconstructed = {report.reconstructed}")
     final_t, final_loss = report.per_step_losses[-1]
@@ -206,7 +213,7 @@ def _emit_report(report, cfg) -> int:
         write_report_csv(report, cfg.out)
         write_report_json(report, cfg.out + ".json")
         print(f"wrote {cfg.out} and {cfg.out}.json")
-    return 0
+    return 1 if errors else 0
 
 
 def _cmd_check_batch(args) -> int:
@@ -267,7 +274,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except UsageError as exc:
-        print(f"fecdiff {args.command}: error: {exc}", file=sys.stderr)
+        message = " ".join(str(exc).split())  # one line, whatever raised it
+        print(f"fecdiff {args.command}: error: {message}", file=sys.stderr)
         return 2
 
 

@@ -10,15 +10,14 @@ import numpy as np
 from .denoiser import AttentionTrace, LayerRange, PromptEmbedding
 from .metrics import latent_loss, trajectory_loss_curve
 from .sampling import (
+    KV_METHODS,
     CaptureOptions,
     FixedMaskProvider,
-    ZeroMaskProvider,
     as_mask,
     guidance_contexts,
     invert,
-    sample_fec_kv_reuse,
     sample_fec_noise,
-    sample_fec_ref,
+    sample_method,
 )
 from .schedule import NoiseSchedule, TimestepPlan
 
@@ -150,58 +149,52 @@ def run_edit(
     embed_seed: int = 0,
     user_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EditReport]:
-    """Invert with the source prompt, then run the method's edit sampler.
-
-    Identical source and edit prompts degenerate to the method's
-    reconstruct mode. The report carries per-step losses against the
-    reference trajectory and, for masked fec-noise edits, the locality
-    metric against the method's own reconstruction.
-    """
+    """Invert with the source prompt, then sample with the method under the
+    edit prompt; identical prompts reconstruct (fec-noise takes the zero
+    mask, fec-ref its saved path). The report carries per-step losses
+    against the reference trajectory and, for fec-noise edits, locality
+    against the method's own reconstruction. A user mask is fec-noise's
+    alone and must match the latent grid, else ``ValueError`` is raised
+    before inverting."""
+    grid = tuple(net.config.latent_shape[1:])
+    if user_mask is not None:
+        if req.method != "fec-noise":
+            raise ValueError(f"a user mask applies to fec-noise edits only, not {req.method}")
+        user_mask = as_mask(user_mask)
+        if user_mask.shape != grid:
+            raise ValueError(f"user mask {user_mask.shape} does not match the latent grid {grid}")
     ctx, edit_ctx = guidance_contexts(
         net, (req.source_prompt, req.edit_prompt), req.guidance, embed_seed
     )
     reconstruct = req.edit_prompt == req.source_prompt
-    mode = "reconstruct" if reconstruct else "edit"
-    needs_kv = req.method == "fec-kv-reuse"
-
-    res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=needs_kv))
+    res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=req.method in KV_METHODS))
     traj = res.trajectory
     record: dict[int, np.ndarray] = {}
     report = EditReport(method=req.method, reconstructed=reconstruct)
 
-    if req.method == "fec-ref":
-        out = sample_fec_ref(
-            net, traj, ctx, plan, sched, mode=mode, edit_ctx=edit_ctx, record=record, route="edit"
-        )
-    elif req.method == "fec-noise":
+    method, provider = req.method, None
+    if method == "fec-ref" and not reconstruct:
+        # fec-ref has no edit sampler of its own: its edit is plain direct descent.
+        method = "direct"
+    elif method == "fec-noise" and not reconstruct:
         if user_mask is not None:
             provider = FixedMaskProvider(user_mask)
-        elif req.blend_word is not None and not reconstruct:
-            provider = AttentionMaskProvider(
-                req.blend_word, spatial_shape=net.config.latent_shape[1:]
-            )
+        elif req.blend_word is not None:
+            provider = AttentionMaskProvider(req.blend_word, spatial_shape=grid)
+    out = sample_method(
+        net, res, method, edit_ctx, plan, sched, req.layer_range,
+        mask_provider=provider, record=record, route="edit",
+    )
+    if isinstance(provider, AttentionMaskProvider):
+        report.mask_degenerate_steps = sorted(
+            t for t, m in provider.derived.items() if m.degenerate
+        )
+    if method == "fec-noise" and not reconstruct:
+        recon = sample_fec_noise(net, traj, ctx, plan, sched, route="edit")
+        if user_mask is not None:
+            report.locality = _locality(out, recon, user_mask)
         else:
-            provider = ZeroMaskProvider()
-        out = sample_fec_noise(
-            net, traj, ctx, plan, sched, provider, mode=mode, edit_ctx=edit_ctx,
-            record=record, route="edit",
-        )
-        if isinstance(provider, AttentionMaskProvider):
-            report.mask_degenerate_steps = sorted(
-                t for t, m in provider.derived.items() if m.degenerate
-            )
-        if not reconstruct:
-            recon = sample_fec_noise(net, traj, ctx, plan, sched, mode="reconstruct", route="edit")
-            if user_mask is not None:
-                report.locality = _locality(out, recon, np.asarray(user_mask, dtype=np.float64))
-            else:
-                report.locality = {"reconstruction_mse": latent_loss(out, recon)}
-    else:
-        out = sample_fec_kv_reuse(
-            net, traj[plan.timesteps[0]], res.kv_cache, ctx, plan, sched, req.layer_range,
-            cache_uncond=res.kv_cache_uncond,
-            edit_ctx=None if reconstruct else edit_ctx, record=record, route="edit",
-        )
+            report.locality = {"reconstruction_mse": latent_loss(out, recon)}
 
     report.per_step_losses = trajectory_loss_curve(record, traj)
     return out, report

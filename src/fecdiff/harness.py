@@ -7,6 +7,7 @@ import configparser
 import csv
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -15,22 +16,17 @@ import numpy as np
 from .denoiser import DenoiserConfig, LayerRange, ToyDenoiser
 from .metrics import SSIM_WINDOW, MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve
 from .sampling import (
+    KV_METHODS,
+    RECON_METHODS,
     CaptureOptions,
-    GuidanceContext,
-    InvertResult,
     guidance_contexts,
     invert,
     sample_direct,
-    sample_fec_kv_reuse,
-    sample_fec_noise,
-    sample_fec_ref,
-    sample_neg_prompt_baseline,
+    sample_method,
 )
 from .schedule import DEFAULT_TRAIN_STEPS, build_schedule, timestep_plan
 
 SYNTH_KINDS = ("gaussian", "blocks", "gradient")
-
-RECON_METHODS = ("direct", "neg-prompt", "fec-ref", "fec-noise", "fec-kv-reuse", "fec-v-reuse")
 
 # The paper's observed serial-vs-parallel divergence threshold, reported
 # as context alongside batch-invariance results.
@@ -71,7 +67,6 @@ class ExperimentConfig:
     total_train_steps: int = DEFAULT_TRAIN_STEPS
     schedule_kind: str = "scaled-linear-beta"
     seeds: tuple[int, ...] = (0,)
-    denoiser_seed: int = 0
     embed_seed: int = 0
     data_kind: str = "gaussian"
     prompts: tuple[str, ...] = ("a cat sitting on a mat",)
@@ -93,8 +88,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in RECON_METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {RECON_METHODS}")
-        if self.denoiser.init_seed != self.denoiser_seed:
-            self.denoiser = replace(self.denoiser, init_seed=self.denoiser_seed)
+        for g in (*self.inv_guidances, *self.samp_guidances):
+            if not math.isfinite(g):
+                raise ValueError(f"guidance scales must be finite, got {g!r}")
         self.layer_range()  # raises for a start below 0 or past the end
 
     def layer_range(self) -> LayerRange:
@@ -130,9 +126,6 @@ class SweepReport:
         return out
 
 
-KV_METHODS = ("fec-kv-reuse", "fec-v-reuse")
-
-
 def reconstruct_once(
     net,
     sched,
@@ -151,38 +144,8 @@ def reconstruct_once(
     (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)
     res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=method in KV_METHODS))
     samp_ctx = replace(inv_ctx, scale=samp_scale)
-    return reconstruct_from(net, sched, plan, res, method, samp_ctx, layers, record), res.trajectory
-
-
-def reconstruct_from(
-    net,
-    sched,
-    plan,
-    res: InvertResult,
-    method: str,
-    ctx: GuidanceContext,
-    layers: LayerRange | None = None,
-    record: dict | None = None,
-) -> np.ndarray:
-    """Reconstruct the source of an inversion with one method under the
-    sampling context ``ctx``. The kv methods need ``res`` to carry K/V."""
-    traj = res.trajectory
-    z_start = traj[plan.timesteps[0]]
-    if method == "direct":
-        return sample_direct(net, z_start, ctx, plan, sched, record=record)
-    if method == "neg-prompt":
-        return sample_neg_prompt_baseline(net, z_start, ctx, plan, sched, record=record)
-    if method == "fec-ref":
-        return sample_fec_ref(net, traj, ctx, plan, sched, record=record)
-    if method == "fec-noise":
-        return sample_fec_noise(net, traj, ctx, plan, sched, record=record)
-    if method in KV_METHODS:
-        return sample_fec_kv_reuse(
-            net, z_start, res.kv_cache, ctx, plan, sched, layers,
-            cache_uncond=res.kv_cache_uncond,
-            v_only=(method == "fec-v-reuse"), record=record,
-        )
-    raise ValueError(f"unknown method {method!r}")
+    out = sample_method(net, res, method, samp_ctx, plan, sched, layers, record=record)
+    return out, res.trajectory
 
 
 def measure_reconstruction(z0: np.ndarray, out: np.ndarray, record, traj) -> MetricsReport:
@@ -255,8 +218,8 @@ def _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, rows
         t0 = time.perf_counter()
         try:
             record: dict = {}
-            samp_ctx = replace(inv_ctx, scale=row["samp_guidance"])
-            out = reconstruct_from(net, sched, plan, res, row["method"], samp_ctx, layers, record)
+            ctx = replace(inv_ctx, scale=row["samp_guidance"])
+            out = sample_method(net, res, row["method"], ctx, plan, sched, layers, record=record)
             m = measure_reconstruction(z0, out, record, res.trajectory)
             row.update(latent_loss=m.latent_loss, psnr=m.psnr, ssim=m.ssim)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
@@ -365,10 +328,9 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     net.call_counts.clear()
     ctx, edit_ctx = guidance_contexts(net, (source, edit), guidance, cfg.embed_seed)
     t0 = time.perf_counter()
-    traj = invert(net, z0, ctx, plan, sched).trajectory
-    z_start = traj[plan.timesteps[0]]
-    sample_direct(net, z_start, ctx, plan, sched, route="reconstruction")
-    sample_direct(net, z_start, edit_ctx, plan, sched, route="edit")
+    res = invert(net, z0, ctx, plan, sched)
+    sample_method(net, res, "direct", ctx, plan, sched)
+    sample_method(net, res, "direct", edit_ctx, plan, sched, route="edit")
     out["direct-paired"] = {
         "time_s": time.perf_counter() - t0,
         "calls": dict(net.call_counts),
@@ -429,7 +391,9 @@ def _parse_strs(s: str) -> tuple[str, ...]:
 
 
 def load_config_file(path) -> ExperimentConfig:
-    """Sectioned key-value configuration; every key has a CLI override.
+    """Sectioned key-value configuration (``FileNotFoundError`` if missing).
+    Flags override the ``[run]`` keys they name; ``[schedule]``,
+    ``[denoiser]``, ``embed_seed`` and ``data_kind`` are set only here.
 
     Sections/keys:
       [schedule] kind, total_steps
@@ -457,7 +421,6 @@ def load_config_file(path) -> ExperimentConfig:
             init_seed=s.getint("seed", cfg.denoiser.init_seed),
             attn_scale=s.get("attn_scale", cfg.denoiser.attn_scale),
         )
-        cfg.denoiser_seed = cfg.denoiser.init_seed
     if parser.has_section("run"):
         s = parser["run"]
         cfg.steps = s.getint("steps", cfg.steps)

@@ -1,13 +1,14 @@
 """DDIM stepping, classifier-free guidance, inversion, and the samplers.
 
-Samplers: direct descent, negative-prompt baseline, reference-path
-correction (fec-ref), desired-noise correction (fec-noise), and cached
-key/value injection (fec-kv-reuse, plus its V-only ablation variant).
+Samplers: direct descent, reference-path correction (fec-ref),
+desired-noise correction (fec-noise), and cached key/value injection
+(fec-kv-reuse, plus its V-only ablation variant), each under the one
+context it is given; ``sample_method`` maps a method name to one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -284,50 +285,16 @@ def sample_direct(
     return _descend(z, plan, sched, noise, record, "sampling")
 
 
-def sample_neg_prompt_baseline(
-    net, traj_start, ctx: GuidanceContext, plan, sched, *, record=None, route="reconstruction"
-) -> np.ndarray:
-    """Direct sampling with the unconditional embedding set to the prompt."""
-    neg_ctx = GuidanceContext(scale=ctx.scale, cond=ctx.cond, uncond=ctx.cond)
-    return sample_direct(net, traj_start, neg_ctx, plan, sched, record=record, route=route)
-
-
 def sample_fec_ref(
-    net,
-    traj: Trajectory,
-    ctx: GuidanceContext,
-    plan: TimestepPlan,
-    sched: NoiseSchedule,
-    mode: str = "reconstruct",
-    edit_ctx: GuidanceContext | None = None,
-    *,
-    record: dict[int, np.ndarray] | None = None,
-    route: str = "reconstruction",
+    traj: Trajectory, plan: TimestepPlan, *, record: dict[int, np.ndarray] | None = None
 ) -> np.ndarray:
-    """Reference-path sampler: overwrite each step with the inversion latent.
-
-    Reconstruct mode assigns the saved latent at every step and therefore
-    returns the encoded source exactly. Edit mode runs the plain guided
-    descent under the edit prompt; the reference path stays available to
-    downstream consumers via ``traj``.
-    """
+    """Reference-path sampler: take the saved inversion latent at every
+    step, so the output is the encoded source exactly; no network runs."""
     if not traj.covers(plan):
         raise ValueError("trajectory does not cover the timestep plan")
-    if mode == "reconstruct":
-        z = traj[plan.timesteps[0]]
-        if record is not None:
-            record[plan.timesteps[0]] = z.copy()
-        for _, t_prev in plan.sampling_pairs():
-            z = traj[t_prev]
-            if record is not None:
-                record[t_prev] = z.copy()
-        return z.copy()
-    if mode == "edit":
-        use_ctx = edit_ctx if edit_ctx is not None else ctx
-        return sample_direct(
-            net, traj[plan.timesteps[0]], use_ctx, plan, sched, record=record, route=route
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    if record is not None:
+        record.update((t, traj[t].copy()) for t in (*plan.timesteps, 0))
+    return traj[0].copy()
 
 
 class ZeroMaskProvider:
@@ -369,8 +336,6 @@ def sample_fec_noise(
     plan: TimestepPlan,
     sched: NoiseSchedule,
     mask_provider=None,
-    mode: str = "reconstruct",
-    edit_ctx: GuidanceContext | None = None,
     *,
     record: dict[int, np.ndarray] | None = None,
     route: str = "reconstruction",
@@ -379,22 +344,18 @@ def sample_fec_noise(
 
     Each step derives the unconditional noise that would land exactly on
     the saved inversion latent, then blends it with the live unconditional
-    prediction under the step mask (reconstruct mode forces the mask to
-    zero, and any mask with no nonzero entry counts as zero, so the step
-    takes pure desired noise and evaluates no network; the conditional
+    prediction under the step mask. No provider, or a mask with no nonzero
+    entry, means the zero mask: the step takes pure desired noise and
+    evaluates no network, which reconstructs the source. The conditional
     prediction is evaluated only under a live mask or for a provider that
     needs its attention trace, and the live unconditional one only when
-    ``guided_noise`` would evaluate it). With guidance scale 1 the
+    ``guided_noise`` would evaluate it. With guidance scale 1 the
     unconditional derivation is singular and blending happens on total
     noise instead, preserving exactness in unmasked regions.
     """
-    if mode not in ("reconstruct", "edit"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not traj.covers(plan):
         raise ValueError("trajectory does not cover the timestep plan")
-    use_ctx = edit_ctx if (mode == "edit" and edit_ctx is not None) else ctx
-    scale = use_ctx.scale
-    if mode == "reconstruct" or mask_provider is None:
+    if mask_provider is None:
         mask_provider = ZeroMaskProvider()
 
     needs_trace = getattr(mask_provider, "needs_trace", False)
@@ -404,24 +365,24 @@ def sample_fec_noise(
         eps_c = trace = None
         if needs_trace:
             trace = AttentionTrace()
-            eps_c = net.predict(z, t, use_ctx.cond, trace_to=trace, route=route)
-        m = mask_provider.mask(t, trace, use_ctx.cond)
+            eps_c = net.predict(z, t, ctx.cond, trace_to=trace, route=route)
+        m = mask_provider.mask(t, trace, ctx.cond)
         if m is None or not np.any(m):
             # Eq. 13 cancels the conditional prediction exactly under a
             # zero mask, so the step is the desired noise itself.
             return eps_des
         if eps_c is None:
-            eps_c = net.predict(z, t, use_ctx.cond, route=route)
-        if _uncond_known(use_ctx):
+            eps_c = net.predict(z, t, ctx.cond, route=route)
+        if _uncond_known(ctx):
             eps_u_live = eps_c
         else:
-            eps_u_live = net.predict(z, t, use_ctx.uncond, route=route)
-        if scale == 1.0:
+            eps_u_live = net.predict(z, t, ctx.uncond, route=route)
+        if ctx.scale == 1.0:
             # Singular Eq.-13 case: blend total noise so unmasked regions
             # still receive exactly the desired noise.
-            return m * cfg_combine(eps_c, eps_u_live, scale) + (1.0 - m) * eps_des
-        eps_u = m * eps_u_live + (1.0 - m) * desired_uncond(eps_des, eps_c, scale)
-        return cfg_combine(eps_c, eps_u, scale)
+            return m * cfg_combine(eps_c, eps_u_live, ctx.scale) + (1.0 - m) * eps_des
+        eps_u = m * eps_u_live + (1.0 - m) * desired_uncond(eps_des, eps_c, ctx.scale)
+        return cfg_combine(eps_c, eps_u, ctx.scale)
 
     z = traj[plan.timesteps[0]].copy()
     return _descend(z, plan, sched, noise, record, "fec-noise sampling")
@@ -435,7 +396,6 @@ def sample_fec_kv_reuse(
     plan: TimestepPlan,
     sched: NoiseSchedule,
     layers: LayerRange | None = None,
-    edit_ctx: GuidanceContext | None = None,
     *,
     cache_uncond: KVCache | None = None,
     v_only: bool = False,
@@ -446,14 +406,11 @@ def sample_fec_kv_reuse(
 
     Each guidance branch injects from its own cache: ``cache`` feeds the
     conditional evaluation and ``cache_uncond`` the unconditional one
-    (falling back to ``cache`` when omitted). Reconstruction uses the
-    source prompt over the full layer range; edits substitute the edit
-    prompt while keeping injection. ``v_only`` runs the ablation that
-    reuses V while keeping K live.
+    (falling back to ``cache`` when omitted). ``v_only`` runs the ablation
+    that reuses V while keeping K live.
     """
     if layers is None:
         layers = LayerRange(0, net.config.layer_count)
-    use_ctx = edit_ctx if edit_ctx is not None else ctx
     cache_u = cache_uncond if cache_uncond is not None else cache
     for t in plan.timesteps:
         if not (cache.has_timestep(t) and cache_u.has_timestep(t)):
@@ -462,7 +419,54 @@ def sample_fec_kv_reuse(
     kv_u = kv if cache_u is cache else KVInject(cache_u, layers, v_only)
 
     def noise(z, t, t_prev):
-        return guided_noise(net, z, t, use_ctx, route=route, kv=kv, kv_uncond=kv_u)
+        return guided_noise(net, z, t, ctx, route=route, kv=kv, kv_uncond=kv_u)
 
     z = np.asarray(traj_start, dtype=np.float64)
     return _descend(z, plan, sched, noise, record, "fec-kv-reuse sampling")
+
+
+RECON_METHODS = ("direct", "neg-prompt", "fec-ref", "fec-noise", "fec-kv-reuse", "fec-v-reuse")
+# The methods that sample from the K/V an inversion captures.
+KV_METHODS = ("fec-kv-reuse", "fec-v-reuse")
+
+
+def sample_method(
+    net,
+    res: InvertResult,
+    method: str,
+    ctx: GuidanceContext,
+    plan: TimestepPlan,
+    sched: NoiseSchedule,
+    layers: LayerRange | None = None,
+    *,
+    mask_provider=None,
+    record: dict[int, np.ndarray] | None = None,
+    route: str = "reconstruction",
+) -> np.ndarray:
+    """Sample from the inversion ``res`` with one method under ``ctx``; the
+    source prompt's context reconstructs, an edit prompt's edits.
+
+    neg-prompt is direct descent with the prompt as unconditional
+    embedding. ``mask_provider`` is fec-noise's (none: the zero mask);
+    ``layers`` is the kv methods' range, for which ``res`` must hold K/V.
+    """
+    traj = res.trajectory
+    z_start = traj[plan.timesteps[0]]
+    if method == "direct":
+        return sample_direct(net, z_start, ctx, plan, sched, record=record, route=route)
+    if method == "neg-prompt":
+        neg = replace(ctx, uncond=ctx.cond)
+        return sample_direct(net, z_start, neg, plan, sched, record=record, route=route)
+    if method == "fec-ref":
+        return sample_fec_ref(traj, plan, record=record)
+    if method == "fec-noise":
+        return sample_fec_noise(
+            net, traj, ctx, plan, sched, mask_provider, record=record, route=route
+        )
+    if method in KV_METHODS:
+        return sample_fec_kv_reuse(
+            net, z_start, res.kv_cache, ctx, plan, sched, layers,
+            cache_uncond=res.kv_cache_uncond, v_only=method == "fec-v-reuse",
+            record=record, route=route,
+        )
+    raise ValueError(f"unknown method {method!r}; expected one of {RECON_METHODS}")

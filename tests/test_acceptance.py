@@ -32,7 +32,7 @@ from fecdiff.sampling import (
     desired_uncond,
     invert,
     sample_direct,
-    sample_neg_prompt_baseline,
+    sample_method,
 )
 
 PROMPT = "a photo of a cat"
@@ -188,10 +188,9 @@ def test_criterion_06_kv_reuse_suppression(net, sched, plan50, direct_losses):
 def test_criterion_07_negative_prompt_equivalence(net, sched, plan50):
     z0 = generate_synthetic_latent(0, "gaussian")
     ctx = GuidanceContext(scale=1.0, cond=embed_prompt(PROMPT, 0), uncond=embed_prompt("", 0))
-    traj = invert(net, z0, ctx, plan50, sched).trajectory
-    z_start = traj[plan50.timesteps[0]]
-    direct = sample_direct(net, z_start, ctx, plan50, sched)
-    neg = sample_neg_prompt_baseline(net, z_start, ctx, plan50, sched)
+    res = invert(net, z0, ctx, plan50, sched)
+    direct = sample_direct(net, res.trajectory[plan50.timesteps[0]], ctx, plan50, sched)
+    neg = sample_method(net, res, "neg-prompt", ctx, plan50, sched)
     _verdict(7, "negative-prompt equivalence", direct.tobytes() == neg.tobytes())
 
 

@@ -339,8 +339,8 @@ def test_predict_leaves_inputs_and_cached_kv_unchanged(net, sched, plan10):
     )
     for v_only in (False, True):
         sample_fec_kv_reuse(
-            net, z_T, res.kv_cache, ctx, plan10, sched, cache_uncond=res.kv_cache_uncond,
-            edit_ctx=edit_ctx, v_only=v_only,
+            net, z_T, res.kv_cache, edit_ctx, plan10, sched, cache_uncond=res.kv_cache_uncond,
+            v_only=v_only,
         )
     after = (
         z_T.tobytes(),

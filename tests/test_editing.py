@@ -90,7 +90,7 @@ def test_attention_mask_provider_gets_a_trace_every_step(net, sched, plan10):
     traj = invert(net, generate_synthetic_latent(1), ctx, plan10, sched).trajectory
     provider = TraceLog("dog", spatial_shape=net.config.latent_shape[1:])
     provider.seen = {}
-    sample_fec_noise(net, traj, ctx, plan10, sched, provider, mode="edit", edit_ctx=edit_ctx)
+    sample_fec_noise(net, traj, edit_ctx, plan10, sched, provider)
     every_layer = list(range(net.layer_count))
     assert provider.seen == {t: every_layer for t in plan10.timesteps}
 
@@ -139,6 +139,23 @@ def test_non_finite_masks_are_rejected_as_masks(net, sched, bad):
     z0 = generate_synthetic_latent(1, "blocks")
     with pytest.raises(ValueError, match="must be finite"):
         run_edit(net, sched, timestep_plan(2, 1000), z0, req, user_mask=mask)
+
+
+@pytest.mark.parametrize(
+    "method, mask, fault",
+    [
+        ("fec-kv-reuse", np.ones((16, 16)), "fec-noise edits only"),
+        ("fec-ref", np.ones((16, 16)), "fec-noise edits only"),
+        ("fec-noise", np.ones((8, 8)), r"mask \(8, 8\) does not match the latent grid"),
+    ],
+    ids=["kv-reuse", "fec-ref", "fec-noise-8x8"],
+)
+def test_unusable_user_mask_is_rejected_before_inverting(sched, plan10, method, mask, fault):
+    net = ToyDenoiser(DenoiserConfig())
+    req = EditRequest("a cat on a mat", "a dog on a mat", method)
+    with pytest.raises(ValueError, match=fault):
+        run_edit(net, sched, plan10, generate_synthetic_latent(1), req, user_mask=mask)
+    assert not net.call_counts
 
 
 def test_blend_word_edit_reports_locality(net, sched, plan10):

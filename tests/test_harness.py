@@ -64,10 +64,11 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(methods=("warp",))
     for bad in (dict(steps=0), dict(steps=1001), dict(layer_start=2, layer_end=1),
-                dict(layer_start=-1)):
+                dict(layer_start=-1), dict(samp_guidances=(float("nan"),)),
+                dict(inv_guidances=(7.5, float("inf")))):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    cfg = ExperimentConfig(denoiser_seed=3)
+    cfg = ExperimentConfig(denoiser=DenoiserConfig(init_seed=3))
     assert cfg.denoiser.init_seed == 3
 
 
@@ -254,7 +255,7 @@ def test_load_config_file(tmp_path):
     assert cfg.schedule_kind == "constant-beta"
     assert cfg.total_train_steps == 100
     assert cfg.denoiser.layer_count == 2
-    assert cfg.denoiser_seed == 5
+    assert cfg.denoiser.init_seed == 5
     assert cfg.steps == 4
     assert cfg.methods == ("direct", "fec-ref")
     assert cfg.inv_guidances == (1.0, 5.0)
@@ -308,6 +309,34 @@ def test_cli_edit_with_mask(tmp_path, capsys):
     assert "locality.outside_mask_mse" in out
 
 
+@pytest.mark.parametrize(
+    "method, size, fault",
+    [("fec-kv-reuse", 16, "fec-noise edits only"), ("fec-noise", 8, "latent grid (16, 16)")],
+    ids=["kv-reuse", "fec-noise-8x8"],
+)
+def test_cli_edit_rejects_a_mask_it_cannot_use(method, size, fault, tmp_path, capsys):
+    from fecdiff.io_formats import write_mask
+
+    mask_path = tmp_path / "m.fecmask"
+    write_mask(mask_path, np.ones((size, size)), 64)
+    rc = main(["edit", "--method", method, "--steps", "2", "--prompt", "a cat on a mat",
+               "--edit-prompt", "a dog on a mat", "--mask", str(mask_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fecdiff edit: error: ")
+    assert fault in err[0]
+
+
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+def test_cli_report_exits_1_when_a_row_failed(command, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rc = main([command, "--method", "fec-kv-reuse", "--layers", "0:99", "--steps", "2",
+               "--out", str(out)])
+    assert rc == 1
+    assert out.exists() and (tmp_path / "report.csv.json").exists()
+    assert "cell(s) failed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["neg-prompt", "warp"])
 def test_cli_edit_rejects_non_edit_method(method, capsys):
     rc = main(["edit", "--method", method, "--steps", "2"])
@@ -325,10 +354,16 @@ def test_cli_edit_rejects_non_edit_method(method, capsys):
         (["reconstruct", "--layers", "2:1"], "invalid layer range"),
         (["reconstruct", "--method", "warp"], "unknown method 'warp'"),
         (["sweep", "--steps", "0"], "steps must be in"),
+        (["sweep", "--guidance", "nan"], "guidance scales must be finite"),
+        (["sweep", "--config", "{tmp}/missing.cfg"], "configuration file not found"),
+        (["sweep", "--config", "{tmp}/headless.cfg"], "File contains no section headers"),
     ],
-    ids=["layers-3", "layers-a:b", "layers-2:1", "method-warp", "steps-0"],
+    ids=["layers-3", "layers-a:b", "layers-2:1", "method-warp", "steps-0", "guidance-nan",
+         "config-missing", "config-headless"],
 )
-def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys):
+def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path):
+    (tmp_path / "headless.cfg").write_text("steps = 3\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"fecdiff {argv[0]}: error: ")

@@ -21,7 +21,7 @@ from fecdiff.sampling import (
     sample_fec_kv_reuse,
     sample_fec_noise,
     sample_fec_ref,
-    sample_neg_prompt_baseline,
+    sample_method,
 )
 
 
@@ -156,7 +156,7 @@ def test_fec_ref_reconstruct_bit_identical(net, sched, plan10):
     ctx = _ctx(7.5)
     traj = invert(net, z0, ctx, plan10, sched).trajectory
     record = {}
-    out = sample_fec_ref(net, traj, ctx, plan10, sched, record=record)
+    out = sample_fec_ref(traj, plan10, record=record)
     assert out.tobytes() == z0.tobytes()
     for t, z in record.items():
         assert z.tobytes() == traj[t].tobytes()
@@ -178,17 +178,28 @@ def test_fec_noise_requires_coverage(net, sched, plan10, plan50):
     with pytest.raises(ValueError):
         sample_fec_noise(net, traj, ctx, plan50, sched)
     with pytest.raises(ValueError):
-        sample_fec_ref(net, traj, ctx, plan50, sched)
+        sample_fec_ref(traj, plan50)
 
 
 def test_neg_prompt_equals_direct_at_scale_one(net, sched, plan10):
     z0 = _latent(0)
     ctx = _ctx(1.0)
-    traj = invert(net, z0, ctx, plan10, sched).trajectory
-    z_start = traj[plan10.timesteps[0]]
-    direct = sample_direct(net, z_start, ctx, plan10, sched)
-    neg = sample_neg_prompt_baseline(net, z_start, ctx, plan10, sched)
+    res = invert(net, z0, ctx, plan10, sched)
+    direct = sample_direct(net, res.trajectory[plan10.timesteps[0]], ctx, plan10, sched)
+    neg = sample_method(net, res, "neg-prompt", ctx, plan10, sched)
     assert direct.tobytes() == neg.tobytes()
+
+
+def test_neg_prompt_at_any_scale_is_direct_at_scale_one(net, sched, plan10):
+    # With the prompt as its unconditional embedding, guidance cancels to
+    # the conditional noise, so neg-prompt at 7.5 is direct at 1, not at 7.5.
+    res = invert(net, _latent(0), _ctx(7.5, "a cat"), plan10, sched)
+    z_start = res.trajectory[plan10.timesteps[0]]
+    neg = sample_method(net, res, "neg-prompt", _ctx(7.5, "a cat"), plan10, sched)
+    direct_1 = sample_direct(net, z_start, _ctx(1.0, "a cat"), plan10, sched)
+    direct_75 = sample_direct(net, z_start, _ctx(7.5, "a cat"), plan10, sched)
+    assert neg.tobytes() == direct_1.tobytes()
+    assert neg.tobytes() != direct_75.tobytes()
 
 
 def test_kv_reuse_requires_cache_coverage(net, sched, plan10):
@@ -196,6 +207,9 @@ def test_kv_reuse_requires_cache_coverage(net, sched, plan10):
     ctx = _ctx(7.5)
     with pytest.raises(KeyError):
         sample_fec_kv_reuse(net, z0, KVCache(), ctx, plan10, sched)
+    # With no layer injected, only the up-front timestep check sees the gap.
+    with pytest.raises(KeyError):
+        sample_fec_kv_reuse(net, z0, KVCache(), ctx, plan10, sched, LayerRange(0, 0))
 
 
 def test_kv_reuse_runs_and_differs_from_direct(net, sched, plan10):
@@ -243,8 +257,7 @@ def test_fec_noise_zero_mask_evaluates_no_network(net, sched, plan10):
         out = sample_fec_noise(log, traj, ctx, plan10, sched)
         assert float(np.mean((out - z0) ** 2)) < 1e-24
         for provider in (ZeroMaskProvider(), _ScalarZeroMask()):
-            sample_fec_noise(log, traj, ctx, plan10, sched, provider, mode="edit",
-                             edit_ctx=edit_ctx)
+            sample_fec_noise(log, traj, edit_ctx, plan10, sched, provider)
         assert log.prompts == Counter()
 
 
@@ -256,8 +269,7 @@ def test_fec_noise_live_mask_evaluates_both_branches_every_step(net, sched, plan
         ctx, edit_ctx = _ctx(scale), _ctx(scale, "a photo of a dog")
         traj = invert(net, z0, ctx, plan10, sched).trajectory
         log = _PromptLog(net)
-        sample_fec_noise(log, traj, ctx, plan10, sched, FixedMaskProvider(mask), mode="edit",
-                         edit_ctx=edit_ctx)
+        sample_fec_noise(log, traj, edit_ctx, plan10, sched, FixedMaskProvider(mask))
         # At scale 1 the live unconditional prediction has no weight.
         uncond_calls = 0 if scale == 1.0 else plan10.steps
         assert log.prompts == Counter({"a photo of a dog": plan10.steps, "": uncond_calls})
@@ -275,19 +287,16 @@ def test_fec_noise_all_zero_array_mask_is_the_zero_mask(net, sched, plan10):
     for scale in (1.0, 7.5):
         ctx, edit_ctx = _ctx(scale), _ctx(scale, "a photo of a dog")
         traj = invert(net, z0, ctx, plan10, sched).trajectory
-        zero = sample_fec_noise(net, traj, ctx, plan10, sched, ZeroMaskProvider(), mode="edit",
-                                edit_ctx=edit_ctx)
+        zero = sample_fec_noise(net, traj, edit_ctx, plan10, sched, ZeroMaskProvider())
         for provider in (FixedMaskProvider(np.zeros((16, 16))), FixedMaskProvider(0.0)):
             log = _PromptLog(net)
-            out = sample_fec_noise(log, traj, ctx, plan10, sched, provider, mode="edit",
-                                   edit_ctx=edit_ctx)
+            out = sample_fec_noise(log, traj, edit_ctx, plan10, sched, provider)
             assert log.prompts == Counter()
             assert out.tobytes() == zero.tobytes()
         # A provider that needs the trace pays the conditional evaluation
         # and nothing more when its mask comes out all zero.
         log = _PromptLog(net)
-        out = sample_fec_noise(log, traj, ctx, plan10, sched, _TracedZeroMask(), mode="edit",
-                               edit_ctx=edit_ctx)
+        out = sample_fec_noise(log, traj, edit_ctx, plan10, sched, _TracedZeroMask())
         assert log.prompts == Counter({"a photo of a dog": plan10.steps})
         assert out.tobytes() == zero.tobytes()
 
