@@ -11,6 +11,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,40 +55,33 @@ def _add_shared(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The configuration file and flags as one configuration; a missing or
-    malformed file, or a value the configuration rejects, is a ``UsageError``."""
+    """The flags laid over the configuration file by one ``replace``; a missing or
+    malformed file, or a rejected value, is a ``UsageError``."""
+    flags = {
+        "methods": _one(args.method or None),
+        "samp_guidances": _one(args.guidance),
+        "inv_guidances": _one(args.guidance if args.inv_guidance is None else args.inv_guidance),
+        "steps": args.steps,
+        "seeds": tuple(args.seed) if args.seed else None,
+        "prompts": _one(args.prompt),
+        "edit_prompts": _one(args.edit_prompt),
+        "blend_word": args.blend_word,
+        "precision": args.precision,
+        "out": args.out,
+    }
     try:
-        cfg = load_config_file(args.config) if args.config else ExperimentConfig()
-        if args.method:
-            cfg.methods = (args.method,)
-        if args.guidance is not None:
-            cfg.samp_guidances = (args.guidance,)
-            if args.inv_guidance is None:
-                cfg.inv_guidances = (args.guidance,)
-        if args.inv_guidance is not None:
-            cfg.inv_guidances = (args.inv_guidance,)
-        if args.steps is not None:
-            cfg.steps = args.steps
-        if args.seed:
-            cfg.seeds = tuple(args.seed)
-        if args.prompt is not None:
-            cfg.prompts = (args.prompt,)
-        if args.edit_prompt is not None:
-            cfg.edit_prompts = (args.edit_prompt,)
-        if args.blend_word is not None:
-            cfg.blend_word = args.blend_word
         if args.layers:
-            cfg.layer_start, cfg.layer_end = _layer_bounds(args.layers)
-        if args.precision is not None:
-            cfg.precision = args.precision
-        if args.out is not None:
-            cfg.out = args.out
-        cfg.__post_init__()
+            flags["layer_start"], flags["layer_end"] = _layer_bounds(args.layers)
+        cfg = load_config_file(args.config) if args.config else ExperimentConfig()
+        return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     except FileNotFoundError as exc:
         raise UsageError(f"configuration file not found: {exc}") from exc
     except (ValueError, configparser.Error) as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
+
+
+def _one(value) -> tuple | None:
+    return None if value is None else (value,)
 
 
 def _layer_bounds(text: str) -> tuple[int, int]:
@@ -121,11 +115,10 @@ def _cmd_invert(args) -> int:
 def _cmd_reconstruct(args) -> int:
     cfg = _config_from_args(args)
     net, sched, plan = cfg.components()
-    method = cfg.methods[0]
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     record: dict = {}
     out, traj = reconstruct_once(
-        net, sched, plan, z0, method, cfg.prompts[0],
+        net, sched, plan, z0, cfg.methods[0], cfg.prompts[0],
         cfg.inv_guidances[0], cfg.samp_guidances[0], cfg.embed_seed, cfg.layer_range(), record,
     )
     report = measure_reconstruction(z0, out, record, traj)
@@ -160,9 +153,9 @@ def _cmd_edit(args) -> int:
     method = _edit_method(cfg.methods[0])
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
-    user_mask = read_mask(args.mask) if args.mask else None
-    # ValueError here means an input the edit cannot use (blend word, mask, layers).
+    # An error here means an input the edit cannot use (mask file, blend word, layers).
     try:
+        user_mask = read_mask(args.mask) if args.mask else None
         req = EditRequest(
             source_prompt=cfg.prompts[0],
             edit_prompt=cfg.edit_prompts[0] if cfg.edit_prompts else cfg.prompts[0],
@@ -172,7 +165,7 @@ def _cmd_edit(args) -> int:
             guidance=cfg.samp_guidances[0],
         )
         out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     print(f"method = {req.method}")
     print(f"reconstructed = {report.reconstructed}")
@@ -189,14 +182,12 @@ def _cmd_edit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    report = run_sweep(cfg)
-    return _emit_report(report, cfg)
+    return _emit_report(run_sweep(cfg), cfg)
 
 
 def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
-    report = run_ablation_v_only(cfg)
-    return _emit_report(report, cfg)
+    return _emit_report(run_ablation_v_only(cfg), cfg)
 
 
 def _emit_report(report, cfg) -> int:

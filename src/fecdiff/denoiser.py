@@ -198,6 +198,15 @@ class DenoiserConfig:
     # attention; "dim" divides by the full head dimension instead.
     attn_scale: str = "sqrt-dim"
 
+    def __post_init__(self):
+        d, nh, (h, w), p = self.model_dim, self.head_count, self.latent_shape[1:], self.patch_size
+        if d % nh:
+            raise ValueError(f"model_dim {d} must be divisible by head_count {nh}")
+        if h % p or w % p:
+            raise ValueError(f"latent spatial dims {(h, w)} not divisible by patch size {p}")
+        if self.attn_scale not in ("sqrt-dim", "dim"):
+            raise ValueError(f"attn_scale must be 'sqrt-dim' or 'dim', got {self.attn_scale!r}")
+
 
 def _sinusoidal(x: float | np.ndarray, dim: int) -> np.ndarray:
     half = dim // 2
@@ -260,10 +269,6 @@ class ToyDenoiser:
         c, h, w = config.latent_shape
         p = config.patch_size
         d = config.model_dim
-        if d % config.head_count != 0:
-            raise ValueError("model_dim must be divisible by head_count")
-        if h % p or w % p:
-            raise ValueError(f"latent spatial dims {(h, w)} not divisible by patch size {p}")
         rng = np.random.default_rng(config.init_seed)
 
         def lin(n_in, n_out):
@@ -432,7 +437,4 @@ class GaussianDenoiser:
         ab = self.sched.ab(t)
         denom = ab * self.std**2 + 1.0 - ab
         return (z - np.sqrt(ab) * self.mean) * np.sqrt(1.0 - ab) / denom
-
-    def predict_batch(self, zs, t, cond=None, *, route: str = "other", **kwargs):
-        return [self.predict(z, t, cond, route=route, **kwargs) for z in zs]
 

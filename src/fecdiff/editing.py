@@ -133,11 +133,10 @@ def _locality(
     keep = mask == 0.0
     edit = ~keep
     diff = (output - reconstruction) ** 2
-    out = {
+    return {
         "outside_mask_mse": float(diff[:, keep].mean()) if keep.any() else 0.0,
         "inside_mask_mse": float(diff[:, edit].mean()) if edit.any() else 0.0,
     }
-    return out
 
 
 def run_edit(
@@ -154,9 +153,12 @@ def run_edit(
     mask, fec-ref its saved path). The report carries per-step losses
     against the reference trajectory and, for fec-noise edits, locality
     against the method's own reconstruction. A user mask is fec-noise's
-    alone and must match the latent grid, else ``ValueError`` is raised
-    before inverting."""
+    alone and must match the latent grid, and a layer range must end
+    within the network, else ``ValueError`` is raised before inverting."""
     grid = tuple(net.config.latent_shape[1:])
+    layers = req.layer_range
+    if layers is not None and layers.end > net.config.layer_count:
+        raise ValueError(f"layer range end {layers.end} exceeds L={net.config.layer_count}")
     if user_mask is not None:
         if req.method != "fec-noise":
             raise ValueError(f"a user mask applies to fec-noise edits only, not {req.method}")

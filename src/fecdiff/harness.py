@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import difflib
 import itertools
 import json
 import math
@@ -19,12 +20,15 @@ from .sampling import (
     KV_METHODS,
     RECON_METHODS,
     CaptureOptions,
+    cfg_combine,
+    ddim_invert_step,
+    ddim_step,
     guidance_contexts,
     invert,
     sample_direct,
     sample_method,
 )
-from .schedule import DEFAULT_TRAIN_STEPS, build_schedule, timestep_plan
+from .schedule import DEFAULT_TRAIN_STEPS, SCHEDULE_KINDS, build_schedule, timestep_plan
 
 SYNTH_KINDS = ("gaussian", "blocks", "gradient")
 
@@ -58,7 +62,7 @@ def generate_synthetic_latent(
     raise ValueError(f"unknown synthetic latent kind {kind!r}; expected one of {SYNTH_KINDS}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     methods: tuple[str, ...] = ("direct", "fec-ref", "fec-noise", "fec-kv-reuse")
     inv_guidances: tuple[float, ...] = (7.5,)
@@ -79,18 +83,24 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seed list must be non-empty")
+        for name in ("methods", "inv_guidances", "samp_guidances", "seeds", "prompts"):
+            value = getattr(self, name)
+            if not isinstance(value, tuple) or not value:
+                raise ValueError(f"{name} must be a non-empty tuple, got {value!r}")
         if not 1 <= self.steps <= self.total_train_steps:
-            raise ValueError(
-                f"steps must be in [1, {self.total_train_steps}], got {self.steps}"
-            )
-        for m in self.methods:
-            if m not in RECON_METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {RECON_METHODS}")
+            raise ValueError(f"steps must be in [1, {self.total_train_steps}], got {self.steps}")
+        for label, value, known in (
+            ("schedule kind", self.schedule_kind, SCHEDULE_KINDS),
+            ("data_kind", self.data_kind, SYNTH_KINDS),
+            *(("method", m, RECON_METHODS) for m in self.methods),
+        ):
+            if value not in known:
+                raise ValueError(f"unknown {label} {value!r}; expected one of {known}")
         for g in (*self.inv_guidances, *self.samp_guidances):
             if not math.isfinite(g):
                 raise ValueError(f"guidance scales must be finite, got {g!r}")
+        if self.precision not in (32, 64):
+            raise ValueError(f"precision must be 32 or 64, got {self.precision}")
         self.layer_range()  # raises for a start below 0 or past the end
 
     def layer_range(self) -> LayerRange:
@@ -277,11 +287,7 @@ def _batched_full_runs(net, z0s, ctx, plan, sched):
     def guided_batch(zs, t):
         eps_c = net.predict_batch(zs, t, ctx.cond)
         eps_u = net.predict_batch(zs, t, ctx.uncond)
-        from .sampling import cfg_combine
-
         return [cfg_combine(c, u, ctx.scale) for c, u in zip(eps_c, eps_u)]
-
-    from .sampling import ddim_invert_step, ddim_step
 
     zs = [np.asarray(z, dtype=np.float64) for z in z0s]
     trajs = [{0: z.copy()} for z in zs]
@@ -310,40 +316,29 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source + " edited"
     guidance = cfg.samp_guidances[0]
-    out: dict[str, dict] = {}
-
-    # kv-reuse edit: inversion + capture, then a single injected edit route.
-    net.call_counts.clear()
-    t0 = time.perf_counter()
-    run_edit(net, sched, plan, z0, EditRequest(source, edit, "fec-kv-reuse", guidance=guidance),
-             cfg.embed_seed)
-    out["fec-kv-reuse"] = {
-        "time_s": time.perf_counter() - t0,
-        "calls": dict(net.call_counts),
-        "edit_route_calls": net.call_counts["edit"],
-        "reconstruction_route_calls": net.call_counts["reconstruction"],
-    }
-
-    # Paired direct editing: a reconstruction route plus an edit route.
-    net.call_counts.clear()
     ctx, edit_ctx = guidance_contexts(net, (source, edit), guidance, cfg.embed_seed)
-    t0 = time.perf_counter()
-    res = invert(net, z0, ctx, plan, sched)
-    sample_method(net, res, "direct", ctx, plan, sched)
-    sample_method(net, res, "direct", edit_ctx, plan, sched, route="edit")
-    out["direct-paired"] = {
-        "time_s": time.perf_counter() - t0,
-        "calls": dict(net.call_counts),
-        "edit_route_calls": net.call_counts["edit"],
-        "reconstruction_route_calls": net.call_counts["reconstruction"],
-    }
 
-    for method in ("fec-ref", "fec-noise"):
+    def timed(run) -> dict:
         net.call_counts.clear()
         t0 = time.perf_counter()
-        run_edit(net, sched, plan, z0, EditRequest(source, edit, method, guidance=guidance),
-                 cfg.embed_seed)
-        out[method] = {"time_s": time.perf_counter() - t0, "calls": dict(net.call_counts)}
+        run()
+        return {"time_s": time.perf_counter() - t0, "calls": dict(net.call_counts)}
+
+    def edit_with(method: str) -> dict:
+        req = EditRequest(source, edit, method, guidance=guidance)
+        return timed(lambda: run_edit(net, sched, plan, z0, req, cfg.embed_seed))
+
+    def paired_direct():
+        # A reconstruction route plus an edit route.
+        res = invert(net, z0, ctx, plan, sched)
+        sample_method(net, res, "direct", ctx, plan, sched)
+        sample_method(net, res, "direct", edit_ctx, plan, sched, route="edit")
+
+    out = {"fec-kv-reuse": edit_with("fec-kv-reuse"), "direct-paired": timed(paired_direct)}
+    for entry in out.values():
+        entry["edit_route_calls"] = entry["calls"].get("edit", 0)
+        entry["reconstruction_route_calls"] = entry["calls"].get("reconstruction", 0)
+    out.update((method, edit_with(method)) for method in ("fec-ref", "fec-noise"))
     return out
 
 
@@ -368,9 +363,7 @@ def _csv_value(v):
 def write_report_json(report: SweepReport, path):
     payload = {
         "rows": [
-            {k: (_csv_value(v) if isinstance(v, float) and np.isinf(v) else v)
-             for k, v in row.items()}
-            for row in report.rows
+            {k: _csv_value(v) for k, v in row.items()} for row in report.rows
         ],
         "aggregates": report.aggregate_means(),
     }
@@ -390,59 +383,70 @@ def _parse_strs(s: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in s.split(";") if x.strip())
 
 
-def load_config_file(path) -> ExperimentConfig:
-    """Sectioned key-value configuration (``FileNotFoundError`` if missing).
-    Flags override the ``[run]`` keys they name; ``[schedule]``,
-    ``[denoiser]``, ``embed_seed`` and ``data_kind`` are set only here.
+# Every configuration-file key as (section, key, parser, field). A
+# ``[denoiser]`` key sets a ``DenoiserConfig`` field, any other key an
+# ``ExperimentConfig`` field.
+CONFIG_KEYS = (
+    ("schedule", "kind", str, "schedule_kind"),
+    ("schedule", "total_steps", int, "total_train_steps"),
+    ("denoiser", "layers", int, "layer_count"),
+    ("denoiser", "heads", int, "head_count"),
+    ("denoiser", "dim", int, "model_dim"),
+    ("denoiser", "seed", int, "init_seed"),
+    ("denoiser", "attn_scale", str, "attn_scale"),
+    ("run", "steps", int, "steps"),
+    ("run", "methods", _parse_strs, "methods"),
+    ("run", "inv_guidances", _parse_floats, "inv_guidances"),
+    ("run", "samp_guidances", _parse_floats, "samp_guidances"),
+    ("run", "seeds", _parse_ints, "seeds"),
+    ("run", "embed_seed", int, "embed_seed"),
+    ("run", "data_kind", str, "data_kind"),
+    ("run", "prompts", _parse_strs, "prompts"),
+    ("run", "edit_prompts", _parse_strs, "edit_prompts"),
+    ("run", "blend_word", str, "blend_word"),
+    ("run", "layer_start", int, "layer_start"),
+    ("run", "layer_end", int, "layer_end"),
+    ("run", "precision", int, "precision"),
+    ("run", "out", str, "out"),
+)
 
-    Sections/keys:
+
+def load_config_file(path) -> ExperimentConfig:
+    """The configuration a sectioned key = value file describes
+    (``FileNotFoundError`` if it is missing). A section or key that
+    ``CONFIG_KEYS`` does not list, or a value its parser or the
+    configuration rejects, raises ``ValueError``. Lists are separated by
+    spaces or commas; methods, prompts and edit_prompts by semicolons.
+
+    Sections and keys:
       [schedule] kind, total_steps
       [denoiser] layers, heads, dim, seed, attn_scale
-      [run]      steps, methods, inv_guidances, samp_guidances, seeds,
-                 embed_seed, data_kind, prompts (semicolon-separated),
-                 edit_prompts, blend_word, layer_start, layer_end,
-                 precision, out
+      [run] steps, methods, inv_guidances, samp_guidances, seeds,
+        embed_seed, data_kind, prompts, edit_prompts, blend_word,
+        layer_start, layer_end, precision, out
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(path)
-    cfg = ExperimentConfig()
-    if parser.has_section("schedule"):
-        s = parser["schedule"]
-        cfg.schedule_kind = s.get("kind", cfg.schedule_kind)
-        cfg.total_train_steps = s.getint("total_steps", cfg.total_train_steps)
-    if parser.has_section("denoiser"):
-        s = parser["denoiser"]
-        cfg.denoiser = DenoiserConfig(
-            layer_count=s.getint("layers", cfg.denoiser.layer_count),
-            head_count=s.getint("heads", cfg.denoiser.head_count),
-            model_dim=s.getint("dim", cfg.denoiser.model_dim),
-            init_seed=s.getint("seed", cfg.denoiser.init_seed),
-            attn_scale=s.get("attn_scale", cfg.denoiser.attn_scale),
-        )
-    if parser.has_section("run"):
-        s = parser["run"]
-        cfg.steps = s.getint("steps", cfg.steps)
-        if "methods" in s:
-            cfg.methods = _parse_strs(s["methods"]) or cfg.methods
-        if "inv_guidances" in s:
-            cfg.inv_guidances = _parse_floats(s["inv_guidances"])
-        if "samp_guidances" in s:
-            cfg.samp_guidances = _parse_floats(s["samp_guidances"])
-        if "seeds" in s:
-            cfg.seeds = _parse_ints(s["seeds"])
-        cfg.embed_seed = s.getint("embed_seed", cfg.embed_seed)
-        cfg.data_kind = s.get("data_kind", cfg.data_kind)
-        if "prompts" in s:
-            cfg.prompts = _parse_strs(s["prompts"])
-        if "edit_prompts" in s:
-            cfg.edit_prompts = _parse_strs(s["edit_prompts"])
-        cfg.blend_word = s.get("blend_word", cfg.blend_word)
-        cfg.layer_start = s.getint("layer_start", cfg.layer_start)
-        if "layer_end" in s:
-            cfg.layer_end = s.getint("layer_end")
-        cfg.precision = s.getint("precision", cfg.precision)
-        cfg.out = s.get("out", cfg.out)
-    cfg.__post_init__()
-    return cfg
+    table = {(section, key): (parse, name) for section, key, parse, name in CONFIG_KEYS}
+    fields: dict[str, dict] = {section: {} for section, *_ in CONFIG_KEYS}
+    # A [DEFAULT] section would hand its keys to every other section.
+    for section in ["DEFAULT"] * bool(parser.defaults()) + parser.sections():
+        if section not in fields:
+            raise ValueError(f"unknown section {section!r}{_closest(section, fields)}")
+        for key, text in parser.items(section):
+            if (section, key) not in table:
+                known = [k for s, k in table if s == section]
+                raise ValueError(f"unknown key {key!r} in [{section}]{_closest(key, known)}")
+            parse, name = table[section, key]
+            try:
+                fields[section][name] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
+    denoiser = replace(DenoiserConfig(), **fields["denoiser"])
+    return ExperimentConfig(**fields["schedule"], **fields["run"], denoiser=denoiser)
+
+
+def _closest(name: str, known) -> str:
+    match = difflib.get_close_matches(name, known, n=1)
+    return f"; did you mean {match[0]!r}?" if match else ""

@@ -6,6 +6,7 @@ from fecdiff.editing import (
     AttentionMaskProvider,
     EditMask,
     EditRequest,
+    _locality,
     derive_mask,
     run_edit,
 )
@@ -38,6 +39,7 @@ def test_derive_mask_thresholds_known_map():
     col[5] = 1.0
     col[6] = 0.4
     col[7] = 0.2
+    col[8] = 0.3
     trace = _trace_with_map(100, (4, 4), col)
     mask = derive_mask(trace, "dog", emb, 100)
     # Min-max normalization leaves the column unchanged here (min 0, max 1),
@@ -45,6 +47,7 @@ def test_derive_mask_thresholds_known_map():
     expected = np.zeros((4, 4))
     expected.flat[5] = 1.0
     expected.flat[6] = 1.0
+    expected.flat[8] = 1.0
     assert np.array_equal(mask.values, expected)
     assert mask.provenance == "attention-derived"
     assert not mask.degenerate
@@ -142,20 +145,30 @@ def test_non_finite_masks_are_rejected_as_masks(net, sched, bad):
 
 
 @pytest.mark.parametrize(
-    "method, mask, fault",
+    "method, mask, layers, fault",
     [
-        ("fec-kv-reuse", np.ones((16, 16)), "fec-noise edits only"),
-        ("fec-ref", np.ones((16, 16)), "fec-noise edits only"),
-        ("fec-noise", np.ones((8, 8)), r"mask \(8, 8\) does not match the latent grid"),
+        ("fec-kv-reuse", np.ones((16, 16)), None, "fec-noise edits only"),
+        ("fec-ref", np.ones((16, 16)), None, "fec-noise edits only"),
+        ("fec-noise", np.ones((8, 8)), None, r"mask \(8, 8\) does not match the latent grid"),
+        ("fec-kv-reuse", None, LayerRange(0, 99), "layer range end 99 exceeds L=4"),
     ],
-    ids=["kv-reuse", "fec-ref", "fec-noise-8x8"],
+    ids=["kv-reuse", "fec-ref", "fec-noise-8x8", "kv-reuse-layers-0:99"],
 )
-def test_unusable_user_mask_is_rejected_before_inverting(sched, plan10, method, mask, fault):
+def test_unusable_user_mask_is_rejected_before_inverting(
+    sched, plan10, method, mask, layers, fault
+):
     net = ToyDenoiser(DenoiserConfig())
-    req = EditRequest("a cat on a mat", "a dog on a mat", method)
+    req = EditRequest("a cat on a mat", "a dog on a mat", method, layer_range=layers)
     with pytest.raises(ValueError, match=fault):
         run_edit(net, sched, plan10, generate_synthetic_latent(1), req, user_mask=mask)
     assert not net.call_counts
+
+
+def test_locality_counts_a_fractional_mask_entry_as_edit_region():
+    recon = np.zeros((1, 2, 2))
+    out = np.array([[[1.0, 2.0], [0.0, 0.0]]])
+    mask = np.array([[1.0, 0.5], [0.0, 0.0]])
+    assert _locality(out, recon, mask) == {"outside_mask_mse": 0.0, "inside_mask_mse": 2.5}
 
 
 def test_blend_word_edit_reports_locality(net, sched, plan10):

@@ -1,13 +1,19 @@
+import dataclasses
 import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fecdiff import harness
 from fecdiff.cli import main
-from fecdiff.denoiser import DenoiserConfig
+from fecdiff.denoiser import DenoiserConfig, ToyDenoiser
 from fecdiff.harness import (
+    CONFIG_KEYS,
     RECON_METHODS,
+    SYNTH_KINDS,
     ExperimentConfig,
     check_batch_invariance,
     generate_synthetic_latent,
@@ -65,11 +71,22 @@ def test_experiment_config_validation():
         ExperimentConfig(methods=("warp",))
     for bad in (dict(steps=0), dict(steps=1001), dict(layer_start=2, layer_end=1),
                 dict(layer_start=-1), dict(samp_guidances=(float("nan"),)),
-                dict(inv_guidances=(7.5, float("inf")))):
+                dict(inv_guidances=(7.5, float("inf"))), dict(data_kind="checkerboard"),
+                dict(schedule_kind="cosine"), dict(precision=16), dict(methods=()),
+                dict(prompts=()), dict(inv_guidances=()), dict(samp_guidances=()),
+                dict(prompts="a cat")):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    for bad in (dict(head_count=3), dict(attn_scale="bogus"), dict(latent_shape=(4, 15, 16))):
+        with pytest.raises(ValueError):
+            DenoiserConfig(**bad)
+    assert ExperimentConfig(prompts=("",)).prompts == ("",)
     cfg = ExperimentConfig(denoiser=DenoiserConfig(init_seed=3))
     assert cfg.denoiser.init_seed == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.steps = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.denoiser.layer_count = 2
 
 
 def test_run_sweep_row_count_and_fields():
@@ -165,7 +182,9 @@ def test_sweep_captures_kv_only_for_kv_methods(monkeypatch):
     assert net.call_counts["reconstruction"] == 2 * 3
 
 
-def test_sweep_records_a_failed_inversion_in_every_row():
+def test_sweep_records_a_failed_inversion_in_every_row(monkeypatch):
+    # A kind the configuration accepts but the latent generator does not know.
+    monkeypatch.setattr(harness, "SYNTH_KINDS", (*SYNTH_KINDS, "checkerboard"))
     report = run_sweep(_small_cfg(methods=RECON_METHODS, steps=2, data_kind="checkerboard"))
     assert [row["method"] for row in report.rows] == list(RECON_METHODS)
     for row in report.rows:
@@ -266,6 +285,74 @@ def test_load_config_file(tmp_path):
         load_config_file(tmp_path / "missing.cfg")
 
 
+# One file text per configuration-file key, with the value it parses to;
+# each differs from the field's default.
+_KEY_SAMPLES = {
+    ("schedule", "kind"): ("constant-beta", "constant-beta"),
+    ("schedule", "total_steps"): ("100", 100),
+    ("denoiser", "layers"): ("2", 2),
+    ("denoiser", "heads"): ("2", 2),
+    ("denoiser", "dim"): ("32", 32),
+    ("denoiser", "seed"): ("5", 5),
+    ("denoiser", "attn_scale"): ("dim", "dim"),
+    ("run", "steps"): ("4", 4),
+    ("run", "methods"): ("direct; fec-ref", ("direct", "fec-ref")),
+    ("run", "inv_guidances"): ("1, 5", (1.0, 5.0)),
+    ("run", "samp_guidances"): ("2 3.5", (2.0, 3.5)),
+    ("run", "seeds"): ("0, 1", (0, 1)),
+    ("run", "embed_seed"): ("7", 7),
+    ("run", "data_kind"): ("blocks", "blocks"),
+    ("run", "prompts"): ("a cat; ; a dog", ("a cat", "a dog")),
+    ("run", "edit_prompts"): ("a bird", ("a bird",)),
+    ("run", "blend_word"): ("bird", "bird"),
+    ("run", "layer_start"): ("1", 1),
+    ("run", "layer_end"): ("2", 2),
+    ("run", "precision"): ("32", 32),
+    ("run", "out"): ("r.csv", "r.csv"),
+}
+
+
+def test_every_config_key_lands_on_its_field(tmp_path):
+    assert [(section, key) for section, key, _, _ in CONFIG_KEYS] == list(_KEY_SAMPLES)
+    run: dict = {}
+    denoiser: dict = {}
+    sections: dict[str, str] = {}
+    for section, key, _, name in CONFIG_KEYS:
+        text, value = _KEY_SAMPLES[section, key]
+        line = f"{key} = {text}\n"
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"[{section}]\n{line}")
+        if section == "denoiser":
+            expected = ExperimentConfig(denoiser=DenoiserConfig(**{name: value}))
+            denoiser[name] = value
+        else:
+            expected = ExperimentConfig(**{name: value})
+            run[name] = value
+        assert load_config_file(path) == expected, key
+        sections[section] = sections.get(section, "") + line
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"[{section}]\n{lines}" for section, lines in sections.items()))
+    assert load_config_file(path) == ExperimentConfig(**run, denoiser=DenoiserConfig(**denoiser))
+
+
+def _listed_keys(listing: str) -> list[tuple[str, str]]:
+    """The (section, key) pairs of a ``[section] key, key, ...`` listing."""
+    return [
+        (section, key)
+        for section, keys in re.findall(r"\[(\w+)\]([^\[]*)", listing)
+        for key in re.findall(r"\w+", keys)
+    ]
+
+
+def test_docs_list_exactly_the_config_keys():
+    table = [(section, key) for section, key, _, _ in CONFIG_KEYS]
+    docstring = load_config_file.__doc__.split("Sections and keys:")[1]
+    assert _listed_keys(docstring) == table
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    fenced = readme.split("Configuration-file keys, by section:")[1].split("```")[1]
+    assert _listed_keys(fenced) == table
+
+
 def test_cli_reconstruct_and_sweep(tmp_path, capsys):
     rc = main(["reconstruct", "--method", "fec-noise", "--steps", "5",
                "--prompt", "a cat", "--guidance", "7.5"])
@@ -311,14 +398,18 @@ def test_cli_edit_with_mask(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "method, size, fault",
-    [("fec-kv-reuse", 16, "fec-noise edits only"), ("fec-noise", 8, "latent grid (16, 16)")],
-    ids=["kv-reuse", "fec-noise-8x8"],
+    [("fec-kv-reuse", 16, "fec-noise edits only"), ("fec-noise", 8, "latent grid (16, 16)"),
+     ("fec-noise", "missing", "No such file"), ("fec-noise", "zeros", "bad magic")],
+    ids=["kv-reuse", "fec-noise-8x8", "missing-file", "malformed-file"],
 )
 def test_cli_edit_rejects_a_mask_it_cannot_use(method, size, fault, tmp_path, capsys):
     from fecdiff.io_formats import write_mask
 
     mask_path = tmp_path / "m.fecmask"
-    write_mask(mask_path, np.ones((size, size)), 64)
+    if size == "zeros":
+        mask_path.write_bytes(bytes(20))
+    elif size != "missing":
+        write_mask(mask_path, np.ones((size, size)), 64)
     rc = main(["edit", "--method", method, "--steps", "2", "--prompt", "a cat on a mat",
                "--edit-prompt", "a dog on a mat", "--mask", str(mask_path)])
     assert rc == 2
@@ -346,6 +437,23 @@ def test_cli_edit_rejects_non_edit_method(method, capsys):
     assert repr(method) in err[0]
 
 
+# Configuration files the CLI must reject, by name.
+_BAD_CONFIGS = {
+    "headless": "steps = 3\n",
+    "run-step": "[run]\nstep = 3\n",
+    "shedule": "[shedule]\nkind = cosine\n",
+    "attn-scale": "[denoiser]\nattn_scale = bogus\n",
+    "prompts-empty": "[run]\nprompts = ;\n",
+    "samp-guidances-empty": "[run]\nsamp_guidances =\n",
+    "methods-empty": "[run]\nmethods = ;\n",
+    "schedule-kind": "[schedule]\nkind = bogus\n",
+    "heads-3": "[denoiser]\nheads = 3\n",
+    "precision-16": "[run]\nprecision = 16\n",
+    "data-kind": "[run]\ndata_kind = checkerboard\n",
+    "latent-shape": "[denoiser]\nlatent_shape = 4 12 12\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, fault",
     [
@@ -357,14 +465,37 @@ def test_cli_edit_rejects_non_edit_method(method, capsys):
         (["sweep", "--guidance", "nan"], "guidance scales must be finite"),
         (["sweep", "--config", "{tmp}/missing.cfg"], "configuration file not found"),
         (["sweep", "--config", "{tmp}/headless.cfg"], "File contains no section headers"),
+        (["sweep", "--config", "{tmp}/run-step.cfg"],
+         "unknown key 'step' in [run]; did you mean 'steps'?"),
+        (["sweep", "--config", "{tmp}/shedule.cfg"],
+         "unknown section 'shedule'; did you mean 'schedule'?"),
+        (["reconstruct", "--config", "{tmp}/attn-scale.cfg"], "attn_scale must be 'sqrt-dim' or 'dim', got 'bogus'"),
+        (["sweep", "--config", "{tmp}/prompts-empty.cfg"], "prompts must be a non-empty tuple"),
+        (["sweep", "--config", "{tmp}/samp-guidances-empty.cfg"],
+         "samp_guidances must be a non-empty tuple"),
+        (["sweep", "--config", "{tmp}/methods-empty.cfg"], "methods must be a non-empty tuple"),
+        (["sweep", "--config", "{tmp}/schedule-kind.cfg"], "unknown schedule kind 'bogus'"),
+        (["reconstruct", "--config", "{tmp}/heads-3.cfg"], "divisible by head_count 3"),
+        (["invert", "--config", "{tmp}/precision-16.cfg", "--out", "{tmp}/t.fectraj"],
+         "precision must be 32 or 64, got 16"),
+        (["sweep", "--config", "{tmp}/data-kind.cfg"], "unknown data_kind 'checkerboard'"),
+        (["sweep", "--config", "{tmp}/latent-shape.cfg"],
+         "unknown key 'latent_shape' in [denoiser]"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "method-warp", "steps-0", "guidance-nan",
-         "config-missing", "config-headless"],
+         "config-missing", "config-headless", "config-run-step", "config-shedule",
+         "config-attn-scale", "config-prompts-empty", "config-samp-guidances-empty",
+         "config-methods-empty", "config-schedule-kind", "config-heads-3",
+         "config-precision-16", "config-data-kind", "config-latent-shape"],
 )
-def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path):
-    (tmp_path / "headless.cfg").write_text("steps = 3\n")
+def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
+    for name, text in _BAD_CONFIGS.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    calls = []
+    monkeypatch.setattr(ToyDenoiser, "predict", lambda *a, **k: calls.append(a))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"fecdiff {argv[0]}: error: ")
     assert fault in err[0]
+    assert calls == []
