@@ -115,10 +115,11 @@ def _cmd_invert(args) -> int:
 def _cmd_reconstruct(args) -> int:
     cfg = _config_from_args(args)
     net, sched, plan = cfg.components()
+    method = cfg.methods[0]
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     record: dict = {}
     out, traj = reconstruct_once(
-        net, sched, plan, z0, cfg.methods[0], cfg.prompts[0],
+        net, sched, plan, z0, method, cfg.prompts[0],
         cfg.inv_guidances[0], cfg.samp_guidances[0], cfg.embed_seed, cfg.layer_range(), record,
     )
     report = measure_reconstruction(z0, out, record, traj)
@@ -182,12 +183,14 @@ def _cmd_edit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    return _emit_report(run_sweep(cfg), cfg)
+    report = run_sweep(cfg)
+    return _emit_report(report, cfg)
 
 
 def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
-    return _emit_report(run_ablation_v_only(cfg), cfg)
+    report = run_ablation_v_only(cfg)
+    return _emit_report(report, cfg)
 
 
 def _emit_report(report, cfg) -> int:

@@ -200,7 +200,7 @@ class DenoiserConfig:
 
     def __post_init__(self):
         d, nh, (h, w), p = self.model_dim, self.head_count, self.latent_shape[1:], self.patch_size
-        if d % nh:
+        if nh <= 0 or d % nh:
             raise ValueError(f"model_dim {d} must be divisible by head_count {nh}")
         if h % p or w % p:
             raise ValueError(f"latent spatial dims {(h, w)} not divisible by patch size {p}")
@@ -437,4 +437,7 @@ class GaussianDenoiser:
         ab = self.sched.ab(t)
         denom = ab * self.std**2 + 1.0 - ab
         return (z - np.sqrt(ab) * self.mean) * np.sqrt(1.0 - ab) / denom
+
+    def predict_batch(self, zs, t, cond=None, *, route: str = "other", **kwargs):
+        return [self.predict(z, t, cond, route=route, **kwargs) for z in zs]
 

@@ -133,10 +133,11 @@ def _locality(
     keep = mask == 0.0
     edit = ~keep
     diff = (output - reconstruction) ** 2
-    return {
+    out = {
         "outside_mask_mse": float(diff[:, keep].mean()) if keep.any() else 0.0,
         "inside_mask_mse": float(diff[:, edit].mean()) if edit.any() else 0.0,
     }
+    return out
 
 
 def run_edit(

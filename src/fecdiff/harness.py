@@ -20,9 +20,6 @@ from .sampling import (
     KV_METHODS,
     RECON_METHODS,
     CaptureOptions,
-    cfg_combine,
-    ddim_invert_step,
-    ddim_step,
     guidance_contexts,
     invert,
     sample_direct,
@@ -88,7 +85,9 @@ class ExperimentConfig:
             if not isinstance(value, tuple) or not value:
                 raise ValueError(f"{name} must be a non-empty tuple, got {value!r}")
         if not 1 <= self.steps <= self.total_train_steps:
-            raise ValueError(f"steps must be in [1, {self.total_train_steps}], got {self.steps}")
+            raise ValueError(
+                f"steps must be in [1, {self.total_train_steps}], got {self.steps}"
+            )
         for label, value, known in (
             ("schedule kind", self.schedule_kind, SCHEDULE_KINDS),
             ("data_kind", self.data_kind, SYNTH_KINDS),
@@ -287,7 +286,11 @@ def _batched_full_runs(net, z0s, ctx, plan, sched):
     def guided_batch(zs, t):
         eps_c = net.predict_batch(zs, t, ctx.cond)
         eps_u = net.predict_batch(zs, t, ctx.uncond)
+        from .sampling import cfg_combine
+
         return [cfg_combine(c, u, ctx.scale) for c, u in zip(eps_c, eps_u)]
+
+    from .sampling import ddim_invert_step, ddim_step
 
     zs = [np.asarray(z, dtype=np.float64) for z in z0s]
     trajs = [{0: z.copy()} for z in zs]
@@ -316,29 +319,40 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source + " edited"
     guidance = cfg.samp_guidances[0]
-    ctx, edit_ctx = guidance_contexts(net, (source, edit), guidance, cfg.embed_seed)
+    out: dict[str, dict] = {}
 
-    def timed(run) -> dict:
+    # kv-reuse edit: inversion + capture, then a single injected edit route.
+    net.call_counts.clear()
+    t0 = time.perf_counter()
+    run_edit(net, sched, plan, z0, EditRequest(source, edit, "fec-kv-reuse", guidance=guidance),
+             cfg.embed_seed)
+    out["fec-kv-reuse"] = {
+        "time_s": time.perf_counter() - t0,
+        "calls": dict(net.call_counts),
+        "edit_route_calls": net.call_counts["edit"],
+        "reconstruction_route_calls": net.call_counts["reconstruction"],
+    }
+
+    # Paired direct editing: a reconstruction route plus an edit route.
+    net.call_counts.clear()
+    ctx, edit_ctx = guidance_contexts(net, (source, edit), guidance, cfg.embed_seed)
+    t0 = time.perf_counter()
+    res = invert(net, z0, ctx, plan, sched)
+    sample_method(net, res, "direct", ctx, plan, sched)
+    sample_method(net, res, "direct", edit_ctx, plan, sched, route="edit")
+    out["direct-paired"] = {
+        "time_s": time.perf_counter() - t0,
+        "calls": dict(net.call_counts),
+        "edit_route_calls": net.call_counts["edit"],
+        "reconstruction_route_calls": net.call_counts["reconstruction"],
+    }
+
+    for method in ("fec-ref", "fec-noise"):
         net.call_counts.clear()
         t0 = time.perf_counter()
-        run()
-        return {"time_s": time.perf_counter() - t0, "calls": dict(net.call_counts)}
-
-    def edit_with(method: str) -> dict:
-        req = EditRequest(source, edit, method, guidance=guidance)
-        return timed(lambda: run_edit(net, sched, plan, z0, req, cfg.embed_seed))
-
-    def paired_direct():
-        # A reconstruction route plus an edit route.
-        res = invert(net, z0, ctx, plan, sched)
-        sample_method(net, res, "direct", ctx, plan, sched)
-        sample_method(net, res, "direct", edit_ctx, plan, sched, route="edit")
-
-    out = {"fec-kv-reuse": edit_with("fec-kv-reuse"), "direct-paired": timed(paired_direct)}
-    for entry in out.values():
-        entry["edit_route_calls"] = entry["calls"].get("edit", 0)
-        entry["reconstruction_route_calls"] = entry["calls"].get("reconstruction", 0)
-    out.update((method, edit_with(method)) for method in ("fec-ref", "fec-noise"))
+        run_edit(net, sched, plan, z0, EditRequest(source, edit, method, guidance=guidance),
+                 cfg.embed_seed)
+        out[method] = {"time_s": time.perf_counter() - t0, "calls": dict(net.call_counts)}
     return out
 
 
@@ -363,7 +377,9 @@ def _csv_value(v):
 def write_report_json(report: SweepReport, path):
     payload = {
         "rows": [
-            {k: _csv_value(v) for k, v in row.items()} for row in report.rows
+            {k: (_csv_value(v) if isinstance(v, float) and np.isinf(v) else v)
+             for k, v in row.items()}
+            for row in report.rows
         ],
         "aggregates": report.aggregate_means(),
     }
@@ -371,12 +387,8 @@ def write_report_json(report: SweepReport, path):
         json.dump(payload, f, indent=2)
 
 
-def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.replace(",", " ").split())
-
-
-def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.replace(",", " ").split())
+def _parse_numbers(kind):
+    return lambda s: tuple(kind(x) for x in s.replace(",", " ").split())
 
 
 def _parse_strs(s: str) -> tuple[str, ...]:
@@ -396,9 +408,9 @@ CONFIG_KEYS = (
     ("denoiser", "attn_scale", str, "attn_scale"),
     ("run", "steps", int, "steps"),
     ("run", "methods", _parse_strs, "methods"),
-    ("run", "inv_guidances", _parse_floats, "inv_guidances"),
-    ("run", "samp_guidances", _parse_floats, "samp_guidances"),
-    ("run", "seeds", _parse_ints, "seeds"),
+    ("run", "inv_guidances", _parse_numbers(float), "inv_guidances"),
+    ("run", "samp_guidances", _parse_numbers(float), "samp_guidances"),
+    ("run", "seeds", _parse_numbers(int), "seeds"),
     ("run", "embed_seed", int, "embed_seed"),
     ("run", "data_kind", str, "data_kind"),
     ("run", "prompts", _parse_strs, "prompts"),

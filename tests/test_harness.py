@@ -13,7 +13,6 @@ from fecdiff.denoiser import DenoiserConfig, ToyDenoiser
 from fecdiff.harness import (
     CONFIG_KEYS,
     RECON_METHODS,
-    SYNTH_KINDS,
     ExperimentConfig,
     check_batch_invariance,
     generate_synthetic_latent,
@@ -77,7 +76,8 @@ def test_experiment_config_validation():
                 dict(prompts="a cat")):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    for bad in (dict(head_count=3), dict(attn_scale="bogus"), dict(latent_shape=(4, 15, 16))):
+    for bad in (dict(head_count=3), dict(head_count=0), dict(attn_scale="bogus"),
+                dict(latent_shape=(4, 15, 16))):
         with pytest.raises(ValueError):
             DenoiserConfig(**bad)
     assert ExperimentConfig(prompts=("",)).prompts == ("",)
@@ -183,9 +183,12 @@ def test_sweep_captures_kv_only_for_kv_methods(monkeypatch):
 
 
 def test_sweep_records_a_failed_inversion_in_every_row(monkeypatch):
-    # A kind the configuration accepts but the latent generator does not know.
-    monkeypatch.setattr(harness, "SYNTH_KINDS", (*SYNTH_KINDS, "checkerboard"))
-    report = run_sweep(_small_cfg(methods=RECON_METHODS, steps=2, data_kind="checkerboard"))
+    # The configuration rejects an unknown kind up front, so the generator
+    # alone is handed one.
+    real = harness.generate_synthetic_latent
+    monkeypatch.setattr(harness, "generate_synthetic_latent",
+                        lambda seed, kind, shape: real(seed, "checkerboard", shape))
+    report = run_sweep(_small_cfg(methods=RECON_METHODS, steps=2))
     assert [row["method"] for row in report.rows] == list(RECON_METHODS)
     for row in report.rows:
         assert row["error"].startswith("ValueError: unknown synthetic latent kind")
@@ -302,7 +305,7 @@ _KEY_SAMPLES = {
     ("run", "seeds"): ("0, 1", (0, 1)),
     ("run", "embed_seed"): ("7", 7),
     ("run", "data_kind"): ("blocks", "blocks"),
-    ("run", "prompts"): ("a cat; ; a dog", ("a cat", "a dog")),
+    ("run", "prompts"): ("a cat; a dog", ("a cat", "a dog")),
     ("run", "edit_prompts"): ("a bird", ("a bird",)),
     ("run", "blend_word"): ("bird", "bird"),
     ("run", "layer_start"): ("1", 1),
@@ -448,6 +451,7 @@ _BAD_CONFIGS = {
     "methods-empty": "[run]\nmethods = ;\n",
     "schedule-kind": "[schedule]\nkind = bogus\n",
     "heads-3": "[denoiser]\nheads = 3\n",
+    "heads-0": "[denoiser]\nheads = 0\n",
     "precision-16": "[run]\nprecision = 16\n",
     "data-kind": "[run]\ndata_kind = checkerboard\n",
     "latent-shape": "[denoiser]\nlatent_shape = 4 12 12\n",
@@ -469,13 +473,15 @@ _BAD_CONFIGS = {
          "unknown key 'step' in [run]; did you mean 'steps'?"),
         (["sweep", "--config", "{tmp}/shedule.cfg"],
          "unknown section 'shedule'; did you mean 'schedule'?"),
-        (["reconstruct", "--config", "{tmp}/attn-scale.cfg"], "attn_scale must be 'sqrt-dim' or 'dim', got 'bogus'"),
+        (["reconstruct", "--config", "{tmp}/attn-scale.cfg"],
+         "attn_scale must be 'sqrt-dim' or 'dim', got 'bogus'"),
         (["sweep", "--config", "{tmp}/prompts-empty.cfg"], "prompts must be a non-empty tuple"),
         (["sweep", "--config", "{tmp}/samp-guidances-empty.cfg"],
          "samp_guidances must be a non-empty tuple"),
         (["sweep", "--config", "{tmp}/methods-empty.cfg"], "methods must be a non-empty tuple"),
         (["sweep", "--config", "{tmp}/schedule-kind.cfg"], "unknown schedule kind 'bogus'"),
         (["reconstruct", "--config", "{tmp}/heads-3.cfg"], "divisible by head_count 3"),
+        (["reconstruct", "--config", "{tmp}/heads-0.cfg"], "divisible by head_count 0"),
         (["invert", "--config", "{tmp}/precision-16.cfg", "--out", "{tmp}/t.fectraj"],
          "precision must be 32 or 64, got 16"),
         (["sweep", "--config", "{tmp}/data-kind.cfg"], "unknown data_kind 'checkerboard'"),
@@ -486,7 +492,7 @@ _BAD_CONFIGS = {
          "config-missing", "config-headless", "config-run-step", "config-shedule",
          "config-attn-scale", "config-prompts-empty", "config-samp-guidances-empty",
          "config-methods-empty", "config-schedule-kind", "config-heads-3",
-         "config-precision-16", "config-data-kind", "config-latent-shape"],
+         "config-heads-0", "config-precision-16", "config-data-kind", "config-latent-shape"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():
