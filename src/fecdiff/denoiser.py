@@ -3,9 +3,9 @@
 Two denoisers share the sampler interface: a toy attention denoiser whose
 self-attention K/V pass through one optional hook (capture or inject),
 and an analytic Gaussian denoiser used as an oracle. Both are pure
-functions of their inputs; repeated calls are bit-identical, and batched
-evaluation is defined as a loop over samples so batch results equal
-single-sample results exactly.
+functions of their inputs; repeated calls are bit-identical. Each takes
+one latent or a stack of them along a leading batch axis, and every row of
+a stacked call is bit-identical to the single-latent call.
 """
 
 from __future__ import annotations
@@ -200,12 +200,18 @@ class DenoiserConfig:
 
     def __post_init__(self):
         d, nh, (h, w), p = self.model_dim, self.head_count, self.latent_shape[1:], self.patch_size
+        # The sinusoidal embeddings split the width into sin and cos halves.
+        if d <= 0 or d % 2:
+            raise ValueError(f"model_dim must be positive and even, got {d}")
         if nh <= 0 or d % nh:
             raise ValueError(f"model_dim {d} must be divisible by head_count {nh}")
         if h % p or w % p:
             raise ValueError(f"latent spatial dims {(h, w)} not divisible by patch size {p}")
         if self.attn_scale not in ("sqrt-dim", "dim"):
             raise ValueError(f"attn_scale must be 'sqrt-dim' or 'dim', got {self.attn_scale!r}")
+        for name in ("layer_count", "init_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def _sinusoidal(x: float | np.ndarray, dim: int) -> np.ndarray:
@@ -312,16 +318,16 @@ class ToyDenoiser:
         return self.config.layer_count
 
     def _heads(self, x: np.ndarray) -> np.ndarray:
-        n, d = x.shape
+        *lead, n, d = x.shape
         nh = self.config.head_count
-        return x.reshape(n, nh, d // nh).transpose(1, 0, 2)
+        return x.reshape(*lead, n, nh, d // nh).swapaxes(-2, -3)
 
     def _merge(self, x: np.ndarray) -> np.ndarray:
-        nh, n, dh = x.shape
-        return x.transpose(1, 0, 2).reshape(n, nh * dh)
+        *lead, nh, n, dh = x.shape
+        return x.swapaxes(-2, -3).reshape(*lead, n, nh * dh)
 
     def _attend(self, q, k, v):
-        logits = q @ k.transpose(0, 2, 1)
+        logits = q @ k.swapaxes(-1, -2)
         logits /= self._logit_scale
         weights = _softmax(logits)
         return weights @ v, weights
@@ -338,15 +344,20 @@ class ToyDenoiser:
     ) -> np.ndarray:
         """Predicted noise eps(z, t, cond), same shape as z.
 
-        ``kv`` sees every self-attention layer's K and V and returns the
-        pair the layer attends with; ``trace_to`` records the head-averaged
-        cross-attention maps. Neither changes the output unless ``kv``
-        swaps K or V.
+        ``z`` is one latent of shape ``latent_shape`` or a stack of shape
+        ``(B, *latent_shape)``; a stack is one call, and its rows share
+        ``t`` and ``cond``. ``kv`` sees every self-attention layer's K and
+        V and returns the pair the layer attends with; ``trace_to`` records
+        the head-averaged cross-attention maps. Neither changes the output
+        unless ``kv`` swaps K or V.
         """
         cfg = self.config
         z = np.asarray(z, dtype=np.float64)
-        if z.shape != cfg.latent_shape:
-            raise ValueError(f"latent shape {z.shape} does not match config {cfg.latent_shape}")
+        if z.ndim > 4 or z.shape[-3:] != cfg.latent_shape:
+            raise ValueError(
+                f"latent shape {z.shape} does not match config {cfg.latent_shape}"
+                " or a stack of it"
+            )
         if not np.all(np.isfinite(z)):
             raise NonFiniteError(f"non-finite latent passed to denoiser at t={t}")
         if cond.tokens.shape != (cfg.n_tokens, cfg.token_dim):
@@ -358,7 +369,9 @@ class ToyDenoiser:
         c, h, w = cfg.latent_shape
         p = cfg.patch_size
         gh, gw = self.grid_shape
-        x = z.reshape(c, gh, p, gw, p).transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * p * p)
+        lead = z.shape[:-3]
+        x = np.moveaxis(z.reshape(*lead, c, gh, p, gw, p), (-4, -2), (-5, -4))
+        x = x.reshape(*lead, gh * gw, c * p * p)
         # ``hdd`` is a fresh array from here on, so the residual adds below
         # run in place, each keeping its expression's association.
         hdd = x @ self.w_in
@@ -388,7 +401,7 @@ class ToyDenoiser:
             if trace_to is not None:
                 trace_to.grid_shape = self.grid_shape
                 trace_to.n_tokens = cfg.n_tokens
-                trace_to.store(t, layer, weights.mean(axis=0))
+                trace_to.store(t, layer, weights.mean(axis=-3))
             hdd += self._merge(out) @ blk["co"]
 
             a = _layer_norm(hdd, *blk["ln3"])
@@ -399,16 +412,8 @@ class ToyDenoiser:
 
         out = _layer_norm(hdd, *self.ln_out) @ self.w_out
         out += self.b_out
-        out = out.reshape(gh, gw, c, p, p).transpose(2, 0, 3, 1, 4)
-        return np.ascontiguousarray(out.reshape(c, h, w))
-
-    def predict_batch(self, zs, t, cond, *, route: str = "other", **kwargs) -> list[np.ndarray]:
-        """Batched evaluation, defined as a per-sample loop.
-
-        The fixed reduction order makes every batch row bit-identical to
-        the corresponding single-sample call.
-        """
-        return [self.predict(z, t, cond, route=route, **kwargs) for z in zs]
+        out = np.moveaxis(out.reshape(*lead, gh, gw, c, p, p), (-5, -4), (-4, -2))
+        return np.ascontiguousarray(out.reshape(*lead, c, h, w))
 
 
 class GaussianDenoiser:
@@ -437,7 +442,3 @@ class GaussianDenoiser:
         ab = self.sched.ab(t)
         denom = ab * self.std**2 + 1.0 - ab
         return (z - np.sqrt(ab) * self.mean) * np.sqrt(1.0 - ab) / denom
-
-    def predict_batch(self, zs, t, cond=None, *, route: str = "other", **kwargs):
-        return [self.predict(z, t, cond, route=route, **kwargs) for z in zs]
-

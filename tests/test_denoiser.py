@@ -179,10 +179,15 @@ def test_trace_rows_are_distributions(net, cond):
 
 
 def test_predict_batch_rows_bit_identical(net, cond):
-    z = _latent(4)
-    single = net.predict(z, 300, cond)
-    rows = net.predict_batch([z, z, z], 300, cond)
-    assert all(r.tobytes() == single.tobytes() for r in rows)
+    zs = _latent(4, (16, 4, 16, 16))
+    singles = [net.predict(z, 300, cond) for z in zs]
+    for batch in (1, 2, 4, 16):
+        rows = net.predict(zs[:batch], 300, cond)
+        assert rows.shape == (batch, 4, 16, 16)
+        assert all(r.tobytes() == s.tobytes() for r, s in zip(rows, singles))
+    for shape in ((2, 4, 8, 8), (1, 2, 4, 16, 16)):
+        with pytest.raises(ValueError):
+            net.predict(_latent(0, shape), 300, cond)
 
 
 def test_call_count_routes(cond):

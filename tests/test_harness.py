@@ -73,11 +73,12 @@ def test_experiment_config_validation():
                 dict(inv_guidances=(7.5, float("inf"))), dict(data_kind="checkerboard"),
                 dict(schedule_kind="cosine"), dict(precision=16), dict(methods=()),
                 dict(prompts=()), dict(inv_guidances=()), dict(samp_guidances=()),
-                dict(prompts="a cat")):
+                dict(prompts="a cat"), dict(seeds=(0, -1)), dict(embed_seed=-1)):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
     for bad in (dict(head_count=3), dict(head_count=0), dict(attn_scale="bogus"),
-                dict(latent_shape=(4, 15, 16))):
+                dict(latent_shape=(4, 15, 16)), dict(model_dim=0), dict(model_dim=-4),
+                dict(model_dim=5, head_count=5), dict(layer_count=-1), dict(init_seed=-1)):
         with pytest.raises(ValueError):
             DenoiserConfig(**bad)
     assert ExperimentConfig(prompts=("",)).prompts == ("",)
@@ -231,12 +232,29 @@ def test_check_batch_invariance_bit_identical():
 
 
 def test_check_batch_invariance_when_the_unconditional_branch_is_skipped():
-    # The batched reference evaluates both branches every step, so it
-    # checks the single-sample path that skips one bit for bit.
+    # The stacked run skips the same unconditional evaluations as the
+    # single run; test_guided_noise_skips_an_unconditional_evaluation_whose_result_is_known
+    # checks the skip itself against evaluating both branches.
     for prompt, scale in (("", 1.0), ("", 7.5), ("a cat", 1.0)):
         result = check_batch_invariance(_small_cfg(prompts=(prompt,), samp_guidances=(scale,)))
         assert result["passed"], (prompt, scale)
         assert result["full_run_max_abs_diff"] == 0.0
+
+
+def test_check_batch_invariance_fails_when_a_stacked_row_differs(monkeypatch):
+    predict = ToyDenoiser.predict
+
+    def perturbed(self, z, *args, **kwargs):
+        eps = predict(self, z, *args, **kwargs)
+        if eps.ndim == 4:
+            eps[1:] += 1e-12
+        return eps
+
+    monkeypatch.setattr(ToyDenoiser, "predict", perturbed)
+    result = check_batch_invariance(_small_cfg(), batch=2)
+    assert not result["passed"]
+    assert result["forward_max_abs_diff"] > 0.0
+    assert result["full_run_max_abs_diff"] > 0.0
 
 
 def test_report_timing_call_accounting():
@@ -284,6 +302,8 @@ def test_load_config_file(tmp_path):
     assert cfg.seeds == (0, 1)
     assert cfg.prompts == ("a cat", "a dog")
     assert cfg.precision == 32
+    path.write_text("[run]\nprompts = a 100% cat\n")
+    assert load_config_file(path).prompts == ("a 100% cat",)
     with pytest.raises(FileNotFoundError):
         load_config_file(tmp_path / "missing.cfg")
 
@@ -455,6 +475,15 @@ _BAD_CONFIGS = {
     "precision-16": "[run]\nprecision = 16\n",
     "data-kind": "[run]\ndata_kind = checkerboard\n",
     "latent-shape": "[denoiser]\nlatent_shape = 4 12 12\n",
+    "prompts-blank-entry": "[run]\nprompts = a cat; ; a dog\n",
+    "methods-trailing-semicolon": "[run]\nmethods = direct;\n",
+    "dim-0": "[denoiser]\ndim = 0\n",
+    "dim-5-heads-5": "[denoiser]\ndim = 5\nheads = 5\n",
+    "dim-negative": "[denoiser]\ndim = -4\n",
+    "layers-negative": "[denoiser]\nlayers = -1\n",
+    "denoiser-seed-negative": "[denoiser]\nseed = -1\n",
+    "embed-seed-negative": "[run]\nembed_seed = -1\n",
+    "seeds-negative": "[run]\nseeds = 0 -1\n",
 }
 
 
@@ -487,12 +516,34 @@ _BAD_CONFIGS = {
         (["sweep", "--config", "{tmp}/data-kind.cfg"], "unknown data_kind 'checkerboard'"),
         (["sweep", "--config", "{tmp}/latent-shape.cfg"],
          "unknown key 'latent_shape' in [denoiser]"),
+        (["sweep", "--config", "{tmp}/prompts-blank-entry.cfg"],
+         "[run] prompts: blank entry in 'a cat; ; a dog'"),
+        (["sweep", "--config", "{tmp}/methods-trailing-semicolon.cfg"],
+         "[run] methods: blank entry in 'direct;'"),
+        (["reconstruct", "--config", "{tmp}/dim-0.cfg"],
+         "model_dim must be positive and even, got 0"),
+        (["reconstruct", "--config", "{tmp}/dim-5-heads-5.cfg"],
+         "model_dim must be positive and even, got 5"),
+        (["reconstruct", "--config", "{tmp}/dim-negative.cfg"],
+         "model_dim must be positive and even, got -4"),
+        (["reconstruct", "--config", "{tmp}/layers-negative.cfg"],
+         "layer_count must be >= 0, got -1"),
+        (["reconstruct", "--config", "{tmp}/denoiser-seed-negative.cfg"],
+         "init_seed must be >= 0, got -1"),
+        (["sweep", "--config", "{tmp}/embed-seed-negative.cfg"],
+         "embed_seed must be >= 0, got -1"),
+        (["sweep", "--config", "{tmp}/seeds-negative.cfg"], "seeds must be >= 0, got -1"),
+        (["reconstruct", "--seed", "-1"], "seeds must be >= 0, got -1"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "method-warp", "steps-0", "guidance-nan",
          "config-missing", "config-headless", "config-run-step", "config-shedule",
          "config-attn-scale", "config-prompts-empty", "config-samp-guidances-empty",
          "config-methods-empty", "config-schedule-kind", "config-heads-3",
-         "config-heads-0", "config-precision-16", "config-data-kind", "config-latent-shape"],
+         "config-heads-0", "config-precision-16", "config-data-kind", "config-latent-shape",
+         "config-prompts-blank-entry", "config-methods-trailing-semicolon", "config-dim-0",
+         "config-dim-5-heads-5", "config-dim-negative", "config-layers-negative",
+         "config-denoiser-seed-negative", "config-embed-seed-negative", "config-seeds-negative",
+         "seed-negative"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():

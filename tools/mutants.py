@@ -34,6 +34,11 @@ MUTANTS = [
     ("batch-check-always-passes", "src/fecdiff/harness.py",
      '"passed": forward_identical and run_identical,', '"passed": True,',
      "check_batch_invariance reports a pass whatever it measured"),
+    ("batch-rows-perturbed", "src/fecdiff/denoiser.py",
+     "return np.ascontiguousarray(out.reshape(*lead, c, h, w))",
+     "out = np.ascontiguousarray(out.reshape(*lead, c, h, w))\n"
+     "        if lead:\n            out[1:] += 1e-12\n        return out",
+     "a stacked predict call perturbs every row after the first"),
     ("timing-reconstruction-calls-zero", "src/fecdiff/harness.py",
      '"reconstruction_route_calls": net.call_counts["reconstruction"],\n    }\n\n    for',
      '"reconstruction_route_calls": 0,\n    }\n\n    for',
