@@ -36,10 +36,8 @@ from .metrics import MetricsReport, latent_loss, psnr, ssim, trajectory_loss_cur
 from .sampling import (
     RECON_METHODS,
     CaptureOptions,
-    FixedMaskProvider,
     GuidanceContext,
     Trajectory,
-    ZeroMaskProvider,
     cfg_combine,
     ddim_invert_step,
     ddim_step,

@@ -101,7 +101,6 @@ class KVCache:
     """Self-attention Keys/Values recorded per (timestep, layer)."""
 
     entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    latent_shape: tuple[int, ...] | None = None
     layer_count: int | None = None
 
     def store(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
@@ -166,7 +165,6 @@ class AttentionTrace:
 
     maps: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     grid_shape: tuple[int, int] | None = None
-    n_tokens: int | None = None
 
     def store(self, t: int, layer: int, weights: np.ndarray):
         self.maps[(t, layer)] = weights
@@ -400,7 +398,6 @@ class ToyDenoiser:
             )
             if trace_to is not None:
                 trace_to.grid_shape = self.grid_shape
-                trace_to.n_tokens = cfg.n_tokens
                 trace_to.store(t, layer, weights.mean(axis=-3))
             hdd += self._merge(out) @ blk["co"]
 

@@ -12,7 +12,6 @@ from .metrics import latent_loss, trajectory_loss_curve
 from .sampling import (
     KV_METHODS,
     CaptureOptions,
-    FixedMaskProvider,
     as_mask,
     guidance_contexts,
     invert,
@@ -31,7 +30,6 @@ class EditMask:
     """Binary spatial mask over the latent grid (1 = region to edit)."""
 
     values: np.ndarray
-    provenance: str = "user-supplied"
     degenerate: bool = False
 
     def __post_init__(self):
@@ -67,14 +65,14 @@ def derive_mask(
     embedding: PromptEmbedding,
     t: int,
     spatial_shape: tuple[int, int] | None = None,
-    threshold: float = MASK_THRESHOLD,
 ) -> EditMask:
     """Binary mask from the blend word's averaged cross-attention map.
 
     The map is averaged over heads and layers, resized (nearest neighbor)
-    to the latent grid, min-max normalized and thresholded. A constant map
-    cannot be normalized; it yields an all-zero mask flagged degenerate,
-    the conservative "reconstruct everything" choice.
+    to the latent grid, min-max normalized and thresholded at
+    ``MASK_THRESHOLD``. A constant map cannot be normalized; it yields an
+    all-zero mask flagged degenerate, the conservative "reconstruct
+    everything" choice.
     """
     idx = embedding.word_index(blend_word)
     m = trace.token_map(t, idx)
@@ -82,38 +80,9 @@ def derive_mask(
         m = _nearest_resize(m, tuple(spatial_shape))
     lo, hi = m.min(), m.max()
     if hi == lo:
-        return EditMask(np.zeros_like(m), provenance="attention-derived", degenerate=True)
+        return EditMask(np.zeros_like(m), degenerate=True)
     m = (m - lo) / (hi - lo)
-    return EditMask((m >= threshold).astype(np.float64), provenance="attention-derived")
-
-
-class AttentionMaskProvider:
-    """Per-step masks from the live conditional cross-attention maps.
-
-    ``spatial_shape`` is the latent grid the mask must blend against; maps
-    recorded on a coarser attention grid are resized to it.
-    """
-
-    needs_trace = True
-
-    def __init__(
-        self,
-        blend_word: str,
-        threshold: float = MASK_THRESHOLD,
-        spatial_shape: tuple[int, int] | None = None,
-    ):
-        self.blend_word = blend_word
-        self.threshold = threshold
-        self.spatial_shape = spatial_shape
-        self.derived: dict[int, EditMask] = {}
-
-    def mask(self, t, trace, embedding):
-        em = derive_mask(
-            trace, self.blend_word, embedding, t,
-            spatial_shape=self.spatial_shape, threshold=self.threshold,
-        )
-        self.derived[t] = em
-        return em.values
+    return EditMask((m >= MASK_THRESHOLD).astype(np.float64))
 
 
 @dataclass
@@ -151,11 +120,14 @@ def run_edit(
 ) -> tuple[np.ndarray, EditReport]:
     """Invert with the source prompt, then sample with the method under the
     edit prompt; identical prompts reconstruct (fec-noise takes the zero
-    mask, fec-ref its saved path). The report carries per-step losses
-    against the reference trajectory and, for fec-noise edits, locality
-    against the method's own reconstruction. A user mask is fec-noise's
-    alone and must match the latent grid, and a layer range must end
-    within the network, else ``ValueError`` is raised before inverting."""
+    mask, fec-ref its saved path). A fec-noise edit blends under the user
+    mask, else the blend word's per-step attention mask, else the zero mask.
+    The report carries per-step losses against the reference trajectory,
+    for fec-noise edits locality against the method's own reconstruction,
+    and the ascending steps whose blend-word mask was degenerate. A user
+    mask is fec-noise's alone and must match the latent grid, and a layer
+    range must end within the network, else ``ValueError`` is raised
+    before inverting."""
     grid = tuple(net.config.latent_shape[1:])
     layers = req.layer_range
     if layers is not None and layers.end > net.config.layer_count:
@@ -175,23 +147,26 @@ def run_edit(
     record: dict[int, np.ndarray] = {}
     report = EditReport(method=req.method, reconstructed=reconstruct)
 
-    method, provider = req.method, None
+    method, mask = req.method, None
     if method == "fec-ref" and not reconstruct:
         # fec-ref has no edit sampler of its own: its edit is plain direct descent.
         method = "direct"
     elif method == "fec-noise" and not reconstruct:
         if user_mask is not None:
-            provider = FixedMaskProvider(user_mask)
+            mask = user_mask
         elif req.blend_word is not None:
-            provider = AttentionMaskProvider(req.blend_word, spatial_shape=grid)
+
+            def mask(t, trace):
+                em = derive_mask(trace, req.blend_word, edit_ctx.cond, t, spatial_shape=grid)
+                if em.degenerate:
+                    report.mask_degenerate_steps.append(t)
+                return em.values
+
     out = sample_method(
         net, res, method, edit_ctx, plan, sched, req.layer_range,
-        mask_provider=provider, record=record, route="edit",
+        mask=mask, record=record, route="edit",
     )
-    if isinstance(provider, AttentionMaskProvider):
-        report.mask_degenerate_steps = sorted(
-            t for t, m in provider.derived.items() if m.degenerate
-        )
+    report.mask_degenerate_steps.sort()
     if method == "fec-noise" and not reconstruct:
         recon = sample_fec_noise(net, traj, ctx, plan, sched, route="edit")
         if user_mask is not None:

@@ -9,6 +9,7 @@ import difflib
 import itertools
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field, replace
 
@@ -84,9 +85,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, tuple) or not value:
                 raise ValueError(f"{name} must be a non-empty tuple, got {value!r}")
+        if self.total_train_steps < 1:
+            raise ValueError(f"total_train_steps must be >= 1, got {self.total_train_steps}")
         if not 1 <= self.steps <= self.total_train_steps:
             raise ValueError(
-                f"steps must be in [1, {self.total_train_steps}], got {self.steps}"
+                f"steps must be in [1, total_train_steps={self.total_train_steps}],"
+                f" got {self.steps}"
             )
         for label, value, known in (
             ("schedule kind", self.schedule_kind, SCHEDULE_KINDS),
@@ -103,7 +107,9 @@ class ExperimentConfig:
         for name, value in (("seeds", min(self.seeds)), ("embed_seed", self.embed_seed)):
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-        self.layer_range()  # raises for a start below 0 or past the end
+        end = self.layer_range().end  # raises for a start below 0 or past the end
+        if end > self.denoiser.layer_count:
+            raise ValueError(f"layer_end {end} exceeds layer_count {self.denoiser.layer_count}")
 
     def layer_range(self) -> LayerRange:
         """The injection layer range; ``layer_end=None`` means every layer."""
@@ -410,8 +416,10 @@ def load_config_file(path) -> ExperimentConfig:
     """The configuration a sectioned key = value file describes
     (``FileNotFoundError`` if it is missing). A section or key that
     ``CONFIG_KEYS`` does not list, or a value its parser or the
-    configuration rejects, raises ``ValueError``. Lists are separated by
-    spaces or commas; methods, prompts and edit_prompts by semicolons.
+    configuration rejects, raises ``ValueError``; a rejected value's
+    message starts with the ``[section] key`` of each file key it names.
+    Lists are separated by spaces or commas; methods, prompts and
+    edit_prompts by semicolons.
 
     Sections and keys:
       [schedule] kind, total_steps
@@ -438,8 +446,20 @@ def load_config_file(path) -> ExperimentConfig:
                 fields[section][name] = parse(text)
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
-    denoiser = replace(DenoiserConfig(), **fields["denoiser"])
-    return ExperimentConfig(**fields["schedule"], **fields["run"], denoiser=denoiser)
+    try:
+        denoiser = replace(DenoiserConfig(), **fields["denoiser"])
+        return ExperimentConfig(**fields["schedule"], **fields["run"], denoiser=denoiser)
+    except ValueError as exc:
+        # The keys the file sets whose fields the message names outside a quoted value.
+        message = str(exc)
+        unquoted = re.sub(r"'[^']*'", "", message)
+        named = sorted(
+            (m.start(), f"[{section}] {key}")
+            for section, key, _, name in CONFIG_KEYS
+            if name in fields[section] and (m := re.search(rf"\b{name}\b", unquoted))
+        )
+        keys = ", ".join(key for _, key in named)
+        raise ValueError(f"{keys}: {message}" if keys else message) from None
 
 
 def _closest(name: str, known) -> str:

@@ -231,9 +231,8 @@ def invert(
     _finite(z0, 0, "inversion")
     cache = cache_u = None
     if capture.kv:
-        shape = {"latent_shape": net.config.latent_shape, "layer_count": net.config.layer_count}
-        cache = KVCache(**shape)
-        cache_u = cache if ctx.shared else KVCache(**shape)
+        cache = KVCache(layer_count=net.config.layer_count)
+        cache_u = cache if ctx.shared else KVCache(layer_count=net.config.layer_count)
     latents: dict[int, np.ndarray] = {0: z0.copy()}
     z = z0
     for t_prev, t in plan.inversion_pairs():
@@ -297,15 +296,6 @@ def sample_fec_ref(
     return traj[0].copy()
 
 
-class ZeroMaskProvider:
-    """All-zero masks: every position takes the desired noise."""
-
-    needs_trace = False
-
-    def mask(self, t, trace, embedding):
-        return None
-
-
 def as_mask(values) -> np.ndarray:
     """``values`` as a float64 mask, after checking that every value is
     finite and lies in [0, 1]."""
@@ -317,25 +307,13 @@ def as_mask(values) -> np.ndarray:
     return mask
 
 
-class FixedMaskProvider:
-    """One user-supplied mask applied at every step."""
-
-    needs_trace = False
-
-    def __init__(self, mask: np.ndarray):
-        self._mask = as_mask(mask)
-
-    def mask(self, t, trace, embedding):
-        return self._mask
-
-
 def sample_fec_noise(
     net,
     traj: Trajectory,
     ctx: GuidanceContext,
     plan: TimestepPlan,
     sched: NoiseSchedule,
-    mask_provider=None,
+    mask=None,
     *,
     record: dict[int, np.ndarray] | None = None,
     route: str = "reconstruction",
@@ -344,29 +322,30 @@ def sample_fec_noise(
 
     Each step derives the unconditional noise that would land exactly on
     the saved inversion latent, then blends it with the live unconditional
-    prediction under the step mask. No provider, or a mask with no nonzero
-    entry, means the zero mask: the step takes pure desired noise and
-    evaluates no network, which reconstructs the source. The conditional
-    prediction is evaluated only under a live mask or for a provider that
-    needs its attention trace, and the live unconditional one only when
-    ``guided_noise`` would evaluate it. With guidance scale 1 the
-    unconditional derivation is singular and blending happens on total
-    noise instead, preserving exactness in unmasked regions.
+    prediction under the step mask. ``mask`` is ``None``, an array applied
+    at every step (checked with ``as_mask`` before the first step), or a
+    function ``mask(t, trace)`` of the step's conditional attention trace.
+    ``None``, or a mask with no nonzero entry, means the zero mask: the
+    step takes pure desired noise and evaluates no network, which
+    reconstructs the source. The conditional prediction is evaluated only
+    under a live mask or, traced, for a mask function, and the live
+    unconditional one only when ``guided_noise`` would evaluate it. With
+    guidance scale 1 the unconditional derivation is singular and blending
+    happens on total noise instead, preserving exactness in unmasked
+    regions.
     """
     if not traj.covers(plan):
         raise ValueError("trajectory does not cover the timestep plan")
-    if mask_provider is None:
-        mask_provider = ZeroMaskProvider()
-
-    needs_trace = getattr(mask_provider, "needs_trace", False)
+    if mask is not None and not callable(mask):
+        mask = as_mask(mask)
 
     def noise(z, t, t_prev):
         eps_des = desired_noise(z, traj[t_prev], t, t_prev, sched)
-        eps_c = trace = None
-        if needs_trace:
+        eps_c, m = None, mask
+        if callable(mask):
             trace = AttentionTrace()
             eps_c = net.predict(z, t, ctx.cond, trace_to=trace, route=route)
-        m = mask_provider.mask(t, trace, ctx.cond)
+            m = mask(t, trace)
         if m is None or not np.any(m):
             # Eq. 13 cancels the conditional prediction exactly under a
             # zero mask, so the step is the desired noise itself.
@@ -439,7 +418,7 @@ def sample_method(
     sched: NoiseSchedule,
     layers: LayerRange | None = None,
     *,
-    mask_provider=None,
+    mask=None,
     record: dict[int, np.ndarray] | None = None,
     route: str = "reconstruction",
 ) -> np.ndarray:
@@ -447,8 +426,9 @@ def sample_method(
     source prompt's context reconstructs, an edit prompt's edits.
 
     neg-prompt is direct descent with the prompt as unconditional
-    embedding. ``mask_provider`` is fec-noise's (none: the zero mask);
-    ``layers`` is the kv methods' range, for which ``res`` must hold K/V.
+    embedding. ``mask`` is fec-noise's, as ``sample_fec_noise`` takes it
+    (``None``: the zero mask); ``layers`` is the kv methods' range, for
+    which ``res`` must hold K/V.
     """
     traj = res.trajectory
     z_start = traj[plan.timesteps[0]]
@@ -460,9 +440,7 @@ def sample_method(
     if method == "fec-ref":
         return sample_fec_ref(traj, plan, record=record)
     if method == "fec-noise":
-        return sample_fec_noise(
-            net, traj, ctx, plan, sched, mask_provider, record=record, route=route
-        )
+        return sample_fec_noise(net, traj, ctx, plan, sched, mask, record=record, route=route)
     if method in KV_METHODS:
         return sample_fec_kv_reuse(
             net, z_start, res.kv_cache, ctx, plan, sched, layers,

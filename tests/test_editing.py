@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from fecdiff import editing
 from fecdiff.denoiser import AttentionTrace, DenoiserConfig, LayerRange, ToyDenoiser, embed_prompt
 from fecdiff.editing import (
-    AttentionMaskProvider,
     EditMask,
     EditRequest,
     _locality,
@@ -12,7 +12,6 @@ from fecdiff.editing import (
 )
 from fecdiff.harness import generate_synthetic_latent, reconstruct_once
 from fecdiff.metrics import latent_loss
-from fecdiff.sampling import guidance_contexts, invert, sample_fec_noise
 from fecdiff.schedule import timestep_plan
 
 
@@ -26,7 +25,7 @@ def test_edit_request_validation():
 
 def _trace_with_map(t, grid, col):
     """One-layer trace whose token column is the given flat map."""
-    trace = AttentionTrace(grid_shape=grid, n_tokens=8)
+    trace = AttentionTrace(grid_shape=grid)
     weights = np.full((grid[0] * grid[1], 8), 1e-3)
     weights[:, 1] = col
     trace.store(t, 0, weights)
@@ -49,7 +48,6 @@ def test_derive_mask_thresholds_known_map():
     expected.flat[6] = 1.0
     expected.flat[8] = 1.0
     assert np.array_equal(mask.values, expected)
-    assert mask.provenance == "attention-derived"
     assert not mask.degenerate
 
 
@@ -73,29 +71,41 @@ def test_derive_mask_degenerate_constant_map():
     assert not mask.values.any()
 
 
-def test_attention_mask_provider_records_steps(net, cond):
+def test_derive_mask_from_a_live_trace(net, cond):
     z = np.random.default_rng(0).standard_normal(net.config.latent_shape)
     trace = AttentionTrace()
     net.predict(z, 500, cond, trace_to=trace)
-    provider = AttentionMaskProvider("cat", spatial_shape=net.config.latent_shape[1:])
-    m = provider.mask(500, trace, cond)
-    assert m.shape == net.config.latent_shape[1:]
-    assert 500 in provider.derived
+    mask = derive_mask(trace, "cat", cond, 500, spatial_shape=net.config.latent_shape[1:])
+    assert mask.values.shape == net.config.latent_shape[1:]
 
 
-def test_attention_mask_provider_gets_a_trace_every_step(net, sched, plan10):
-    class TraceLog(AttentionMaskProvider):
-        def mask(self, t, trace, embedding):
-            self.seen[t] = trace.layers_at(t)
-            return super().mask(t, trace, embedding)
+def test_blend_word_mask_gets_a_trace_every_step(net, sched, plan10, monkeypatch):
+    seen = {}
+    real = editing.derive_mask
 
-    ctx, edit_ctx = guidance_contexts(net, ("a cat on a mat", "a dog on a mat"), 7.5)
-    traj = invert(net, generate_synthetic_latent(1), ctx, plan10, sched).trajectory
-    provider = TraceLog("dog", spatial_shape=net.config.latent_shape[1:])
-    provider.seen = {}
-    sample_fec_noise(net, traj, edit_ctx, plan10, sched, provider)
+    def logged(trace, blend_word, embedding, t, **kwargs):
+        seen[t] = trace.layers_at(t)
+        return real(trace, blend_word, embedding, t, **kwargs)
+
+    monkeypatch.setattr(editing, "derive_mask", logged)
+    req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise", blend_word="dog")
+    run_edit(net, sched, plan10, generate_synthetic_latent(1), req)
     every_layer = list(range(net.layer_count))
-    assert provider.seen == {t: every_layer for t in plan10.timesteps}
+    assert seen == {t: every_layer for t in plan10.timesteps}
+
+
+def test_blend_word_edit_reports_exactly_its_degenerate_steps(net, sched, plan10, monkeypatch):
+    chosen = {plan10.timesteps[1], plan10.timesteps[4], plan10.timesteps[-1]}
+    real = editing.derive_mask
+
+    def degenerate_at_chosen(trace, blend_word, embedding, t, **kwargs):
+        mask = real(trace, blend_word, embedding, t, **kwargs)
+        return EditMask(np.zeros_like(mask.values), degenerate=True) if t in chosen else mask
+
+    monkeypatch.setattr(editing, "derive_mask", degenerate_at_chosen)
+    req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise", blend_word="dog")
+    _, report = run_edit(net, sched, plan10, generate_synthetic_latent(1), req)
+    assert report.mask_degenerate_steps == sorted(chosen)
 
 
 def test_identical_prompt_edit_degenerates_to_reconstruction(net, sched, plan10):

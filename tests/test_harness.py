@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fecdiff import harness
+from fecdiff import harness, sampling
 from fecdiff.cli import main
 from fecdiff.denoiser import DenoiserConfig, ToyDenoiser
 from fecdiff.harness import (
@@ -73,7 +73,9 @@ def test_experiment_config_validation():
                 dict(inv_guidances=(7.5, float("inf"))), dict(data_kind="checkerboard"),
                 dict(schedule_kind="cosine"), dict(precision=16), dict(methods=()),
                 dict(prompts=()), dict(inv_guidances=()), dict(samp_guidances=()),
-                dict(prompts="a cat"), dict(seeds=(0, -1)), dict(embed_seed=-1)):
+                dict(prompts="a cat"), dict(seeds=(0, -1)), dict(embed_seed=-1),
+                dict(total_train_steps=0), dict(layer_end=5),
+                dict(layer_end=3, denoiser=DenoiserConfig(layer_count=2))):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
     for bad in (dict(head_count=3), dict(head_count=0), dict(attn_scale="bogus"),
@@ -103,13 +105,17 @@ def test_run_sweep_row_count_and_fields():
     assert all(a["n"] == 4 for a in aggs)
 
 
-def test_run_sweep_records_cell_errors():
-    # fec-kv-reuse with a layer range beyond the network depth fails per
-    # cell without aborting the sweep.
-    cfg = _small_cfg(methods=("fec-kv-reuse",), layer_start=0, layer_end=99)
-    report = run_sweep(cfg)
-    assert len(report.rows) == 1
-    assert "layer range" in report.rows[0]["error"]
+def _broken_sampler(*args, **kwargs):
+    raise RuntimeError("sampler broke")
+
+
+def test_run_sweep_records_cell_errors(monkeypatch):
+    # A sampler that raises fails its own cell without aborting the sweep.
+    monkeypatch.setattr(sampling, "sample_fec_kv_reuse", _broken_sampler)
+    report = run_sweep(_small_cfg(methods=("fec-kv-reuse", "direct")))
+    kv, direct = report.rows
+    assert kv["error"] == "RuntimeError: sampler broke"
+    assert not direct["error"] and direct["latent_loss"] >= 0.0
 
 
 def test_empty_layer_range_injects_nothing():
@@ -442,12 +448,15 @@ def test_cli_edit_rejects_a_mask_it_cannot_use(method, size, fault, tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["sweep", "ablate"])
-def test_cli_report_exits_1_when_a_row_failed(command, tmp_path, capsys):
+def test_cli_report_exits_1_when_a_row_failed(command, tmp_path, capsys, monkeypatch):
+    # Every command's default methods include fec-kv-reuse beside others.
+    monkeypatch.setattr(sampling, "sample_fec_kv_reuse", _broken_sampler)
     out = tmp_path / "report.csv"
-    rc = main([command, "--method", "fec-kv-reuse", "--layers", "0:99", "--steps", "2",
-               "--out", str(out)])
+    rc = main([command, "--steps", "2", "--out", str(out)])
     assert rc == 1
     assert out.exists() and (tmp_path / "report.csv.json").exists()
+    rows = json.loads((tmp_path / "report.csv.json").read_text())["rows"]
+    assert {row["error"] for row in rows} == {"", "RuntimeError: sampler broke"}
     assert "cell(s) failed" in capsys.readouterr().err
 
 
@@ -482,6 +491,7 @@ _BAD_CONFIGS = {
     "dim-negative": "[denoiser]\ndim = -4\n",
     "layers-negative": "[denoiser]\nlayers = -1\n",
     "denoiser-seed-negative": "[denoiser]\nseed = -1\n",
+    "total-steps-0": "[schedule]\ntotal_steps = 0\n",
     "embed-seed-negative": "[run]\nembed_seed = -1\n",
     "seeds-negative": "[run]\nseeds = 0 -1\n",
 }
@@ -493,6 +503,8 @@ _BAD_CONFIGS = {
         (["reconstruct", "--layers", "3"], "--layers takes start:end"),
         (["reconstruct", "--layers", "a:b"], "--layers takes start:end"),
         (["reconstruct", "--layers", "2:1"], "invalid layer range"),
+        (["reconstruct", "--method", "fec-kv-reuse", "--layers", "0:99", "--steps", "2"],
+         "layer_end 99 exceeds layer_count 4"),
         (["reconstruct", "--method", "warp"], "unknown method 'warp'"),
         (["sweep", "--steps", "0"], "steps must be in"),
         (["sweep", "--guidance", "nan"], "guidance scales must be finite"),
@@ -509,8 +521,10 @@ _BAD_CONFIGS = {
          "samp_guidances must be a non-empty tuple"),
         (["sweep", "--config", "{tmp}/methods-empty.cfg"], "methods must be a non-empty tuple"),
         (["sweep", "--config", "{tmp}/schedule-kind.cfg"], "unknown schedule kind 'bogus'"),
-        (["reconstruct", "--config", "{tmp}/heads-3.cfg"], "divisible by head_count 3"),
-        (["reconstruct", "--config", "{tmp}/heads-0.cfg"], "divisible by head_count 0"),
+        (["reconstruct", "--config", "{tmp}/heads-3.cfg"],
+         "[denoiser] heads: model_dim 64 must be divisible by head_count 3"),
+        (["reconstruct", "--config", "{tmp}/heads-0.cfg"],
+         "[denoiser] heads: model_dim 64 must be divisible by head_count 0"),
         (["invert", "--config", "{tmp}/precision-16.cfg", "--out", "{tmp}/t.fectraj"],
          "precision must be 32 or 64, got 16"),
         (["sweep", "--config", "{tmp}/data-kind.cfg"], "unknown data_kind 'checkerboard'"),
@@ -521,29 +535,31 @@ _BAD_CONFIGS = {
         (["sweep", "--config", "{tmp}/methods-trailing-semicolon.cfg"],
          "[run] methods: blank entry in 'direct;'"),
         (["reconstruct", "--config", "{tmp}/dim-0.cfg"],
-         "model_dim must be positive and even, got 0"),
+         "[denoiser] dim: model_dim must be positive and even, got 0"),
         (["reconstruct", "--config", "{tmp}/dim-5-heads-5.cfg"],
-         "model_dim must be positive and even, got 5"),
+         "[denoiser] dim: model_dim must be positive and even, got 5"),
         (["reconstruct", "--config", "{tmp}/dim-negative.cfg"],
-         "model_dim must be positive and even, got -4"),
+         "[denoiser] dim: model_dim must be positive and even, got -4"),
         (["reconstruct", "--config", "{tmp}/layers-negative.cfg"],
-         "layer_count must be >= 0, got -1"),
+         "[denoiser] layers: layer_count must be >= 0, got -1"),
         (["reconstruct", "--config", "{tmp}/denoiser-seed-negative.cfg"],
-         "init_seed must be >= 0, got -1"),
+         "[denoiser] seed: init_seed must be >= 0, got -1"),
+        (["sweep", "--config", "{tmp}/total-steps-0.cfg"],
+         "[schedule] total_steps: total_train_steps must be >= 1, got 0"),
         (["sweep", "--config", "{tmp}/embed-seed-negative.cfg"],
          "embed_seed must be >= 0, got -1"),
         (["sweep", "--config", "{tmp}/seeds-negative.cfg"], "seeds must be >= 0, got -1"),
         (["reconstruct", "--seed", "-1"], "seeds must be >= 0, got -1"),
     ],
-    ids=["layers-3", "layers-a:b", "layers-2:1", "method-warp", "steps-0", "guidance-nan",
-         "config-missing", "config-headless", "config-run-step", "config-shedule",
+    ids=["layers-3", "layers-a:b", "layers-2:1", "layers-0:99", "method-warp", "steps-0",
+         "guidance-nan", "config-missing", "config-headless", "config-run-step", "config-shedule",
          "config-attn-scale", "config-prompts-empty", "config-samp-guidances-empty",
          "config-methods-empty", "config-schedule-kind", "config-heads-3",
          "config-heads-0", "config-precision-16", "config-data-kind", "config-latent-shape",
          "config-prompts-blank-entry", "config-methods-trailing-semicolon", "config-dim-0",
          "config-dim-5-heads-5", "config-dim-negative", "config-layers-negative",
-         "config-denoiser-seed-negative", "config-embed-seed-negative", "config-seeds-negative",
-         "seed-negative"],
+         "config-denoiser-seed-negative", "config-total-steps-0", "config-embed-seed-negative",
+         "config-seeds-negative", "seed-negative"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():

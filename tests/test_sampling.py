@@ -6,10 +6,9 @@ import pytest
 from fecdiff.denoiser import KVCache, KVCapture, KVInject, LayerRange, embed_prompt
 from fecdiff.sampling import (
     CaptureOptions,
-    FixedMaskProvider,
     GuidanceContext,
     Trajectory,
-    ZeroMaskProvider,
+    as_mask,
     cfg_combine,
     ddim_invert_step,
     ddim_step,
@@ -241,13 +240,6 @@ class _PromptLog:
         return self.net.predict(z, t, cond, **kwargs)
 
 
-class _ScalarZeroMask:
-    needs_trace = False
-
-    def mask(self, t, trace, embedding):
-        return 0.0
-
-
 def test_fec_noise_zero_mask_evaluates_no_network(net, sched, plan10):
     z0 = _latent(0)
     for scale in (1.0, 7.5):
@@ -256,8 +248,8 @@ def test_fec_noise_zero_mask_evaluates_no_network(net, sched, plan10):
         log = _PromptLog(net)
         out = sample_fec_noise(log, traj, ctx, plan10, sched)
         assert float(np.mean((out - z0) ** 2)) < 1e-24
-        for provider in (ZeroMaskProvider(), _ScalarZeroMask()):
-            sample_fec_noise(log, traj, edit_ctx, plan10, sched, provider)
+        for mask in (None, 0.0):
+            sample_fec_noise(log, traj, edit_ctx, plan10, sched, mask)
         assert log.prompts == Counter()
 
 
@@ -268,18 +260,15 @@ def test_fec_noise_live_mask_evaluates_both_branches_every_step(net, sched, plan
     for scale in (1.0, 7.5):
         ctx, edit_ctx = _ctx(scale), _ctx(scale, "a photo of a dog")
         traj = invert(net, z0, ctx, plan10, sched).trajectory
-        log = _PromptLog(net)
-        sample_fec_noise(log, traj, edit_ctx, plan10, sched, FixedMaskProvider(mask))
-        # At scale 1 the live unconditional prediction has no weight.
-        uncond_calls = 0 if scale == 1.0 else plan10.steps
-        assert log.prompts == Counter({"a photo of a dog": plan10.steps, "": uncond_calls})
-
-
-class _TracedZeroMask:
-    needs_trace = True
-
-    def mask(self, t, trace, embedding):
-        return np.zeros((16, 16))
+        outs = []
+        # A mask function's traced conditional evaluation is the blend's own.
+        for step_mask in (mask, lambda t, trace: mask):
+            log = _PromptLog(net)
+            outs.append(sample_fec_noise(log, traj, edit_ctx, plan10, sched, step_mask))
+            # At scale 1 the live unconditional prediction has no weight.
+            uncond_calls = 0 if scale == 1.0 else plan10.steps
+            assert log.prompts == Counter({"a photo of a dog": plan10.steps, "": uncond_calls})
+        assert outs[0].tobytes() == outs[1].tobytes()
 
 
 def test_fec_noise_all_zero_array_mask_is_the_zero_mask(net, sched, plan10):
@@ -287,16 +276,18 @@ def test_fec_noise_all_zero_array_mask_is_the_zero_mask(net, sched, plan10):
     for scale in (1.0, 7.5):
         ctx, edit_ctx = _ctx(scale), _ctx(scale, "a photo of a dog")
         traj = invert(net, z0, ctx, plan10, sched).trajectory
-        zero = sample_fec_noise(net, traj, edit_ctx, plan10, sched, ZeroMaskProvider())
-        for provider in (FixedMaskProvider(np.zeros((16, 16))), FixedMaskProvider(0.0)):
+        zero = sample_fec_noise(net, traj, edit_ctx, plan10, sched, None)
+        for mask in (np.zeros((16, 16)), 0.0):
             log = _PromptLog(net)
-            out = sample_fec_noise(log, traj, edit_ctx, plan10, sched, provider)
+            out = sample_fec_noise(log, traj, edit_ctx, plan10, sched, mask)
             assert log.prompts == Counter()
             assert out.tobytes() == zero.tobytes()
-        # A provider that needs the trace pays the conditional evaluation
-        # and nothing more when its mask comes out all zero.
+        # A mask function pays its traced conditional evaluation and
+        # nothing more when its mask comes out all zero.
         log = _PromptLog(net)
-        out = sample_fec_noise(log, traj, edit_ctx, plan10, sched, _TracedZeroMask())
+        out = sample_fec_noise(
+            log, traj, edit_ctx, plan10, sched, lambda t, trace: np.zeros((16, 16))
+        )
         assert log.prompts == Counter({"a photo of a dog": plan10.steps})
         assert out.tobytes() == zero.tobytes()
 
@@ -368,19 +359,28 @@ def test_invert_under_shared_branches_captures_once(net, sched, plan10):
         assert (k_got.tobytes(), v_got.tobytes()) == (k.tobytes(), v.tobytes())
 
 
-def test_fixed_mask_provider_validation():
-    with pytest.raises(ValueError):
-        FixedMaskProvider(np.array([[0.0, 2.0]]))
-    p = FixedMaskProvider(np.array([[0.0, 1.0]]))
-    assert np.array_equal(p.mask(10, None, None), [[0.0, 1.0]])
+def _assert_rejected_before_any_call(net, sched, plan, mask, match):
+    """fec-noise over a zero trajectory refuses ``mask`` with no network call."""
+    latents = {t: np.zeros((4, 16, 16)) for t in (*plan.timesteps, 0)}
+    traj = Trajectory(latents=latents, timesteps=plan.timesteps, guidance=7.5)
+    log = _PromptLog(net)
+    with pytest.raises(ValueError, match=match):
+        sample_fec_noise(log, traj, _ctx(7.5), plan, sched, mask)
+    assert log.prompts == Counter()
+
+
+def test_array_mask_validation(net, sched, plan10):
+    _assert_rejected_before_any_call(
+        net, sched, plan10, np.array([[0.0, 2.0]]), r"lie in \[0, 1\]"
+    )
+    assert np.array_equal(as_mask(np.array([[0.0, 1.0]])), [[0.0, 1.0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_fixed_mask_provider_rejects_non_finite_values(bad):
+def test_array_mask_rejects_non_finite_values(net, sched, plan10, bad):
     mask = np.zeros((16, 16))
     mask[3, 5] = bad
-    with pytest.raises(ValueError, match="must be finite"):
-        FixedMaskProvider(mask)
+    _assert_rejected_before_any_call(net, sched, plan10, mask, "must be finite")
 
 
 def test_trajectory_covers():
