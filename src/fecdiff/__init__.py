@@ -29,7 +29,6 @@ from .harness import (
     check_batch_invariance,
     generate_synthetic_latent,
     report_timing,
-    run_ablation_v_only,
     run_sweep,
 )
 from .metrics import MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve

@@ -1,7 +1,10 @@
 """Command-line interface for the toolkit.
 
-Subcommands: invert, reconstruct, edit, sweep, ablate, check-batch,
-timing. Shared flags override configuration-file keys.
+Subcommands: invert, reconstruct, edit, sweep, check-batch, timing,
+make-mask. The configuration-file values and the shared flags, which
+override them field by field, build one ``ExperimentConfig`` once; a
+rejected value is reported under the ``[section] key`` or ``--flag`` that
+set it.
 """
 
 from __future__ import annotations
@@ -11,12 +14,13 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
+from .denoiser import ConfigError
 from .editing import EDIT_METHODS, EditRequest, run_edit
 from .harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     check_batch_invariance,
     generate_synthetic_latent,
@@ -24,13 +28,12 @@ from .harness import (
     measure_reconstruction,
     reconstruct_once,
     report_timing,
-    run_ablation_v_only,
     run_sweep,
     write_report_csv,
     write_report_json,
 )
 from .io_formats import read_mask, write_kv_cache, write_mask, write_trajectory
-from .sampling import CaptureOptions, guidance_contexts, invert
+from .sampling import RECON_METHODS, CaptureOptions, guidance_contexts, invert
 
 
 class UsageError(ValueError):
@@ -40,7 +43,7 @@ class UsageError(ValueError):
 
 def _add_shared(p: argparse.ArgumentParser):
     p.add_argument("--config", help="configuration file (sectioned key=value)")
-    p.add_argument("--method", help="sampling method")
+    p.add_argument("--method", action="append", help="sampling method (repeatable)")
     p.add_argument("--guidance", type=float, help="sampling guidance scale")
     p.add_argument("--inv-guidance", type=float, help="inversion guidance scale")
     p.add_argument("--steps", type=int, help="inference steps (default 50)")
@@ -54,34 +57,8 @@ def _add_shared(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path")
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    """The flags laid over the configuration file by one ``replace``; a missing or
-    malformed file, or a rejected value, is a ``UsageError``."""
-    flags = {
-        "methods": _one(args.method or None),
-        "samp_guidances": _one(args.guidance),
-        "inv_guidances": _one(args.guidance if args.inv_guidance is None else args.inv_guidance),
-        "steps": args.steps,
-        "seeds": tuple(args.seed) if args.seed else None,
-        "prompts": _one(args.prompt),
-        "edit_prompts": _one(args.edit_prompt),
-        "blend_word": args.blend_word,
-        "precision": args.precision,
-        "out": args.out,
-    }
-    try:
-        if args.layers:
-            flags["layer_start"], flags["layer_end"] = _layer_bounds(args.layers)
-        cfg = load_config_file(args.config) if args.config else ExperimentConfig()
-        return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    except FileNotFoundError as exc:
-        raise UsageError(f"configuration file not found: {exc}") from exc
-    except (ValueError, configparser.Error) as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _one(value) -> tuple | None:
-    return None if value is None else (value,)
+def _one(value) -> tuple:
+    return (value,)
 
 
 def _layer_bounds(text: str) -> tuple[int, int]:
@@ -90,6 +67,53 @@ def _layer_bounds(text: str) -> tuple[int, int]:
         return int(start), int(end)
     except ValueError:
         raise ValueError(f"--layers takes start:end, two integers; got {text!r}") from None
+
+
+# Every shared flag that sets a configuration field, as (flag, parser, field),
+# laid over the file's values in order, so --inv-guidance wins over --guidance.
+FLAG_FIELDS = (
+    ("--method", tuple, "methods"),
+    ("--guidance", _one, "samp_guidances"),
+    ("--guidance", _one, "inv_guidances"),
+    ("--inv-guidance", _one, "inv_guidances"),
+    ("--steps", int, "steps"),
+    ("--seed", tuple, "seeds"),
+    ("--prompt", _one, "prompts"),
+    ("--edit-prompt", _one, "edit_prompts"),
+    ("--blend-word", str, "blend_word"),
+    ("--layers", lambda text: _layer_bounds(text)[0], "layer_start"),
+    ("--layers", lambda text: _layer_bounds(text)[1], "layer_end"),
+    ("--precision", int, "precision"),
+    ("--out", str, "out"),
+)
+
+
+def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
+    """The file's values with the flags laid over them, built once; a
+    command that runs one method passes the ``methods`` it can run. A
+    rejected value is a ``UsageError`` that starts with the ``[section] key``
+    or ``--flag`` of each rejected field the user set."""
+    try:
+        values = load_config_file(args.config) if args.config else {}
+        sources = {name: f"[{section}] {key}" for section, key, _, name in CONFIG_KEYS
+                   if name in values}
+        for flag, parse, name in FLAG_FIELDS:
+            given = getattr(args, "_".join(flag[2:].split("-")))
+            if given is not None:
+                values[name], sources[name] = parse(given), flag
+        cfg = ExperimentConfig.from_fields(values)
+        got = values.get("methods", ())
+        if methods and got and (len(got) > 1 or got[0] not in methods):
+            raise ConfigError(f"{args.command} runs one method of {', '.join(methods)};"
+                              f" got {', '.join(map(repr, got))}", "methods")
+        return cfg
+    except FileNotFoundError as exc:
+        raise UsageError(f"configuration file not found: {exc}") from exc
+    except ConfigError as exc:
+        named = ", ".join(dict.fromkeys(sources[f] for f in exc.fields if f in sources))
+        raise UsageError(f"{named}: {exc}" if named else str(exc)) from exc
+    except (ValueError, configparser.Error) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_invert(args) -> int:
@@ -113,7 +137,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, RECON_METHODS)
     net, sched, plan = cfg.components()
     method = cfg.methods[0]
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
@@ -134,24 +158,10 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _edit_method(method: str) -> str:
-    """The edit sampler for a requested method; ``direct``, the default
-    method of every command, selects fec-noise."""
-    if method == "direct":
-        return "fec-noise"
-    if method not in EDIT_METHODS:
-        raise UsageError(
-            f"unknown edit method {method!r}; expected one of {', '.join(EDIT_METHODS)}"
-        )
-    return method
-
-
 def _cmd_edit(args) -> int:
-    if args.method:
-        # Before the configuration rejects a method no sampler knows.
-        _edit_method(args.method)
-    cfg = _config_from_args(args)
-    method = _edit_method(cfg.methods[0])
+    cfg = _config_from_args(args, ("direct", *EDIT_METHODS))
+    # direct, the default method of every command, selects fec-noise.
+    method = "fec-noise" if cfg.methods[0] == "direct" else cfg.methods[0]
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     # An error here means an input the edit cannot use (mask file, blend word, layers).
@@ -184,16 +194,6 @@ def _cmd_edit(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     report = run_sweep(cfg)
-    return _emit_report(report, cfg)
-
-
-def _cmd_ablate(args) -> int:
-    cfg = _config_from_args(args)
-    report = run_ablation_v_only(cfg)
-    return _emit_report(report, cfg)
-
-
-def _emit_report(report, cfg) -> int:
     for agg in report.aggregate_means():
         print(
             f"method={agg['method']} inv={agg['inv_guidance']} samp={agg['samp_guidance']} "
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruct": _cmd_reconstruct,
         "edit": _cmd_edit,
         "sweep": _cmd_sweep,
-        "ablate": _cmd_ablate,
         "check-batch": _cmd_check_batch,
         "timing": _cmd_timing,
         "make-mask": _cmd_make_mask,

@@ -29,6 +29,15 @@ class NonFiniteError(RuntimeError):
     """A latent or prediction stopped being finite."""
 
 
+class ConfigError(ValueError):
+    """A configuration value a config class rejects; ``fields`` names the
+    fields whose values the message is about."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 def _word_rng(seed: int, word: str) -> np.random.Generator:
     digest = hashlib.sha256(word.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")
@@ -200,16 +209,19 @@ class DenoiserConfig:
         d, nh, (h, w), p = self.model_dim, self.head_count, self.latent_shape[1:], self.patch_size
         # The sinusoidal embeddings split the width into sin and cos halves.
         if d <= 0 or d % 2:
-            raise ValueError(f"model_dim must be positive and even, got {d}")
+            raise ConfigError(f"model_dim must be positive and even, got {d}", "model_dim")
         if nh <= 0 or d % nh:
-            raise ValueError(f"model_dim {d} must be divisible by head_count {nh}")
+            raise ConfigError(f"model_dim {d} must be divisible by head_count {nh}",
+                              "model_dim", "head_count")
         if h % p or w % p:
-            raise ValueError(f"latent spatial dims {(h, w)} not divisible by patch size {p}")
+            raise ConfigError(f"latent spatial dims {(h, w)} not divisible by patch size {p}",
+                              "latent_shape", "patch_size")
         if self.attn_scale not in ("sqrt-dim", "dim"):
-            raise ValueError(f"attn_scale must be 'sqrt-dim' or 'dim', got {self.attn_scale!r}")
+            raise ConfigError(f"attn_scale must be 'sqrt-dim' or 'dim', got {self.attn_scale!r}",
+                              "attn_scale")
         for name in ("layer_count", "init_seed"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}", name)
 
 
 def _sinusoidal(x: float | np.ndarray, dim: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Experiment harness: synthetic data, sweeps, batch-invariance checks,
-the V-only ablation, timing/call accounting, and report emission."""
+timing/call accounting, report emission and configuration files."""
 
 from __future__ import annotations
 
@@ -9,13 +9,12 @@ import difflib
 import itertools
 import json
 import math
-import re
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoiser import DenoiserConfig, LayerRange, ToyDenoiser
+from .denoiser import ConfigError, DenoiserConfig, LayerRange, ToyDenoiser
 from .metrics import SSIM_WINDOW, MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve
 from .sampling import (
     KV_METHODS,
@@ -81,35 +80,54 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        """Every check raises ``ConfigError`` naming the fields it rejects."""
         for name in ("methods", "inv_guidances", "samp_guidances", "seeds", "prompts"):
             value = getattr(self, name)
             if not isinstance(value, tuple) or not value:
-                raise ValueError(f"{name} must be a non-empty tuple, got {value!r}")
+                raise ConfigError(f"{name} must be a non-empty tuple, got {value!r}", name)
         if self.total_train_steps < 1:
-            raise ValueError(f"total_train_steps must be >= 1, got {self.total_train_steps}")
+            raise ConfigError(f"total_train_steps must be >= 1, got {self.total_train_steps}",
+                              "total_train_steps")
         if not 1 <= self.steps <= self.total_train_steps:
-            raise ValueError(
+            raise ConfigError(
                 f"steps must be in [1, total_train_steps={self.total_train_steps}],"
-                f" got {self.steps}"
+                f" got {self.steps}", "steps", "total_train_steps"
             )
-        for label, value, known in (
-            ("schedule kind", self.schedule_kind, SCHEDULE_KINDS),
-            ("data_kind", self.data_kind, SYNTH_KINDS),
-            *(("method", m, RECON_METHODS) for m in self.methods),
+        for name, label, value, known in (
+            ("schedule_kind", "schedule kind", self.schedule_kind, SCHEDULE_KINDS),
+            ("data_kind", "data_kind", self.data_kind, SYNTH_KINDS),
+            *(("methods", "method", m, RECON_METHODS) for m in self.methods),
         ):
             if value not in known:
-                raise ValueError(f"unknown {label} {value!r}; expected one of {known}")
-        for g in (*self.inv_guidances, *self.samp_guidances):
-            if not math.isfinite(g):
-                raise ValueError(f"guidance scales must be finite, got {g!r}")
+                raise ConfigError(f"unknown {label} {value!r}; expected one of {known}", name)
+        for name in ("inv_guidances", "samp_guidances"):
+            for g in getattr(self, name):
+                if not math.isfinite(g):
+                    raise ConfigError(f"guidance scales must be finite, got {g!r}", name)
         if self.precision not in (32, 64):
-            raise ValueError(f"precision must be 32 or 64, got {self.precision}")
+            raise ConfigError(f"precision must be 32 or 64, got {self.precision}", "precision")
         for name, value in (("seeds", min(self.seeds)), ("embed_seed", self.embed_seed)):
             if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        end = self.layer_range().end  # raises for a start below 0 or past the end
-        if end > self.denoiser.layer_count:
-            raise ValueError(f"layer_end {end} exceeds layer_count {self.denoiser.layer_count}")
+                raise ConfigError(f"{name} must be >= 0, got {value}", name)
+        # Checked before LayerRange is built, so that the error names its fields.
+        start, count = self.layer_start, self.denoiser.layer_count
+        end = count if self.layer_end is None else self.layer_end
+        if not 0 <= start <= end:
+            raise ConfigError(f"invalid layer range [{start}, {end})", "layer_start", "layer_end")
+        if end > count:
+            raise ConfigError(f"layer_end {end} exceeds layer_count {count}",
+                              "layer_end", "layer_count")
+
+    @classmethod
+    def from_fields(cls, values: dict) -> ExperimentConfig:
+        """The configuration with the given field values, which may include
+        the ``DenoiserConfig`` fields of the ``[denoiser]`` keys; builds
+        each config class once."""
+        denoiser = {name for section, _, _, name in CONFIG_KEYS if section == "denoiser"}
+        return cls(
+            **{k: v for k, v in values.items() if k not in denoiser},
+            denoiser=DenoiserConfig(**{k: v for k, v in values.items() if k in denoiser}),
+        )
 
     def layer_range(self) -> LayerRange:
         """The injection layer range; ``layer_end=None`` means every layer."""
@@ -245,16 +263,6 @@ def _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, rows
         row["time_s"] = time.perf_counter() - t0
 
 
-def run_ablation_v_only(cfg: ExperimentConfig) -> SweepReport:
-    """Reconstruction comparison of fec-kv-reuse vs fec-v-reuse vs direct."""
-    abl = replace(cfg, methods=("fec-kv-reuse", "fec-v-reuse", "direct"))
-    report = run_sweep(abl)
-    for row in report.rows:
-        if row["method"] == "fec-v-reuse":
-            row["note"] = "mechanism-only"
-    return report
-
-
 def check_batch_invariance(cfg: ExperimentConfig, batch: int = 2) -> dict:
     """Run ``batch`` copies of one latent stacked along a leading axis and
     the latent alone, through one forward and through inversion plus
@@ -359,8 +367,7 @@ def _csv_value(v):
 def write_report_json(report: SweepReport, path):
     payload = {
         "rows": [
-            {k: (_csv_value(v) if isinstance(v, float) and np.isinf(v) else v)
-             for k, v in row.items()}
+            {k: _csv_value(v) for k, v in row.items()}
             for row in report.rows
         ],
         "aggregates": report.aggregate_means(),
@@ -412,14 +419,14 @@ CONFIG_KEYS = (
 )
 
 
-def load_config_file(path) -> ExperimentConfig:
-    """The configuration a sectioned key = value file describes
-    (``FileNotFoundError`` if it is missing). A section or key that
-    ``CONFIG_KEYS`` does not list, or a value its parser or the
-    configuration rejects, raises ``ValueError``; a rejected value's
-    message starts with the ``[section] key`` of each file key it names.
-    Lists are separated by spaces or commas; methods, prompts and
-    edit_prompts by semicolons.
+def load_config_file(path) -> dict:
+    """The field values a sectioned key = value file sets, keyed by each
+    key's ``CONFIG_KEYS`` field (``FileNotFoundError`` if the file is
+    missing); ``ExperimentConfig.from_fields`` builds the configuration
+    from them. A section or key that ``CONFIG_KEYS`` does not list, or a
+    value its parser rejects, raises ``ValueError``; a rejected value's
+    message starts with its ``[section] key``. Lists are separated by
+    spaces or commas; methods, prompts and edit_prompts by semicolons.
 
     Sections and keys:
       [schedule] kind, total_steps
@@ -432,34 +439,22 @@ def load_config_file(path) -> ExperimentConfig:
     if not parser.read(path):
         raise FileNotFoundError(path)
     table = {(section, key): (parse, name) for section, key, parse, name in CONFIG_KEYS}
-    fields: dict[str, dict] = {section: {} for section, *_ in CONFIG_KEYS}
+    sections = list(dict.fromkeys(section for section, *_ in CONFIG_KEYS))
+    values = {}
     # A [DEFAULT] section would hand its keys to every other section.
     for section in ["DEFAULT"] * bool(parser.defaults()) + parser.sections():
-        if section not in fields:
-            raise ValueError(f"unknown section {section!r}{_closest(section, fields)}")
+        if section not in sections:
+            raise ValueError(f"unknown section {section!r}{_closest(section, sections)}")
         for key, text in parser.items(section):
             if (section, key) not in table:
                 known = [k for s, k in table if s == section]
                 raise ValueError(f"unknown key {key!r} in [{section}]{_closest(key, known)}")
             parse, name = table[section, key]
             try:
-                fields[section][name] = parse(text)
+                values[name] = parse(text)
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
-    try:
-        denoiser = replace(DenoiserConfig(), **fields["denoiser"])
-        return ExperimentConfig(**fields["schedule"], **fields["run"], denoiser=denoiser)
-    except ValueError as exc:
-        # The keys the file sets whose fields the message names outside a quoted value.
-        message = str(exc)
-        unquoted = re.sub(r"'[^']*'", "", message)
-        named = sorted(
-            (m.start(), f"[{section}] {key}")
-            for section, key, _, name in CONFIG_KEYS
-            if name in fields[section] and (m := re.search(rf"\b{name}\b", unquoted))
-        )
-        keys = ", ".join(key for _, key in named)
-        raise ValueError(f"{keys}: {message}" if keys else message) from None
+    return values
 
 
 def _closest(name: str, known) -> str:

@@ -82,17 +82,10 @@ class Trajectory:
 
 @dataclass
 class CaptureOptions:
-    """What to record during inversion.
-
-    ``aligned`` chooses the two-pass KV scheme: after each inversion step
-    produces z_t, one extra evaluation at (z_t, t) records K/V, so cached
-    entries match exactly what the sampler presents when its latent equals
-    z_t. With ``aligned=False`` K/V are recorded from the inversion
-    evaluation itself (latent z_{t_prev}, timestep t).
-    """
+    """What to record during inversion: ``kv`` records self-attention K/V
+    at every step (see ``invert``)."""
 
     kv: bool = False
-    aligned: bool = True
 
 
 @dataclass
@@ -220,7 +213,7 @@ def invert(
 ) -> InvertResult:
     """Run DDIM inversion up the plan, recording every latent.
 
-    With KV capture on, each step is followed by aligned evaluations at
+    With KV capture on, each step is followed by evaluations at
     (z_t, t) purely to record K/V: one under the conditional embedding and
     one under the unconditional embedding, filling one cache per guidance
     branch. Under shared branches the two evaluations are the same, so one
@@ -240,13 +233,11 @@ def invert(
         z = _finite(ddim_invert_step(z, eps, t_prev, t, sched), t, "inversion")
         latents[t] = z.copy()
         if capture.kv:
-            # The capture latent matches what the sampler will present at
-            # this timestep when aligned; otherwise re-run the inversion
-            # evaluation so capture stays observation-only either way.
-            z_cap = z if capture.aligned else latents[t_prev]
-            net.predict(z_cap, t, ctx.cond, kv=KVCapture(cache), route="capture")
+            # At (z_t, t) the cached entries match exactly what the sampler
+            # presents when its latent equals z_t.
+            net.predict(z, t, ctx.cond, kv=KVCapture(cache), route="capture")
             if cache_u is not cache:
-                net.predict(z_cap, t, ctx.uncond, kv=KVCapture(cache_u), route="capture")
+                net.predict(z, t, ctx.uncond, kv=KVCapture(cache_u), route="capture")
     traj = Trajectory(
         latents=latents, timesteps=tuple(plan.timesteps), guidance=ctx.scale, seed=seed
     )

@@ -20,7 +20,6 @@ from fecdiff.harness import (
     measure_reconstruction,
     reconstruct_once,
     report_timing,
-    run_ablation_v_only,
     run_sweep,
     write_report_csv,
     write_report_json,
@@ -220,14 +219,15 @@ def test_sweep_rejects_a_grid_smaller_than_the_ssim_window(monkeypatch):
     assert nets == []
 
 
-def test_ablation_includes_v_only():
-    report = run_ablation_v_only(_small_cfg())
-    methods = {row["method"] for row in report.rows}
-    assert methods == {"fec-kv-reuse", "fec-v-reuse", "direct"}
-    assert all(
-        row.get("note") == "mechanism-only"
-        for row in report.rows if row["method"] == "fec-v-reuse"
-    )
+def test_ablation_includes_v_only(tmp_path):
+    # The V-only ablation is a sweep over a repeated --method.
+    out = tmp_path / "ablation.csv"
+    rc = main(["sweep", "--method", "fec-kv-reuse", "--method", "fec-v-reuse",
+               "--method", "direct", "--steps", "5", "--prompt", "a cat", "--out", str(out)])
+    assert rc == 0
+    rows = json.loads((tmp_path / "ablation.csv.json").read_text())["rows"]
+    assert [row["method"] for row in rows] == ["fec-kv-reuse", "fec-v-reuse", "direct"]
+    assert not any(row["error"] for row in rows)
 
 
 def test_check_batch_invariance_bit_identical():
@@ -297,7 +297,7 @@ def test_load_config_file(tmp_path):
         "inv_guidances = 1 5\nsamp_guidances = 7.5\nseeds = 0, 1\n"
         "prompts = a cat; a dog\nprecision = 32\n"
     )
-    cfg = load_config_file(path)
+    cfg = ExperimentConfig.from_fields(load_config_file(path))
     assert cfg.schedule_kind == "constant-beta"
     assert cfg.total_train_steps == 100
     assert cfg.denoiser.layer_count == 2
@@ -309,7 +309,7 @@ def test_load_config_file(tmp_path):
     assert cfg.prompts == ("a cat", "a dog")
     assert cfg.precision == 32
     path.write_text("[run]\nprompts = a 100% cat\n")
-    assert load_config_file(path).prompts == ("a 100% cat",)
+    assert load_config_file(path) == {"prompts": ("a 100% cat",)}
     with pytest.raises(FileNotFoundError):
         load_config_file(tmp_path / "missing.cfg")
 
@@ -357,11 +357,13 @@ def test_every_config_key_lands_on_its_field(tmp_path):
         else:
             expected = ExperimentConfig(**{name: value})
             run[name] = value
-        assert load_config_file(path) == expected, key
+        assert ExperimentConfig.from_fields(load_config_file(path)) == expected, key
         sections[section] = sections.get(section, "") + line
     path = tmp_path / "all.cfg"
     path.write_text("".join(f"[{section}]\n{lines}" for section, lines in sections.items()))
-    assert load_config_file(path) == ExperimentConfig(**run, denoiser=DenoiserConfig(**denoiser))
+    assert ExperimentConfig.from_fields(load_config_file(path)) == ExperimentConfig(
+        **run, denoiser=DenoiserConfig(**denoiser)
+    )
 
 
 def _listed_keys(listing: str) -> list[tuple[str, str]]:
@@ -447,7 +449,7 @@ def test_cli_edit_rejects_a_mask_it_cannot_use(method, size, fault, tmp_path, ca
     assert fault in err[0]
 
 
-@pytest.mark.parametrize("command", ["sweep", "ablate"])
+@pytest.mark.parametrize("command", ["sweep"])
 def test_cli_report_exits_1_when_a_row_failed(command, tmp_path, capsys, monkeypatch):
     # Every command's default methods include fec-kv-reuse beside others.
     monkeypatch.setattr(sampling, "sample_fec_kv_reuse", _broken_sampler)
@@ -494,6 +496,10 @@ _BAD_CONFIGS = {
     "total-steps-0": "[schedule]\ntotal_steps = 0\n",
     "embed-seed-negative": "[run]\nembed_seed = -1\n",
     "seeds-negative": "[run]\nseeds = 0 -1\n",
+    "methods-two": "[run]\nmethods = direct; fec-ref\n",
+    "methods-warp": "[run]\nmethods = warp\n",
+    "inv-guidances-nan": "[run]\ninv_guidances = nan\n",
+    "layers-3-1": "[run]\nlayer_start = 3\nlayer_end = 1\n",
 }
 
 
@@ -550,6 +556,11 @@ _BAD_CONFIGS = {
          "embed_seed must be >= 0, got -1"),
         (["sweep", "--config", "{tmp}/seeds-negative.cfg"], "seeds must be >= 0, got -1"),
         (["reconstruct", "--seed", "-1"], "seeds must be >= 0, got -1"),
+        (["reconstruct", "--method", "direct", "--method", "fec-ref"],
+         "--method: reconstruct runs one method of direct, neg-prompt,"),
+        (["edit", "--config", "{tmp}/methods-two.cfg"],
+         "[run] methods: edit runs one method of direct, fec-ref, fec-noise, fec-kv-reuse;"
+         " got 'direct', 'fec-ref'"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "layers-0:99", "method-warp", "steps-0",
          "guidance-nan", "config-missing", "config-headless", "config-run-step", "config-shedule",
@@ -559,7 +570,8 @@ _BAD_CONFIGS = {
          "config-prompts-blank-entry", "config-methods-trailing-semicolon", "config-dim-0",
          "config-dim-5-heads-5", "config-dim-negative", "config-layers-negative",
          "config-denoiser-seed-negative", "config-total-steps-0", "config-embed-seed-negative",
-         "config-seeds-negative", "seed-negative"],
+         "config-seeds-negative", "seed-negative", "reconstruct-two-methods",
+         "edit-config-two-methods"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():
@@ -572,3 +584,44 @@ def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_pa
     assert len(err) == 1 and err[0].startswith(f"fecdiff {argv[0]}: error: ")
     assert fault in err[0]
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["sweep", "--config", "{tmp}/methods-warp.cfg"], "[run] methods: unknown method 'warp'"),
+        (["sweep", "--config", "{tmp}/schedule-kind.cfg"],
+         "[schedule] kind: unknown schedule kind 'bogus'"),
+        (["sweep", "--config", "{tmp}/inv-guidances-nan.cfg"],
+         "[run] inv_guidances: guidance scales must be finite, got nan"),
+        (["sweep", "--config", "{tmp}/layers-3-1.cfg"],
+         "[run] layer_start, [run] layer_end: invalid layer range [3, 1)"),
+        (["sweep", "--steps", "0"], "--steps: steps must be in [1, total_train_steps=1000]"),
+        (["reconstruct", "--layers", "0:99"], "--layers: layer_end 99 exceeds layer_count 4"),
+        (["sweep", "--config", "{tmp}/inv-guidances-nan.cfg", "--inv-guidance", "inf"],
+         "--inv-guidance: guidance scales must be finite, got inf"),
+    ],
+    ids=["config-methods-warp", "config-schedule-kind", "config-inv-guidances-nan",
+         "config-layers-3-1", "flag-steps-0", "flag-layers-0:99", "flag-over-file"],
+)
+def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tmp_path):
+    for name, text in _BAD_CONFIGS.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"fecdiff {argv[0]}: error: {start}")
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [("[schedule]\ntotal_steps = 10\n", ["--steps", "5"]),
+     ("[run]\nsteps = 0\n", ["--steps", "2"])],
+    ids=["total-steps-10-steps-5", "steps-0-steps-2"],
+)
+def test_cli_validates_the_file_and_flags_together(text, argv, tmp_path, capsys):
+    # A file value that only the flags make valid is no error.
+    path = tmp_path / "f.cfg"
+    path.write_text(text)
+    assert main(["reconstruct", "--config", str(path), *argv]) == 0
+    assert "latent_loss" in capsys.readouterr().out

@@ -135,18 +135,6 @@ def test_aligned_capture_matches_sampler_inputs(net, sched, plan10):
     assert live.tobytes() == injected.tobytes()
 
 
-def test_nonaligned_capture_differs(net, sched, plan10):
-    ctx = _ctx(7.5)
-    aligned = invert(net, _latent(0), ctx, plan10, sched, CaptureOptions(kv=True))
-    raw = invert(
-        net, _latent(0), ctx, plan10, sched, CaptureOptions(kv=True, aligned=False)
-    )
-    t = plan10.timesteps[0]
-    k_a, _ = aligned.kv_cache.fetch(t, 0)
-    k_r, _ = raw.kv_cache.fetch(t, 0)
-    assert not np.array_equal(k_a, k_r)
-
-
 # ------------------------------------------------------------ samplers
 
 

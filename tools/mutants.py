@@ -82,8 +82,12 @@ MUTANTS = [
      "continue",
      "load_config_file skips a key it does not know"),
     ("config-data-kind-unchecked", "src/fecdiff/harness.py",
-     '            ("data_kind", self.data_kind, SYNTH_KINDS),\n', "",
+     '            ("data_kind", "data_kind", self.data_kind, SYNTH_KINDS),\n', "",
      "ExperimentConfig accepts any data_kind"),
+    ("config-source-unnamed", "src/fecdiff/cli.py",
+     'raise UsageError(f"{named}: {exc}" if named else str(exc)) from exc',
+     "raise UsageError(str(exc)) from exc",
+     "a rejected value's error does not name the file key or flag that set it"),
 ]
 
 def _test_args(root: Path) -> list[str]:
