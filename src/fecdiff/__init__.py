@@ -22,7 +22,7 @@ from .denoiser import (
     ToyDenoiser,
     embed_prompt,
 )
-from .editing import EditMask, EditRequest, derive_mask, run_edit
+from .editing import EditRequest, derive_mask, run_edit
 from .harness import (
     ExperimentConfig,
     SweepReport,

@@ -21,6 +21,7 @@ from .denoiser import ConfigError
 from .editing import EDIT_METHODS, EditRequest, run_edit
 from .harness import (
     CONFIG_KEYS,
+    LIST_FIELDS,
     ExperimentConfig,
     check_batch_invariance,
     generate_synthetic_latent,
@@ -33,7 +34,7 @@ from .harness import (
     write_report_json,
 )
 from .io_formats import read_mask, write_kv_cache, write_mask, write_trajectory
-from .sampling import RECON_METHODS, CaptureOptions, guidance_contexts, invert
+from .sampling import CaptureOptions, guidance_contexts, invert
 
 
 class UsageError(ValueError):
@@ -89,10 +90,12 @@ FLAG_FIELDS = (
 
 
 def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
-    """The file's values with the flags laid over them, built once; a
-    command that runs one method passes the ``methods`` it can run. A
-    rejected value is a ``UsageError`` that starts with the ``[section] key``
-    or ``--flag`` of each rejected field the user set."""
+    """The file's values with the flags laid over them, built once. Every
+    command but ``sweep`` runs one entry of each list, so a list the user
+    set must hold one; a command that runs only some methods passes the
+    ``methods`` it can run. A rejected value is a ``UsageError`` that
+    starts with the ``[section] key`` or ``--flag`` of each rejected field
+    the user set."""
     try:
         values = load_config_file(args.config) if args.config else {}
         sources = {name: f"[{section}] {key}" for section, key, _, name in CONFIG_KEYS
@@ -102,10 +105,14 @@ def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
             if given is not None:
                 values[name], sources[name] = parse(given), flag
         cfg = ExperimentConfig.from_fields(values)
-        got = values.get("methods", ())
-        if methods and got and (len(got) > 1 or got[0] not in methods):
+        for name in LIST_FIELDS * (args.command != "sweep"):
+            got = values.get(name, ())
+            if len(got) > 1:
+                raise ConfigError(f"{args.command} runs one entry of {name}, not {len(got)}:"
+                                  f" {', '.join(map(repr, got))}", name)
+        if methods and cfg.methods[0] not in methods:
             raise ConfigError(f"{args.command} runs one method of {', '.join(methods)};"
-                              f" got {', '.join(map(repr, got))}", "methods")
+                              f" got {cfg.methods[0]!r}", "methods")
         return cfg
     except FileNotFoundError as exc:
         raise UsageError(f"configuration file not found: {exc}") from exc
@@ -137,7 +144,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    cfg = _config_from_args(args, RECON_METHODS)
+    cfg = _config_from_args(args)
     net, sched, plan = cfg.components()
     method = cfg.methods[0]
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)

@@ -101,16 +101,12 @@ class LayerRange:
     def __contains__(self, layer: int) -> bool:
         return self.start <= layer < self.end
 
-    def __len__(self) -> int:
-        return self.end - self.start
-
 
 @dataclass
 class KVCache:
     """Self-attention Keys/Values recorded per (timestep, layer)."""
 
     entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    layer_count: int | None = None
 
     def store(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
         if (t, layer) in self.entries:
@@ -159,9 +155,6 @@ class KVInject:
             return k, v
         k_cached, v_cached = self.cache.fetch(t, layer)
         return (k if self.v_only else k_cached), v_cached
-
-
-KVHook = KVCapture | KVInject
 
 
 @dataclass
@@ -348,7 +341,7 @@ class ToyDenoiser:
         t: int,
         cond: PromptEmbedding,
         *,
-        kv: KVHook | None = None,
+        kv: KVCapture | KVInject | None = None,
         trace_to: AttentionTrace | None = None,
         route: str = "other",
     ) -> np.ndarray:

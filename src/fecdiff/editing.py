@@ -25,17 +25,6 @@ MASK_THRESHOLD = 0.3
 EDIT_METHODS = ("fec-ref", "fec-noise", "fec-kv-reuse")
 
 
-@dataclass
-class EditMask:
-    """Binary spatial mask over the latent grid (1 = region to edit)."""
-
-    values: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        self.values = as_mask(self.values)
-
-
 @dataclass(frozen=True)
 class EditRequest:
     source_prompt: str
@@ -64,25 +53,26 @@ def derive_mask(
     blend_word: str,
     embedding: PromptEmbedding,
     t: int,
-    spatial_shape: tuple[int, int] | None = None,
-) -> EditMask:
-    """Binary mask from the blend word's averaged cross-attention map.
+    spatial_shape: tuple[int, int],
+) -> np.ndarray:
+    """Binary mask over ``spatial_shape`` (1 = region to edit) from the
+    blend word's averaged cross-attention map.
 
     The map is averaged over heads and layers, resized (nearest neighbor)
-    to the latent grid, min-max normalized and thresholded at
-    ``MASK_THRESHOLD``. A constant map cannot be normalized; it yields an
-    all-zero mask flagged degenerate, the conservative "reconstruct
-    everything" choice.
+    to ``spatial_shape``, min-max normalized and thresholded at
+    ``MASK_THRESHOLD``. Its maximum normalizes to exactly 1, so the mask
+    is all zero, or degenerate, exactly when the map is constant and
+    cannot be normalized: the conservative "reconstruct everything" choice.
     """
     idx = embedding.word_index(blend_word)
     m = trace.token_map(t, idx)
-    if spatial_shape is not None and m.shape != tuple(spatial_shape):
+    if m.shape != tuple(spatial_shape):
         m = _nearest_resize(m, tuple(spatial_shape))
     lo, hi = m.min(), m.max()
     if hi == lo:
-        return EditMask(np.zeros_like(m), degenerate=True)
+        return np.zeros_like(m)
     m = (m - lo) / (hi - lo)
-    return EditMask((m >= MASK_THRESHOLD).astype(np.float64))
+    return (m >= MASK_THRESHOLD).astype(np.float64)
 
 
 @dataclass
@@ -124,7 +114,7 @@ def run_edit(
     mask, else the blend word's per-step attention mask, else the zero mask.
     The report carries per-step losses against the reference trajectory,
     for fec-noise edits locality against the method's own reconstruction,
-    and the ascending steps whose blend-word mask was degenerate. A user
+    and the ascending steps whose blend-word mask was all zero. A user
     mask is fec-noise's alone and must match the latent grid, and a layer
     range must end within the network, else ``ValueError`` is raised
     before inverting."""
@@ -157,10 +147,10 @@ def run_edit(
         elif req.blend_word is not None:
 
             def mask(t, trace):
-                em = derive_mask(trace, req.blend_word, edit_ctx.cond, t, spatial_shape=grid)
-                if em.degenerate:
+                m = derive_mask(trace, req.blend_word, edit_ctx.cond, t, grid)
+                if not m.any():
                     report.mask_degenerate_steps.append(t)
-                return em.values
+                return m
 
     out = sample_method(
         net, res, method, edit_ctx, plan, sched, req.layer_range,

@@ -33,6 +33,10 @@ SYNTH_KINDS = ("gaussian", "blocks", "gradient")
 # as context alongside batch-invariance results.
 PARALLEL_DIVERGENCE_CONTEXT = 1e-5
 
+# The configuration fields that list entries: a sweep crosses them, and
+# every other run takes the first entry of each.
+LIST_FIELDS = ("methods", "inv_guidances", "samp_guidances", "seeds", "prompts", "edit_prompts")
+
 
 def generate_synthetic_latent(
     seed: int, kind: str = "gaussian", shape: tuple[int, int, int] = (4, 16, 16)
@@ -81,10 +85,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Every check raises ``ConfigError`` naming the fields it rejects."""
-        for name in ("methods", "inv_guidances", "samp_guidances", "seeds", "prompts"):
+        for name in LIST_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, tuple) or not value:
+            if not isinstance(value, tuple) or not (value or name == "edit_prompts"):
                 raise ConfigError(f"{name} must be a non-empty tuple, got {value!r}", name)
+            repeated = [x for i, x in enumerate(value) if x in value[:i]]
+            if repeated:
+                raise ConfigError(f"{name} lists {repeated[0]!r} more than once", name)
         if self.total_train_steps < 1:
             raise ConfigError(f"total_train_steps must be >= 1, got {self.total_train_steps}",
                               "total_train_steps")

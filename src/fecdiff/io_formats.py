@@ -142,11 +142,13 @@ def read_trajectory(path) -> Trajectory:
 
 def write_kv_cache(path, cache: KVCache, float_width: int = 64):
     """Header: version, steps, layer count, float width, K/V dims, timestep
-    list; entries ordered by (t descending, layer ascending), K before V."""
+    list; entries ordered by (t descending, layer ascending), K before V.
+    The layer count is 1 + the highest cached layer; a missing (t, layer)
+    raises ``KeyError``."""
     timesteps = cache.timesteps()
     if not timesteps:
         raise ValueError("cannot serialize an empty KV cache")
-    layer_count = cache.layer_count or (len(cache) // len(timesteps))
+    layer_count = 1 + max(layer for _, layer in cache.entries)
     k0, v0 = cache.fetch(timesteps[0], 0)
     with open(path, "wb") as f:
         f.write(KV_MAGIC)
@@ -185,7 +187,6 @@ def read_kv_cache(path) -> KVCache:
                 k = r.array(k_dims, width)
                 v = r.array(v_dims, width)
                 cache.store(t, layer, k, v)
-    cache.layer_count = layer_count
     return cache
 
 

@@ -224,8 +224,8 @@ def invert(
     _finite(z0, 0, "inversion")
     cache = cache_u = None
     if capture.kv:
-        cache = KVCache(layer_count=net.config.layer_count)
-        cache_u = cache if ctx.shared else KVCache(layer_count=net.config.layer_count)
+        cache = KVCache()
+        cache_u = cache if ctx.shared else KVCache()
     latents: dict[int, np.ndarray] = {0: z0.copy()}
     z = z0
     for t_prev, t in plan.inversion_pairs():
@@ -367,7 +367,7 @@ def sample_fec_kv_reuse(
     sched: NoiseSchedule,
     layers: LayerRange | None = None,
     *,
-    cache_uncond: KVCache | None = None,
+    cache_uncond: KVCache,
     v_only: bool = False,
     record: dict[int, np.ndarray] | None = None,
     route: str = "reconstruction",
@@ -375,18 +375,16 @@ def sample_fec_kv_reuse(
     """Guided descent with cached self-attention K/V injected at each step.
 
     Each guidance branch injects from its own cache: ``cache`` feeds the
-    conditional evaluation and ``cache_uncond`` the unconditional one
-    (falling back to ``cache`` when omitted). ``v_only`` runs the ablation
-    that reuses V while keeping K live.
+    conditional evaluation and ``cache_uncond`` the unconditional one.
+    ``v_only`` runs the ablation that reuses V while keeping K live.
     """
     if layers is None:
         layers = LayerRange(0, net.config.layer_count)
-    cache_u = cache_uncond if cache_uncond is not None else cache
     for t in plan.timesteps:
-        if not (cache.has_timestep(t) and cache_u.has_timestep(t)):
+        if not (cache.has_timestep(t) and cache_uncond.has_timestep(t)):
             raise KeyError(f"KV cache has no entries at planned timestep t={t}")
     kv = KVInject(cache, layers, v_only)
-    kv_u = kv if cache_u is cache else KVInject(cache_u, layers, v_only)
+    kv_u = kv if cache_uncond is cache else KVInject(cache_uncond, layers, v_only)
 
     def noise(z, t, t_prev):
         return guided_noise(net, z, t, ctx, route=route, kv=kv, kv_uncond=kv_u)

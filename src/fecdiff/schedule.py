@@ -9,12 +9,12 @@ import numpy as np
 SCHEDULE_KINDS = ("linear-beta", "scaled-linear-beta", "constant-beta")
 
 DEFAULT_TRAIN_STEPS = 1000
-# Defaults follow the common pretrained latent-diffusion convention.
-DEFAULT_SCALED_BETA_START = 0.00085
-DEFAULT_SCALED_BETA_END = 0.012
-DEFAULT_LINEAR_BETA_START = 1e-4
-DEFAULT_LINEAR_BETA_END = 0.02
-DEFAULT_CONSTANT_BETA = 0.02
+# Betas follow the common pretrained latent-diffusion convention.
+SCALED_BETA_START = 0.00085
+SCALED_BETA_END = 0.012
+LINEAR_BETA_START = 1e-4
+LINEAR_BETA_END = 0.02
+CONSTANT_BETA = 0.02
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,15 @@ class TimestepPlan:
     its reverse is used for inversion.
     """
 
-    steps: int
     timesteps: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.timesteps) != self.steps:
-            raise ValueError("len(timesteps) must equal steps")
         if any(b >= a for a, b in zip(self.timesteps, self.timesteps[1:])):
             raise ValueError("timesteps must be strictly decreasing")
+
+    @property
+    def steps(self) -> int:
+        return len(self.timesteps)
 
     def sampling_pairs(self) -> list[tuple[int, int]]:
         """(t, t_prev) pairs for the descent, ending at t_prev = 0."""
@@ -81,28 +82,17 @@ class TimestepPlan:
         return list(zip([0] + ts[:-1], ts))
 
 
-def build_schedule(
-    kind: str,
-    T: int = DEFAULT_TRAIN_STEPS,
-    *,
-    beta_start: float | None = None,
-    beta_end: float | None = None,
-    beta: float | None = None,
-) -> NoiseSchedule:
+def build_schedule(kind: str, T: int = DEFAULT_TRAIN_STEPS) -> NoiseSchedule:
     """Construct a noise schedule of the given kind with T train steps."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if kind == "linear-beta":
-        b0 = DEFAULT_LINEAR_BETA_START if beta_start is None else beta_start
-        b1 = DEFAULT_LINEAR_BETA_END if beta_end is None else beta_end
-        betas = np.linspace(b0, b1, T, dtype=np.float64)
+        betas = np.linspace(LINEAR_BETA_START, LINEAR_BETA_END, T, dtype=np.float64)
     elif kind == "scaled-linear-beta":
-        b0 = DEFAULT_SCALED_BETA_START if beta_start is None else beta_start
-        b1 = DEFAULT_SCALED_BETA_END if beta_end is None else beta_end
-        betas = np.linspace(np.sqrt(b0), np.sqrt(b1), T, dtype=np.float64) ** 2
+        start, end = np.sqrt(SCALED_BETA_START), np.sqrt(SCALED_BETA_END)
+        betas = np.linspace(start, end, T, dtype=np.float64) ** 2
     elif kind == "constant-beta":
-        b = DEFAULT_CONSTANT_BETA if beta is None else beta
-        betas = np.full(T, b, dtype=np.float64)
+        betas = np.full(T, CONSTANT_BETA, dtype=np.float64)
     else:
         raise ValueError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}")
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
@@ -134,4 +124,4 @@ def timestep_plan(steps: int, T: int = DEFAULT_TRAIN_STEPS) -> TimestepPlan:
         raise ValueError(f"steps ({steps}) must not exceed T ({T})")
     stride = T // steps
     ts = tuple(T - i * stride for i in range(steps))
-    return TimestepPlan(steps=steps, timesteps=ts)
+    return TimestepPlan(ts)

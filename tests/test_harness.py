@@ -9,7 +9,7 @@ import pytest
 
 from fecdiff import harness, sampling
 from fecdiff.cli import main
-from fecdiff.denoiser import DenoiserConfig, ToyDenoiser
+from fecdiff.denoiser import ConfigError, DenoiserConfig, ToyDenoiser
 from fecdiff.harness import (
     CONFIG_KEYS,
     RECON_METHODS,
@@ -89,6 +89,19 @@ def test_experiment_config_validation():
         cfg.steps = 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.denoiser.layer_count = 2
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("methods", ("direct", "fec-ref", "direct")), ("seeds", (0, 0)),
+     ("prompts", ("a cat", "a cat")), ("edit_prompts", ("a dog", "a dog")),
+     ("inv_guidances", (7.5, 1.0, 7.5)), ("samp_guidances", (0.0, -0.0))],
+)
+def test_experiment_config_rejects_a_repeated_entry(name, value):
+    # A repeated entry would compute the same sweep cell twice and count it twice.
+    with pytest.raises(ConfigError, match="more than once") as exc:
+        ExperimentConfig(**{name: value})
+    assert exc.value.fields == (name,)
 
 
 def test_run_sweep_row_count_and_fields():
@@ -497,6 +510,8 @@ _BAD_CONFIGS = {
     "embed-seed-negative": "[run]\nembed_seed = -1\n",
     "seeds-negative": "[run]\nseeds = 0 -1\n",
     "methods-two": "[run]\nmethods = direct; fec-ref\n",
+    "seeds-repeated": "[run]\nseeds = 0 0\n",
+    "edit-prompts-two": "[run]\nedit_prompts = a; b\n",
     "methods-warp": "[run]\nmethods = warp\n",
     "inv-guidances-nan": "[run]\ninv_guidances = nan\n",
     "layers-3-1": "[run]\nlayer_start = 3\nlayer_end = 1\n",
@@ -557,10 +572,12 @@ _BAD_CONFIGS = {
         (["sweep", "--config", "{tmp}/seeds-negative.cfg"], "seeds must be >= 0, got -1"),
         (["reconstruct", "--seed", "-1"], "seeds must be >= 0, got -1"),
         (["reconstruct", "--method", "direct", "--method", "fec-ref"],
-         "--method: reconstruct runs one method of direct, neg-prompt,"),
+         "--method: reconstruct runs one entry of methods, not 2: 'direct', 'fec-ref'"),
         (["edit", "--config", "{tmp}/methods-two.cfg"],
-         "[run] methods: edit runs one method of direct, fec-ref, fec-noise, fec-kv-reuse;"
-         " got 'direct', 'fec-ref'"),
+         "[run] methods: edit runs one entry of methods, not 2: 'direct', 'fec-ref'"),
+        (["edit", "--method", "fec-v-reuse"],
+         "--method: edit runs one method of direct, fec-ref, fec-noise, fec-kv-reuse;"
+         " got 'fec-v-reuse'"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "layers-0:99", "method-warp", "steps-0",
          "guidance-nan", "config-missing", "config-headless", "config-run-step", "config-shedule",
@@ -571,7 +588,7 @@ _BAD_CONFIGS = {
          "config-dim-5-heads-5", "config-dim-negative", "config-layers-negative",
          "config-denoiser-seed-negative", "config-total-steps-0", "config-embed-seed-negative",
          "config-seeds-negative", "seed-negative", "reconstruct-two-methods",
-         "edit-config-two-methods"],
+         "edit-config-two-methods", "edit-method-v-reuse"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():
@@ -600,9 +617,21 @@ def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_pa
         (["reconstruct", "--layers", "0:99"], "--layers: layer_end 99 exceeds layer_count 4"),
         (["sweep", "--config", "{tmp}/inv-guidances-nan.cfg", "--inv-guidance", "inf"],
          "--inv-guidance: guidance scales must be finite, got inf"),
+        (["sweep", "--method", "direct", "--method", "direct", "--steps", "2",
+          "--prompt", "a cat"], "--method: methods lists 'direct' more than once"),
+        (["sweep", "--seed", "3", "--seed", "3", "--steps", "2"],
+         "--seed: seeds lists 3 more than once"),
+        (["sweep", "--config", "{tmp}/seeds-repeated.cfg"],
+         "[run] seeds: seeds lists 0 more than once"),
+        (["reconstruct", "--method", "direct", "--steps", "2", "--seed", "1", "--seed", "2",
+          "--prompt", "a cat"], "--seed: reconstruct runs one entry of seeds, not 2: 1, 2"),
+        (["edit", "--config", "{tmp}/edit-prompts-two.cfg"],
+         "[run] edit_prompts: edit runs one entry of edit_prompts, not 2: 'a', 'b'"),
     ],
     ids=["config-methods-warp", "config-schedule-kind", "config-inv-guidances-nan",
-         "config-layers-3-1", "flag-steps-0", "flag-layers-0:99", "flag-over-file"],
+         "config-layers-3-1", "flag-steps-0", "flag-layers-0:99", "flag-over-file",
+         "flag-method-repeated", "flag-seed-repeated", "config-seeds-repeated",
+         "reconstruct-two-seeds", "edit-config-two-edit-prompts"],
 )
 def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tmp_path):
     for name, text in _BAD_CONFIGS.items():

@@ -76,14 +76,14 @@ def test_bad_magic_rejected(tmp_path):
 
 def test_kv_cache_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    cache = KVCache(layer_count=2)
+    cache = KVCache()
     for t in (30, 20):
         for layer in range(2):
             cache.store(t, layer, rng.standard_normal((8, 16)), rng.standard_normal((8, 16)))
     path = tmp_path / "c.feckv"
     write_kv_cache(path, cache, 64)
     back = read_kv_cache(path)
-    assert back.layer_count == 2
+    assert back.entries.keys() == cache.entries.keys()
     assert back.timesteps() == [30, 20]
     for key in cache.entries:
         k0, v0 = cache.fetch(*key)
@@ -97,6 +97,16 @@ def test_kv_cache_roundtrip(tmp_path):
 def test_empty_kv_cache_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_kv_cache(tmp_path / "c.feckv", KVCache())
+
+
+def test_kv_cache_missing_an_entry_is_rejected_on_write(tmp_path):
+    # The layer count comes from the highest cached layer; a gap below it
+    # is no smaller cache.
+    cache = KVCache()
+    for key in ((30, 0), (30, 1), (20, 0)):
+        cache.store(*key, np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(KeyError, match=r"t=20, layer=1"):
+        write_kv_cache(tmp_path / "c.feckv", cache)
 
 
 def test_mask_roundtrip(tmp_path):
@@ -120,7 +130,7 @@ def test_invalid_width_rejected(tmp_path):
 def _valid_files(directory) -> dict[str, tuple[bytes, object]]:
     """Small valid files of every format, with the reader for each."""
     rng = np.random.default_rng(1)
-    cache = KVCache(layer_count=2)
+    cache = KVCache()
     for t in (30, 20):
         for layer in range(2):
             cache.store(t, layer, rng.standard_normal((3, 4)), rng.standard_normal((3, 5)))

@@ -192,11 +192,21 @@ def test_neg_prompt_at_any_scale_is_direct_at_scale_one(net, sched, plan10):
 def test_kv_reuse_requires_cache_coverage(net, sched, plan10):
     z0 = _latent(0)
     ctx = _ctx(7.5)
+    cache = KVCache()
     with pytest.raises(KeyError):
-        sample_fec_kv_reuse(net, z0, KVCache(), ctx, plan10, sched)
+        sample_fec_kv_reuse(net, z0, cache, ctx, plan10, sched, cache_uncond=cache)
     # With no layer injected, only the up-front timestep check sees the gap.
     with pytest.raises(KeyError):
-        sample_fec_kv_reuse(net, z0, KVCache(), ctx, plan10, sched, LayerRange(0, 0))
+        sample_fec_kv_reuse(
+            net, z0, cache, ctx, plan10, sched, LayerRange(0, 0), cache_uncond=cache
+        )
+
+
+def test_kv_reuse_requires_the_unconditional_cache(net, sched, plan10):
+    # Injecting the conditional cache into both branches corrupts guidance,
+    # so there is no fallback to it.
+    with pytest.raises(TypeError, match="cache_uncond"):
+        sample_fec_kv_reuse(net, _latent(0), KVCache(), _ctx(7.5), plan10, sched)
 
 
 def test_kv_reuse_runs_and_differs_from_direct(net, sched, plan10):
@@ -375,8 +385,8 @@ def test_trajectory_covers():
     traj = Trajectory(latents={0: np.zeros(1), 10: np.zeros(1)}, timesteps=(10,), guidance=1.0)
     from fecdiff.schedule import TimestepPlan
 
-    assert traj.covers(TimestepPlan(steps=1, timesteps=(10,)))
-    assert not traj.covers(TimestepPlan(steps=1, timesteps=(20,)))
+    assert traj.covers(TimestepPlan((10,)))
+    assert not traj.covers(TimestepPlan((20,)))
 
 
 def test_guidance_context_validation():

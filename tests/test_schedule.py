@@ -29,7 +29,7 @@ def test_schedule_is_immutable():
 def test_constant_beta_closed_form():
     # With constant beta, alpha_bar[t] = (1 - beta)^t exactly.
     beta = 0.02
-    sched = build_schedule("constant-beta", 50, beta=beta)
+    sched = build_schedule("constant-beta", 50)
     for t in (0, 1, 7, 50):
         assert sched.ab(t) == pytest.approx((1.0 - beta) ** t, rel=1e-14)
 
@@ -52,7 +52,7 @@ def test_ab_bounds():
 
 
 def test_add_noise_formula():
-    sched = build_schedule("constant-beta", 10, beta=0.1)
+    sched = build_schedule("constant-beta", 10)
     z0 = np.full((2, 2), 2.0)
     eps = np.full((2, 2), -1.0)
     t = 3

@@ -69,8 +69,8 @@ MUTANTS = [
      "return (k if self.v_only else k_cached), v_cached", "return k_cached, v_cached",
      "KVInject swaps K in even for the V-only ablation"),
     ("degenerate-mask-unflagged", "src/fecdiff/editing.py",
-     "EditMask(np.zeros_like(m), degenerate=True)", "EditMask(np.zeros_like(m), degenerate=False)",
-     "derive_mask leaves a constant map's mask unflagged"),
+     "return np.zeros_like(m)", "return np.ones_like(m)",
+     "derive_mask gives a constant map a full mask, so no step counts as degenerate"),
     ("degenerate-steps-unrecorded", "src/fecdiff/editing.py",
      "report.mask_degenerate_steps.append(t)", "pass",
      "run_edit never reports a blend-word step whose mask came out degenerate"),
@@ -84,6 +84,16 @@ MUTANTS = [
     ("config-data-kind-unchecked", "src/fecdiff/harness.py",
      '            ("data_kind", "data_kind", self.data_kind, SYNTH_KINDS),\n', "",
      "ExperimentConfig accepts any data_kind"),
+    ("kv-layer-count-short", "src/fecdiff/io_formats.py",
+     "layer_count = 1 + max(layer for _, layer in cache.entries)",
+     "layer_count = max(layer for _, layer in cache.entries)",
+     "write_kv_cache takes the highest cached layer as the layer count and drops that layer"),
+    ("config-repeats-accepted", "src/fecdiff/harness.py",
+     "repeated = [x for i, x in enumerate(value) if x in value[:i]]", "repeated = []",
+     "ExperimentConfig accepts a list that repeats an entry"),
+    ("cli-several-entries-accepted", "src/fecdiff/cli.py",
+     "if len(got) > 1:", "if len(got) > 1 and name == 'methods':",
+     "a single-run command silently takes the first entry of every list but methods"),
     ("config-source-unnamed", "src/fecdiff/cli.py",
      'raise UsageError(f"{named}: {exc}" if named else str(exc)) from exc',
      "raise UsageError(str(exc)) from exc",
