@@ -31,7 +31,7 @@ from .harness import (
     report_timing,
     run_sweep,
 )
-from .metrics import MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve
+from .metrics import latent_loss, psnr, ssim, trajectory_loss_curve
 from .sampling import (
     RECON_METHODS,
     CaptureOptions,

@@ -23,6 +23,7 @@ from .harness import (
     CONFIG_KEYS,
     LIST_FIELDS,
     ExperimentConfig,
+    _csv_value,
     check_batch_invariance,
     generate_synthetic_latent,
     load_config_file,
@@ -34,6 +35,7 @@ from .harness import (
     write_report_json,
 )
 from .io_formats import read_mask, write_kv_cache, write_mask, write_trajectory
+from .metrics import trajectory_loss_curve
 from .sampling import CaptureOptions, guidance_contexts, invert
 
 
@@ -93,9 +95,9 @@ def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
     """The file's values with the flags laid over them, built once. Every
     command but ``sweep`` runs one entry of each list, so a list the user
     set must hold one; a command that runs only some methods passes the
-    ``methods`` it can run. A rejected value is a ``UsageError`` that
-    starts with the ``[section] key`` or ``--flag`` of each rejected field
-    the user set."""
+    ``methods`` it can run, and runs the first when the user sets none. A
+    rejected value is a ``UsageError`` that starts with the ``[section]
+    key`` or ``--flag`` of each rejected field the user set."""
     try:
         values = load_config_file(args.config) if args.config else {}
         sources = {name: f"[{section}] {key}" for section, key, _, name in CONFIG_KEYS
@@ -104,6 +106,8 @@ def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
             given = getattr(args, "_".join(flag[2:].split("-")))
             if given is not None:
                 values[name], sources[name] = parse(given), flag
+        if methods:
+            values.setdefault("methods", methods[:1])
         cfg = ExperimentConfig.from_fields(values)
         for name in LIST_FIELDS * (args.command != "sweep"):
             got = values.get(name, ())
@@ -153,30 +157,34 @@ def _cmd_reconstruct(args) -> int:
         net, sched, plan, z0, method, cfg.prompts[0],
         cfg.inv_guidances[0], cfg.samp_guidances[0], cfg.embed_seed, cfg.layer_range(), record,
     )
-    report = measure_reconstruction(z0, out, record, traj)
-    for key, value in report.as_flat_dict().items():
-        if not key.startswith("step_loss"):
-            print(f"{key} = {value}")
+    metrics = measure_reconstruction(z0, out)
+    for key, value in metrics.items():
+        print(f"{key} = {_csv_value(value)}")
     if cfg.out:
+        curve = trajectory_loss_curve(record, traj)
+        lines = [*metrics.items(), *((f"step_loss[{t}]", loss) for t, loss in curve)]
         with open(cfg.out, "w") as f:
-            for key, value in report.as_flat_dict().items():
-                f.write(f"{key} = {value}\n")
+            f.writelines(f"{key} = {_csv_value(value)}\n" for key, value in lines)
         print(f"wrote report to {cfg.out}")
     return 0
 
 
 def _cmd_edit(args) -> int:
-    cfg = _config_from_args(args, ("direct", *EDIT_METHODS))
-    # direct, the default method of every command, selects fec-noise.
-    method = "fec-noise" if cfg.methods[0] == "direct" else cfg.methods[0]
+    cfg = _config_from_args(args, EDIT_METHODS)
+    method = cfg.methods[0]
+    source = cfg.prompts[0]
+    edit = cfg.edit_prompts[0] if cfg.edit_prompts else source
+    if method == "fec-noise" and edit != source and not args.mask and cfg.blend_word is None:
+        raise UsageError("a fec-noise edit needs --mask or --blend-word;"
+                         " with neither it returns the source unchanged")
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     # An error here means an input the edit cannot use (mask file, blend word, layers).
     try:
         user_mask = read_mask(args.mask) if args.mask else None
         req = EditRequest(
-            source_prompt=cfg.prompts[0],
-            edit_prompt=cfg.edit_prompts[0] if cfg.edit_prompts else cfg.prompts[0],
+            source_prompt=source,
+            edit_prompt=edit,
             method=method,
             blend_word=cfg.blend_word,
             layer_range=cfg.layer_range(),

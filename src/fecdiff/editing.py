@@ -22,7 +22,8 @@ from .schedule import NoiseSchedule, TimestepPlan
 
 MASK_THRESHOLD = 0.3
 
-EDIT_METHODS = ("fec-ref", "fec-noise", "fec-kv-reuse")
+# fec-noise first: the method `fecdiff edit` runs when none is set.
+EDIT_METHODS = ("fec-noise", "fec-ref", "fec-kv-reuse")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import csv
 import difflib
+import functools
 import itertools
 import json
 import math
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .denoiser import ConfigError, DenoiserConfig, LayerRange, ToyDenoiser
-from .metrics import SSIM_WINDOW, MetricsReport, latent_loss, psnr, ssim, trajectory_loss_curve
+from .editing import EDIT_METHODS, EditRequest, run_edit
+from .metrics import SSIM_WINDOW, latent_loss, psnr, ssim
 from .sampling import (
     KV_METHODS,
     RECON_METHODS,
@@ -152,8 +154,9 @@ class ExperimentConfig:
 class SweepReport:
     rows: list[dict] = field(default_factory=list)
 
-    def aggregate_means(self, keys=("method", "inv_guidance", "samp_guidance")) -> list[dict]:
-        """Mean latent loss / PSNR / SSIM per group, recomputed from rows."""
+    def aggregate_means(self) -> list[dict]:
+        """Mean latent loss / PSNR / SSIM per method and guidance pair, from rows."""
+        keys = ("method", "inv_guidance", "samp_guidance")
         groups: dict[tuple, list[dict]] = {}
         for row in self.rows:
             if row.get("error"):
@@ -191,15 +194,15 @@ def reconstruct_once(
     return out, res.trajectory
 
 
-def measure_reconstruction(z0: np.ndarray, out: np.ndarray, record, traj) -> MetricsReport:
+def measure_reconstruction(z0: np.ndarray, out: np.ndarray) -> dict[str, float]:
+    """A sweep row's latent loss, PSNR and SSIM, peaked at ``z0``'s range."""
     rng = float(z0.max() - z0.min())
     peak = rng if rng > 0 else 1.0
-    return MetricsReport(
-        latent_loss=latent_loss(z0, out),
-        psnr=psnr(z0, out, peak),
-        ssim=ssim(z0, out, peak),
-        per_step_losses=trajectory_loss_curve(record, traj) if record is not None else [],
-    )
+    return {
+        "latent_loss": latent_loss(z0, out),
+        "psnr": psnr(z0, out, peak),
+        "ssim": ssim(z0, out, peak),
+    }
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
@@ -260,25 +263,23 @@ def _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, rows
     for row in rows:
         t0 = time.perf_counter()
         try:
-            record: dict = {}
             ctx = replace(inv_ctx, scale=row["samp_guidance"])
-            out = sample_method(net, res, row["method"], ctx, plan, sched, layers, record=record)
-            m = measure_reconstruction(z0, out, record, res.trajectory)
-            row.update(latent_loss=m.latent_loss, psnr=m.psnr, ssim=m.ssim)
+            out = sample_method(net, res, row["method"], ctx, plan, sched, layers)
+            row.update(measure_reconstruction(z0, out))
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             row["error"] = f"{type(exc).__name__}: {exc}"
         row["time_s"] = time.perf_counter() - t0
 
 
-def check_batch_invariance(cfg: ExperimentConfig, batch: int = 2) -> dict:
-    """Run ``batch`` copies of one latent stacked along a leading axis and
-    the latent alone, through one forward and through inversion plus
+def check_batch_invariance(cfg: ExperimentConfig) -> dict:
+    """Run two copies of one latent stacked along a leading axis and the
+    latent alone, through one forward and through inversion plus
     direct descent; pass iff every stacked row is bit-identical to the
     single run at both levels."""
     net, sched, plan = cfg.components()
     (ctx,) = guidance_contexts(net, (cfg.prompts[0],), cfg.samp_guidances[0], cfg.embed_seed)
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
-    stacked = np.stack([z0] * batch)
+    stacked = np.stack([z0, z0])
 
     single = net.predict(z0, plan.timesteps[0], ctx.cond)
     batched = net.predict(stacked, plan.timesteps[0], ctx.cond)
@@ -298,58 +299,40 @@ def check_batch_invariance(cfg: ExperimentConfig, batch: int = 2) -> dict:
         "forward_max_abs_diff": forward_diff,
         "full_run_max_abs_diff": run_diff,
         "paper_divergence_context": PARALLEL_DIVERGENCE_CONTEXT,
-        "batch": batch,
+        "batch": len(stacked),
     }
 
 
 def report_timing(cfg: ExperimentConfig) -> dict:
-    """Wall-clock and network-call accounting per editing strategy.
-
-    The kv-reuse edit path performs no reconstruction-route evaluations;
-    a paired direct edit (reconstruction route + edit route) performs
-    twice the kv-reuse edit-stage call count.
-    """
-    from .editing import EditRequest, run_edit
-
+    """``{"time_s", "calls"}`` per editing strategy, ``calls`` counting
+    network evaluations by route: one ``run_edit`` per edit method, then
+    ``direct-paired``, a direct reconstruction and a direct edit from one
+    inversion. The kv-reuse edit makes no reconstruction-route calls."""
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source + " edited"
     guidance = cfg.samp_guidances[0]
-    out: dict[str, dict] = {}
 
-    # kv-reuse edit: inversion + capture, then a single injected edit route.
-    net.call_counts.clear()
-    t0 = time.perf_counter()
-    run_edit(net, sched, plan, z0, EditRequest(source, edit, "fec-kv-reuse", guidance=guidance),
-             cfg.embed_seed)
-    out["fec-kv-reuse"] = {
-        "time_s": time.perf_counter() - t0,
-        "calls": dict(net.call_counts),
-        "edit_route_calls": net.call_counts["edit"],
-        "reconstruction_route_calls": net.call_counts["reconstruction"],
+    def direct_paired():
+        ctx, edit_ctx = guidance_contexts(net, (source, edit), guidance, cfg.embed_seed)
+        res = invert(net, z0, ctx, plan, sched)
+        sample_method(net, res, "direct", ctx, plan, sched)
+        sample_method(net, res, "direct", edit_ctx, plan, sched, route="edit")
+
+    runs = {
+        method: functools.partial(run_edit, net, sched, plan, z0,
+                                  EditRequest(source, edit, method, guidance=guidance),
+                                  cfg.embed_seed)
+        for method in EDIT_METHODS
     }
-
-    # Paired direct editing: a reconstruction route plus an edit route.
-    net.call_counts.clear()
-    ctx, edit_ctx = guidance_contexts(net, (source, edit), guidance, cfg.embed_seed)
-    t0 = time.perf_counter()
-    res = invert(net, z0, ctx, plan, sched)
-    sample_method(net, res, "direct", ctx, plan, sched)
-    sample_method(net, res, "direct", edit_ctx, plan, sched, route="edit")
-    out["direct-paired"] = {
-        "time_s": time.perf_counter() - t0,
-        "calls": dict(net.call_counts),
-        "edit_route_calls": net.call_counts["edit"],
-        "reconstruction_route_calls": net.call_counts["reconstruction"],
-    }
-
-    for method in ("fec-ref", "fec-noise"):
+    runs["direct-paired"] = direct_paired
+    out = {}
+    for name, run in runs.items():
         net.call_counts.clear()
         t0 = time.perf_counter()
-        run_edit(net, sched, plan, z0, EditRequest(source, edit, method, guidance=guidance),
-                 cfg.embed_seed)
-        out[method] = {"time_s": time.perf_counter() - t0, "calls": dict(net.call_counts)}
+        run()
+        out[name] = {"time_s": time.perf_counter() - t0, "calls": dict(net.call_counts)}
     return out
 
 

@@ -40,6 +40,11 @@ def _write_u32s(f, *values: int):
     f.write(struct.pack("<" + "I" * len(values), *values))
 
 
+def _check_shape(arr: np.ndarray, shape: tuple[int, ...], what: str):
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, not the header's {shape}")
+
+
 def _write_array(f, arr: np.ndarray, width: int):
     # The array's own buffer: no bytes copy when it is already stored at
     # ``width`` and contiguous.
@@ -107,17 +112,22 @@ class _Reader:
 
 def write_trajectory(path, traj: Trajectory, float_width: int = 64):
     """Header: version, steps, float width, dims, guidance, seed, timestep
-    list; payload: latents by descending t, then t = 0."""
-    dims = traj[0].shape
+    list; payload: latents by descending t, then t = 0. Every latent is
+    fetched (``KeyError``) and checked against t = 0's shape (``ValueError``)
+    before ``path`` is opened, so a failed write changes no file."""
+    order = (*traj.timesteps, 0)
+    latents = [traj[t] for t in order]
+    dims = latents[-1].shape
+    for t, latent in zip(order, latents):
+        _check_shape(latent, dims, f"latent at t={t}")
     with open(path, "wb") as f:
         f.write(TRAJ_MAGIC)
         _write_u32s(f, _VERSION, len(traj.timesteps), float_width, len(dims), *dims)
         f.write(struct.pack("<d", traj.guidance))
         f.write(struct.pack("<q", -1 if traj.seed is None else traj.seed))
         _write_u32s(f, *traj.timesteps)
-        for t in traj.timesteps:
-            _write_array(f, traj[t], float_width)
-        _write_array(f, traj[0], float_width)
+        for latent in latents:
+            _write_array(f, latent, float_width)
 
 
 def read_trajectory(path) -> Trajectory:
@@ -143,24 +153,29 @@ def read_trajectory(path) -> Trajectory:
 def write_kv_cache(path, cache: KVCache, float_width: int = 64):
     """Header: version, steps, layer count, float width, K/V dims, timestep
     list; entries ordered by (t descending, layer ascending), K before V.
-    The layer count is 1 + the highest cached layer; a missing (t, layer)
-    raises ``KeyError``."""
+    The layer count is 1 + the highest cached layer. Every (t, layer) is
+    fetched (``KeyError``) and its K and V checked against the first
+    entry's (``ValueError``) before ``path`` is opened, so a failed write
+    changes no file."""
     timesteps = cache.timesteps()
     if not timesteps:
         raise ValueError("cannot serialize an empty KV cache")
     layer_count = 1 + max(layer for _, layer in cache.entries)
-    k0, v0 = cache.fetch(timesteps[0], 0)
+    keys = [(t, layer) for t in timesteps for layer in range(layer_count)]
+    entries = [cache.fetch(*key) for key in keys]
+    k0, v0 = entries[0]
+    for (t, layer), (k, v) in zip(keys, entries):
+        _check_shape(k, k0.shape, f"K at (t={t}, layer={layer})")
+        _check_shape(v, v0.shape, f"V at (t={t}, layer={layer})")
     with open(path, "wb") as f:
         f.write(KV_MAGIC)
         _write_u32s(f, _VERSION, len(timesteps), layer_count, float_width)
         _write_u32s(f, len(k0.shape), *k0.shape)
         _write_u32s(f, len(v0.shape), *v0.shape)
         _write_u32s(f, *timesteps)
-        for t in timesteps:
-            for layer in range(layer_count):
-                k, v = cache.fetch(t, layer)
-                _write_array(f, k, float_width)
-                _write_array(f, v, float_width)
+        for k, v in entries:
+            _write_array(f, k, float_width)
+            _write_array(f, v, float_width)
 
 
 def read_kv_cache(path) -> KVCache:

@@ -7,8 +7,6 @@ supplied peak value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .sampling import Trajectory
@@ -17,25 +15,6 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-
-@dataclass
-class MetricsReport:
-    latent_loss: float
-    psnr: float
-    ssim: float
-    per_step_losses: list[tuple[int, float]] = field(default_factory=list)
-
-    def as_flat_dict(self) -> dict[str, str]:
-        """Flat key-value record; +inf encodes as the literal token "inf"."""
-        out = {
-            "latent_loss": repr(self.latent_loss),
-            "psnr": "inf" if np.isposinf(self.psnr) else repr(self.psnr),
-            "ssim": repr(self.ssim),
-        }
-        for t, loss in self.per_step_losses:
-            out[f"step_loss[{t}]"] = repr(loss)
-        return out
 
 
 def latent_loss(a: np.ndarray, b: np.ndarray) -> float:

@@ -219,7 +219,7 @@ def test_criterion_08_prompt_type_trend():
 def test_criterion_09_batch_invariance(capsys):
     result = check_batch_invariance(
         ExperimentConfig(methods=("direct",), steps=50, seeds=(0,),
-                         prompts=(PROMPT,)), batch=2,
+                         prompts=(PROMPT,)),
     )
     rc = cli_main(["check-batch", "--steps", "5"])
     capsys.readouterr()
@@ -302,6 +302,6 @@ def test_criterion_12_metric_units_and_call_accounting():
         ExperimentConfig(methods=("fec-kv-reuse",), steps=10, seeds=(0,),
                          prompts=(PROMPT,), edit_prompts=("a photo of a dog",))
     )
-    calls_ok = timing["fec-kv-reuse"]["reconstruction_route_calls"] == 0
+    calls_ok = timing["fec-kv-reuse"]["calls"].get("reconstruction", 0) == 0
     ok = units_ok and window_ok and calls_ok
     _verdict(12, "metric units and call accounting", ok)

@@ -24,6 +24,7 @@ from fecdiff.harness import (
     write_report_csv,
     write_report_json,
 )
+from fecdiff.schedule import timestep_plan
 
 
 def _small_cfg(**overrides):
@@ -121,6 +122,16 @@ def _broken_sampler(*args, **kwargs):
     raise RuntimeError("sampler broke")
 
 
+def test_sweep_rows_compute_no_loss_curve(monkeypatch):
+    # A row scores its final latent alone; a per-step curve would be thrown away.
+    def curve(*args, **kwargs):
+        raise RuntimeError("loss curve computed")
+
+    monkeypatch.setattr(harness, "trajectory_loss_curve", curve, raising=False)
+    report = run_sweep(_small_cfg(methods=RECON_METHODS, steps=2))
+    assert [row["error"] for row in report.rows] == [""] * len(RECON_METHODS)
+
+
 def test_run_sweep_records_cell_errors(monkeypatch):
     # A sampler that raises fails its own cell without aborting the sweep.
     monkeypatch.setattr(sampling, "sample_fec_kv_reuse", _broken_sampler)
@@ -177,16 +188,12 @@ def test_sweep_inverts_once_per_key_and_matches_single_cells(monkeypatch):
     for row in report.rows:
         assert not row["error"]
         z0 = generate_synthetic_latent(row["seed"], cfg.data_kind, (4, 12, 12))
-        record: dict = {}
-        out, traj = reconstruct_once(
+        out, _ = reconstruct_once(
             net, sched, plan, z0, row["method"], row["prompt"], row["inv_guidance"],
-            row["samp_guidance"], cfg.embed_seed, cfg.layer_range(), record,
+            row["samp_guidance"], cfg.embed_seed, cfg.layer_range(),
         )
-        m = measure_reconstruction(z0, out, record, traj)
-        single = (m.latent_loss, m.psnr, m.ssim)
-        assert [row[k].hex() for k in ("latent_loss", "psnr", "ssim")] == [
-            v.hex() for v in single
-        ]
+        single = measure_reconstruction(z0, out)
+        assert [row[k].hex() for k in single] == [v.hex() for v in single.values()]
 
 
 def test_sweep_captures_kv_only_for_kv_methods(monkeypatch):
@@ -221,7 +228,7 @@ def test_harness_draws_latents_at_the_network_shape():
     )
     assert [row["error"] for row in run_sweep(cfg).rows] == [""] * len(RECON_METHODS)
     assert check_batch_invariance(cfg)["passed"]
-    assert report_timing(cfg)["fec-kv-reuse"]["edit_route_calls"] == 2 * cfg.steps
+    assert report_timing(cfg)["fec-kv-reuse"]["calls"]["edit"] == 2 * cfg.steps
 
 
 def test_sweep_rejects_a_grid_smaller_than_the_ssim_window(monkeypatch):
@@ -244,8 +251,8 @@ def test_ablation_includes_v_only(tmp_path):
 
 
 def test_check_batch_invariance_bit_identical():
-    result = check_batch_invariance(_small_cfg(), batch=2)
-    assert result["passed"]
+    result = check_batch_invariance(_small_cfg())
+    assert result["passed"] and result["batch"] == 2
     assert result["forward_max_abs_diff"] == 0.0
     assert result["full_run_max_abs_diff"] == 0.0
 
@@ -270,7 +277,7 @@ def test_check_batch_invariance_fails_when_a_stacked_row_differs(monkeypatch):
         return eps
 
     monkeypatch.setattr(ToyDenoiser, "predict", perturbed)
-    result = check_batch_invariance(_small_cfg(), batch=2)
+    result = check_batch_invariance(_small_cfg())
     assert not result["passed"]
     assert result["forward_max_abs_diff"] > 0.0
     assert result["full_run_max_abs_diff"] > 0.0
@@ -279,12 +286,14 @@ def test_check_batch_invariance_fails_when_a_stacked_row_differs(monkeypatch):
 def test_report_timing_call_accounting():
     cfg = _small_cfg(edit_prompts=("a dog",))
     timing = report_timing(cfg)
-    kv = timing["fec-kv-reuse"]
-    paired = timing["direct-paired"]
-    assert kv["reconstruction_route_calls"] == 0
-    assert kv["edit_route_calls"] == 2 * cfg.steps
-    assert paired["reconstruction_route_calls"] == 2 * cfg.steps
-    assert paired["edit_route_calls"] == 2 * cfg.steps
+    assert list(timing) == ["fec-noise", "fec-ref", "fec-kv-reuse", "direct-paired"]
+    assert all(entry.keys() == {"time_s", "calls"} for entry in timing.values())
+    kv = timing["fec-kv-reuse"]["calls"]
+    paired = timing["direct-paired"]["calls"]
+    assert kv.get("reconstruction", 0) == 0
+    assert kv["edit"] == 2 * cfg.steps
+    assert paired["reconstruction"] == 2 * cfg.steps
+    assert paired["edit"] == 2 * cfg.steps
 
 
 def test_report_writers_and_inf_token(tmp_path):
@@ -410,6 +419,16 @@ def test_cli_reconstruct_and_sweep(tmp_path, capsys):
     assert sweep_out.exists() and sweep_out.with_suffix(".csv.json").exists()
 
 
+def test_cli_reconstruct_report_file(tmp_path, capsys):
+    # fec-ref copies the saved path: +inf PSNR, and zero loss at every step.
+    out = tmp_path / "r.txt"
+    assert main(["reconstruct", "--method", "fec-ref", "--steps", "5", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["latent_loss = 0.0", "psnr = inf", "ssim = 1.0", f"wrote report to {out}"]
+    steps = [f"step_loss[{t}] = 0.0" for t in (*timestep_plan(5, 1000).timesteps, 0)]
+    assert out.read_text().splitlines() == printed[:3] + steps
+
+
 def test_cli_invert_roundtrip(tmp_path):
     from fecdiff.io_formats import read_kv_cache, read_trajectory
 
@@ -432,12 +451,13 @@ def test_cli_check_batch_exit_code():
 def test_cli_edit_with_mask(tmp_path, capsys):
     mask_path = tmp_path / "box.fecmask"
     assert main(["make-mask", "--out", str(mask_path)]) == 0
-    rc = main(["edit", "--method", "fec-noise", "--steps", "5",
+    # fec-noise is the edit method when none is set.
+    rc = main(["edit", "--steps", "5",
                "--prompt", "a cat on a mat", "--edit-prompt", "a dog on a mat",
                "--mask", str(mask_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "locality.outside_mask_mse" in out
+    assert "method = fec-noise" in out and "locality.outside_mask_mse" in out
 
 
 @pytest.mark.parametrize(
@@ -475,7 +495,7 @@ def test_cli_report_exits_1_when_a_row_failed(command, tmp_path, capsys, monkeyp
     assert "cell(s) failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", ["neg-prompt", "warp"])
+@pytest.mark.parametrize("method", ["direct", "neg-prompt", "warp"])
 def test_cli_edit_rejects_non_edit_method(method, capsys):
     rc = main(["edit", "--method", method, "--steps", "2"])
     assert rc == 2
@@ -512,7 +532,9 @@ _BAD_CONFIGS = {
     "methods-two": "[run]\nmethods = direct; fec-ref\n",
     "seeds-repeated": "[run]\nseeds = 0 0\n",
     "edit-prompts-two": "[run]\nedit_prompts = a; b\n",
+    "edit-prompts-dog": "[run]\nedit_prompts = a dog\n",
     "methods-warp": "[run]\nmethods = warp\n",
+    "methods-direct": "[run]\nmethods = direct\n",
     "inv-guidances-nan": "[run]\ninv_guidances = nan\n",
     "layers-3-1": "[run]\nlayer_start = 3\nlayer_end = 1\n",
 }
@@ -576,8 +598,12 @@ _BAD_CONFIGS = {
         (["edit", "--config", "{tmp}/methods-two.cfg"],
          "[run] methods: edit runs one entry of methods, not 2: 'direct', 'fec-ref'"),
         (["edit", "--method", "fec-v-reuse"],
-         "--method: edit runs one method of direct, fec-ref, fec-noise, fec-kv-reuse;"
+         "--method: edit runs one method of fec-noise, fec-ref, fec-kv-reuse;"
          " got 'fec-v-reuse'"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a dog"],
+         "a fec-noise edit needs --mask or --blend-word"),
+        (["edit", "--method", "fec-noise", "--config", "{tmp}/edit-prompts-dog.cfg"],
+         "a fec-noise edit needs --mask or --blend-word"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "layers-0:99", "method-warp", "steps-0",
          "guidance-nan", "config-missing", "config-headless", "config-run-step", "config-shedule",
@@ -588,7 +614,8 @@ _BAD_CONFIGS = {
          "config-dim-5-heads-5", "config-dim-negative", "config-layers-negative",
          "config-denoiser-seed-negative", "config-total-steps-0", "config-embed-seed-negative",
          "config-seeds-negative", "seed-negative", "reconstruct-two-methods",
-         "edit-config-two-methods", "edit-method-v-reuse"],
+         "edit-config-two-methods", "edit-method-v-reuse", "edit-no-mask",
+         "edit-config-no-mask"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():
@@ -627,11 +654,14 @@ def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_pa
           "--prompt", "a cat"], "--seed: reconstruct runs one entry of seeds, not 2: 1, 2"),
         (["edit", "--config", "{tmp}/edit-prompts-two.cfg"],
          "[run] edit_prompts: edit runs one entry of edit_prompts, not 2: 'a', 'b'"),
+        (["edit", "--config", "{tmp}/methods-direct.cfg", "--steps", "2"],
+         "[run] methods: edit runs one method of fec-noise, fec-ref, fec-kv-reuse;"
+         " got 'direct'"),
     ],
     ids=["config-methods-warp", "config-schedule-kind", "config-inv-guidances-nan",
          "config-layers-3-1", "flag-steps-0", "flag-layers-0:99", "flag-over-file",
          "flag-method-repeated", "flag-seed-repeated", "config-seeds-repeated",
-         "reconstruct-two-seeds", "edit-config-two-edit-prompts"],
+         "reconstruct-two-seeds", "edit-config-two-edit-prompts", "edit-config-method-direct"],
 )
 def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tmp_path):
     for name, text in _BAD_CONFIGS.items():

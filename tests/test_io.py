@@ -109,6 +109,41 @@ def test_kv_cache_missing_an_entry_is_rejected_on_write(tmp_path):
         write_kv_cache(tmp_path / "c.feckv", cache)
 
 
+@pytest.mark.parametrize(
+    "kind, fault, error",
+    [("traj", "missing", "trajectory has no latent at t=10"),
+     ("traj", "latent", r"latent at t=10 has shape \(2, 4, 5\), not the header's \(2, 4, 4\)"),
+     ("kv", "missing", "no KV cached at \\(t=20, layer=1\\)"),
+     ("kv", "K", r"K at \(t=20, layer=1\) has shape \(8, 15\)"),
+     ("kv", "V", r"V at \(t=20, layer=1\) has shape \(8, 15\)")],
+    ids=["traj-missing", "traj-latent-shape", "kv-missing", "kv-k-shape", "kv-v-shape"],
+)
+def test_a_failed_write_leaves_the_file_it_would_replace_unchanged(tmp_path, kind, fault, error):
+    rng = np.random.default_rng(0)
+    traj = _traj()
+    cache = KVCache()
+    for t in (30, 20):
+        for layer in range(2):
+            cache.store(t, layer, rng.standard_normal((8, 16)), rng.standard_normal((8, 16)))
+    write, value, store, key = {
+        "traj": (write_trajectory, traj, traj.latents, 10),
+        "kv": (write_kv_cache, cache, cache.entries, (20, 1)),
+    }[kind]
+    path = tmp_path / "f"
+    write(path, value)
+    good = path.read_bytes()
+    if fault == "missing":
+        del store[key]
+    elif fault == "latent":
+        store[key] = np.zeros((2, 4, 5))
+    else:
+        k, v = store[key]
+        store[key] = (np.zeros((8, 15)), v) if fault == "K" else (k, np.zeros((8, 15)))
+    with pytest.raises(KeyError if fault == "missing" else ValueError, match=error):
+        write(path, value)
+    assert path.read_bytes() == good
+
+
 def test_mask_roundtrip(tmp_path):
     mask = (np.random.default_rng(0).random((16, 16)) > 0.5).astype(np.float64)
     path = tmp_path / "m.fecmask"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fecdiff.metrics import (
-    MetricsReport,
     SSIM_K1,
     SSIM_K2,
     SSIM_SIGMA,
@@ -112,11 +111,3 @@ def test_trajectory_loss_curve_order_and_validation():
     assert curve == [(20, 0.0), (10, 1.0), (0, 1.0)]
     with pytest.raises(ValueError):
         trajectory_loss_curve({5: np.zeros(2)}, ref)
-
-
-def test_metrics_report_flat_dict_inf_token():
-    rep = MetricsReport(latent_loss=0.0, psnr=float("inf"), ssim=1.0,
-                        per_step_losses=[(20, 0.0)])
-    flat = rep.as_flat_dict()
-    assert flat["psnr"] == "inf"
-    assert flat["step_loss[20]"] == "0.0"

@@ -39,10 +39,9 @@ MUTANTS = [
      "out = np.ascontiguousarray(out.reshape(*lead, c, h, w))\n"
      "        if lead:\n            out[1:] += 1e-12\n        return out",
      "a stacked predict call perturbs every row after the first"),
-    ("timing-reconstruction-calls-zero", "src/fecdiff/harness.py",
-     '"reconstruction_route_calls": net.call_counts["reconstruction"],\n    }\n\n    for',
-     '"reconstruction_route_calls": 0,\n    }\n\n    for',
-     "report_timing reports the paired edit's reconstruction_route_calls as 0"),
+    ("timing-paired-reconstruction-dropped", "src/fecdiff/harness.py",
+     '        sample_method(net, res, "direct", ctx, plan, sched)\n', "",
+     "report_timing's direct-paired entry runs no reconstruction"),
     ("mask-threshold-strict", "src/fecdiff/editing.py",
      "(m >= MASK_THRESHOLD)", "(m > MASK_THRESHOLD)",
      "derive_mask drops map values exactly at the threshold"),
@@ -98,6 +97,16 @@ MUTANTS = [
      'raise UsageError(f"{named}: {exc}" if named else str(exc)) from exc',
      "raise UsageError(str(exc)) from exc",
      "a rejected value's error does not name the file key or flag that set it"),
+    ("csv-inf-negative", "src/fecdiff/harness.py",
+     'return "inf" if v > 0 else "-inf"', 'return "-inf"',
+     "_csv_value writes +inf as -inf"),
+    ("writer-shape-unchecked", "src/fecdiff/io_formats.py",
+     'raise ValueError(f"{what} has shape {arr.shape}, not the header\'s {shape}")', "pass",
+     "the FECTRAJ1 and FECKV1 writers write an array whose shape differs from the header's"),
+    ("edit-accepts-direct", "src/fecdiff/editing.py",
+     'EDIT_METHODS = ("fec-noise", "fec-ref", "fec-kv-reuse")',
+     'EDIT_METHODS = ("fec-noise", "fec-ref", "fec-kv-reuse", "direct")',
+     "fecdiff edit and run_edit accept direct as an edit method"),
 ]
 
 def _test_args(root: Path) -> list[str]:
