@@ -152,7 +152,8 @@ def _cmd_reconstruct(args) -> int:
     net, sched, plan = cfg.components()
     method = cfg.methods[0]
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
-    record: dict = {}
+    # Only the --out file's step losses read the descent's latents.
+    record = {} if cfg.out else None
     out, traj = reconstruct_once(
         net, sched, plan, z0, method, cfg.prompts[0],
         cfg.inv_guidances[0], cfg.samp_guidances[0], cfg.embed_seed, cfg.layer_range(), record,
@@ -235,7 +236,10 @@ def _cmd_check_batch(args) -> int:
 
 def _cmd_timing(args) -> int:
     cfg = _config_from_args(args)
-    result = report_timing(cfg)
+    try:
+        result = report_timing(cfg)
+    except ValueError as exc:  # a blend word the edit prompt lacks
+        raise UsageError(str(exc)) from exc
     print(json.dumps(result, indent=2))
     if cfg.out:
         with open(cfg.out, "w") as f:

@@ -22,8 +22,10 @@ from .sampling import (
     KV_METHODS,
     RECON_METHODS,
     CaptureOptions,
+    _uncond_known,
     guidance_contexts,
     invert,
+    resolve_method,
     sample_direct,
     sample_method,
 )
@@ -210,9 +212,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
 
     Each (inv_guidance, prompt, seed) key is inverted once and every
     method x sampling guidance reconstructs from that inversion; rows come
-    out method-major. A row's ``time_s`` covers its own sampling and
-    metrics, not the shared inversion. Failures are recorded in the row,
-    not raised; a failed inversion fails, and times, every row of its key.
+    out method-major. Rows with the same descent are sampled once and
+    share its metrics or its error: neg-prompt is direct descent, and a
+    descent whose guidance cancels (scale 1, or shared branches) is the
+    same at every sampling guidance. A row's ``time_s`` covers its own
+    sampling and metrics, or for a row that shares them its lookup alone,
+    not the shared inversion. Failures are recorded in the row, not
+    raised; a failed inversion fails, and times, every row of its key.
     A latent grid too small for the SSIM window fails every row alike, so
     it raises ``ValueError`` before any inversion instead."""
     h, w = cfg.denoiser.latent_shape[1:]
@@ -260,14 +266,20 @@ def _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, rows
         for row in rows:
             row.update(failure)
         return
+    # Metrics or error per descent. fec-noise samples here under the zero
+    # mask, which reads no guidance at all, so sharing its descent is exact.
+    descents: dict[tuple, dict] = {}
     for row in rows:
         t0 = time.perf_counter()
-        try:
-            ctx = replace(inv_ctx, scale=row["samp_guidance"])
-            out = sample_method(net, res, row["method"], ctx, plan, sched, layers)
-            row.update(measure_reconstruction(z0, out))
-        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            row["error"] = f"{type(exc).__name__}: {exc}"
+        method, ctx = resolve_method(row["method"], replace(inv_ctx, scale=row["samp_guidance"]))
+        key = (method, None if _uncond_known(ctx) else ctx.scale)
+        if key not in descents:
+            try:
+                out = sample_method(net, res, method, ctx, plan, sched, layers)
+                descents[key] = measure_reconstruction(z0, out)
+            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+                descents[key] = {"error": f"{type(exc).__name__}: {exc}"}
+        row.update(descents[key])
         row["time_s"] = time.perf_counter() - t0
 
 
@@ -307,12 +319,15 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     """``{"time_s", "calls"}`` per editing strategy, ``calls`` counting
     network evaluations by route: one ``run_edit`` per edit method, then
     ``direct-paired``, a direct reconstruction and a direct edit from one
-    inversion. The kv-reuse edit makes no reconstruction-route calls."""
+    inversion. The fec-noise edit blends under the mask of
+    ``cfg.blend_word``, else of the first edit-prompt word the source
+    prompt lacks. The kv-reuse edit makes no reconstruction-route calls."""
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source + " edited"
     guidance = cfg.samp_guidances[0]
+    blend = cfg.blend_word or next((w for w in edit.split() if w not in source.split()), None)
 
     def direct_paired():
         ctx, edit_ctx = guidance_contexts(net, (source, edit), guidance, cfg.embed_seed)
@@ -322,7 +337,7 @@ def report_timing(cfg: ExperimentConfig) -> dict:
 
     runs = {
         method: functools.partial(run_edit, net, sched, plan, z0,
-                                  EditRequest(source, edit, method, guidance=guidance),
+                                  EditRequest(source, edit, method, blend, guidance=guidance),
                                   cfg.embed_seed)
         for method in EDIT_METHODS
     }

@@ -187,12 +187,12 @@ def guided_noise(
 ) -> np.ndarray:
     """Classifier-free-guided noise; ``kv`` and ``kv_uncond`` hook the
     conditional and the unconditional evaluation. The unconditional one
-    runs only when its result is not already known."""
+    runs only when its result is not already known, and then the noise is
+    the conditional prediction itself, whatever the scale."""
     eps_c = net.predict(z, t, ctx.cond, kv=kv, route=route)
     if _uncond_known(ctx, kv, kv_uncond):
-        eps_u = eps_c
-    else:
-        eps_u = net.predict(z, t, ctx.uncond, kv=kv_uncond, route=route)
+        return eps_c
+    eps_u = net.predict(z, t, ctx.uncond, kv=kv_uncond, route=route)
     return cfg_combine(eps_c, eps_u, ctx.scale)
 
 
@@ -398,6 +398,15 @@ RECON_METHODS = ("direct", "neg-prompt", "fec-ref", "fec-noise", "fec-kv-reuse",
 KV_METHODS = ("fec-kv-reuse", "fec-v-reuse")
 
 
+def resolve_method(method: str, ctx: GuidanceContext) -> tuple[str, GuidanceContext]:
+    """The sampler method and context that ``method`` samples with under
+    ``ctx``: neg-prompt is direct descent with the prompt as unconditional
+    embedding, so its guidance cancels; every other method is itself."""
+    if method == "neg-prompt":
+        return "direct", replace(ctx, uncond=ctx.cond)
+    return method, ctx
+
+
 def sample_method(
     net,
     res: InvertResult,
@@ -414,18 +423,16 @@ def sample_method(
     """Sample from the inversion ``res`` with one method under ``ctx``; the
     source prompt's context reconstructs, an edit prompt's edits.
 
-    neg-prompt is direct descent with the prompt as unconditional
-    embedding. ``mask`` is fec-noise's, as ``sample_fec_noise`` takes it
-    (``None``: the zero mask); ``layers`` is the kv methods' range, for
-    which ``res`` must hold K/V.
+    ``resolve_method`` maps neg-prompt to direct descent. ``mask`` is
+    fec-noise's, as ``sample_fec_noise`` takes it (``None``: the zero
+    mask); ``layers`` is the kv methods' range, for which ``res`` must
+    hold K/V.
     """
+    method, ctx = resolve_method(method, ctx)
     traj = res.trajectory
     z_start = traj[plan.timesteps[0]]
     if method == "direct":
         return sample_direct(net, z_start, ctx, plan, sched, record=record, route=route)
-    if method == "neg-prompt":
-        neg = replace(ctx, uncond=ctx.cond)
-        return sample_direct(net, z_start, neg, plan, sched, record=record, route=route)
     if method == "fec-ref":
         return sample_fec_ref(traj, plan, record=record)
     if method == "fec-noise":

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fecdiff import harness, sampling
+from fecdiff import cli, harness, sampling
 from fecdiff.cli import main
 from fecdiff.denoiser import ConfigError, DenoiserConfig, ToyDenoiser
 from fecdiff.harness import (
@@ -178,6 +178,12 @@ def test_sweep_inverts_once_per_key_and_matches_single_cells(monkeypatch):
     # keys. Capture evaluates both only for "a cat": 2 + 1 per guidance.
     assert net.call_counts["inversion"] == 100
     assert net.call_counts["capture"] == 120
+    # Rows with the same descent sample once. Per seed, inversion guidance
+    # and step, "a cat" makes 9 calls: direct, kv and v-reuse 1 + 2 each,
+    # and neg-prompt (guidance cancels) shares direct at 1. "" makes 3:
+    # shared branches cancel guidance, so one descent each for direct
+    # (with neg-prompt), kv and v-reuse. Sampling every row made 760.
+    assert net.call_counts["reconstruction"] == 480
 
     cells = itertools.product(
         cfg.methods, cfg.inv_guidances, cfg.samp_guidances, cfg.prompts, cfg.seeds
@@ -194,6 +200,33 @@ def test_sweep_inverts_once_per_key_and_matches_single_cells(monkeypatch):
         )
         single = measure_reconstruction(z0, out)
         assert [row[k].hex() for k in single] == [v.hex() for v in single.values()]
+
+
+def test_a_failed_shared_descent_fails_every_row_that_shares_it(monkeypatch):
+    # The first direct descent, at guidance 1, is the one neg-prompt takes
+    # at both guidances; it raises once, and its three rows carry the error.
+    calls = []
+    real = sampling.sample_direct
+
+    def failing_once(*args, **kwargs):
+        calls.append(args[2].scale)
+        if len(calls) == 1:
+            raise RuntimeError("descent broke")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "sample_direct", failing_once)
+    report = run_sweep(_small_cfg(methods=("direct", "neg-prompt"), samp_guidances=(1.0, 7.5),
+                                  steps=3))
+    assert calls == [1.0, 7.5]
+    errors = [(row["method"], row["samp_guidance"], row["error"]) for row in report.rows]
+    assert errors == [
+        ("direct", 1.0, "RuntimeError: descent broke"),
+        ("direct", 7.5, ""),
+        ("neg-prompt", 1.0, "RuntimeError: descent broke"),
+        ("neg-prompt", 7.5, "RuntimeError: descent broke"),
+    ]
+    assert "latent_loss" in report.rows[1]
+    assert not any("latent_loss" in row for row in report.rows if row["error"])
 
 
 def test_sweep_captures_kv_only_for_kv_methods(monkeypatch):
@@ -290,6 +323,11 @@ def test_report_timing_call_accounting():
     assert all(entry.keys() == {"time_s", "calls"} for entry in timing.values())
     kv = timing["fec-kv-reuse"]["calls"]
     paired = timing["direct-paired"]["calls"]
+    # The fec-noise edit blends under the mask of "dog", the word the
+    # source prompt lacks: each step evaluates the traced conditional
+    # branch, and the unconditional one under a nonzero mask.
+    noise = timing["fec-noise"]["calls"]
+    assert cfg.steps < noise["edit"] <= 2 * cfg.steps
     assert kv.get("reconstruction", 0) == 0
     assert kv["edit"] == 2 * cfg.steps
     assert paired["reconstruction"] == 2 * cfg.steps
@@ -427,6 +465,27 @@ def test_cli_reconstruct_report_file(tmp_path, capsys):
     assert printed == ["latent_loss = 0.0", "psnr = inf", "ssim = 1.0", f"wrote report to {out}"]
     steps = [f"step_loss[{t}] = 0.0" for t in (*timestep_plan(5, 1000).timesteps, 0)]
     assert out.read_text().splitlines() == printed[:3] + steps
+
+
+def test_cli_reconstruct_records_latents_only_for_the_report_file(tmp_path, capsys,
+                                                                   monkeypatch):
+    # Only the --out file's step losses read the descent's latents.
+    records = []
+
+    def recording(*args):
+        records.append(args[-1])
+        return reconstruct_once(*args)
+
+    monkeypatch.setattr(cli, "reconstruct_once", recording)
+    argv = ["reconstruct", "--method", "direct", "--steps", "5", "--prompt", "a cat"]
+    assert main(argv) == 0
+    bare = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--out", str(tmp_path / "r.txt")]) == 0
+    reported = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in bare] == ["latent_loss", "psnr", "ssim"]
+    assert bare == reported[:3]
+    assert records[0] is None
+    assert sorted(records[1]) == [0, *sorted(timestep_plan(5, 1000).timesteps)]
 
 
 def test_cli_invert_roundtrip(tmp_path):
@@ -604,6 +663,8 @@ _BAD_CONFIGS = {
          "a fec-noise edit needs --mask or --blend-word"),
         (["edit", "--method", "fec-noise", "--config", "{tmp}/edit-prompts-dog.cfg"],
          "a fec-noise edit needs --mask or --blend-word"),
+        (["timing", "--blend-word", "dog"],
+         "blend word 'dog' does not occur in the edit prompt"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "layers-0:99", "method-warp", "steps-0",
          "guidance-nan", "config-missing", "config-headless", "config-run-step", "config-shedule",
@@ -615,7 +676,7 @@ _BAD_CONFIGS = {
          "config-denoiser-seed-negative", "config-total-steps-0", "config-embed-seed-negative",
          "config-seeds-negative", "seed-negative", "reconstruct-two-methods",
          "edit-config-two-methods", "edit-method-v-reuse", "edit-no-mask",
-         "edit-config-no-mask"],
+         "edit-config-no-mask", "timing-blend-word-missing"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():

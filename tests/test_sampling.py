@@ -316,6 +316,7 @@ def test_guided_noise_skips_an_unconditional_evaluation_whose_result_is_known(
         eps_c = net.predict(z, t, ctx.cond, kv=kv)
         eps_u = net.predict(z, t, ctx.uncond, kv=kv_u)
         assert got.tobytes() == cfg_combine(eps_c, eps_u, ctx.scale).tobytes(), name
+        assert got.tobytes() == eps_c.tobytes(), name
 
 
 def test_guided_noise_evaluates_an_unknown_unconditional_branch(net, sched, plan10):

@@ -49,8 +49,11 @@ MUTANTS = [
      "keep = mask == 0.0", "keep = mask < 1.0",
      "_locality counts fractional mask values as the kept region"),
     ("neg-prompt-plain-context", "src/fecdiff/sampling.py",
-     "neg = replace(ctx, uncond=ctx.cond)", "neg = ctx",
+     'return "direct", replace(ctx, uncond=ctx.cond)', 'return "direct", ctx',
      "neg-prompt samples under the plain context, so it is direct"),
+    ("sweep-descent-key-drops-scale", "src/fecdiff/harness.py",
+     "key = (method, None if _uncond_known(ctx) else ctx.scale)", "key = method",
+     "a sweep shares one descent among a method's rows at every sampling guidance"),
     ("kv-reuse-no-timestep-check", "src/fecdiff/sampling.py",
      'raise KeyError(f"KV cache has no entries at planned timestep t={t}")', "pass",
      "sample_fec_kv_reuse drops its up-front cache coverage check"),
