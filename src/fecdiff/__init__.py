@@ -4,9 +4,9 @@ DDIM inversion plus four samplers (direct descent and the reference-path,
 desired-noise and K/V-injection corrections) that share one descent loop,
 each under the one guidance context it is given; ``sample_method`` maps
 every method name, the negative-prompt baseline included, to a sampler.
-A toy attention denoiser whose self-attention K/V pass through one
-capture-or-inject hook, with an analytic Gaussian oracle; reconstruction
-metrics; and an experiment harness.
+A toy attention denoiser with callable hooks on its self-attention K/V
+and its cross-attention maps, with an analytic Gaussian oracle;
+reconstruction metrics; and an experiment harness.
 """
 
 from .denoiser import (
@@ -14,7 +14,6 @@ from .denoiser import (
     DenoiserConfig,
     GaussianDenoiser,
     KVCache,
-    KVCapture,
     KVInject,
     LayerRange,
     NonFiniteError,

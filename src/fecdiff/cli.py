@@ -1,7 +1,8 @@
 """Command-line interface for the toolkit.
 
 Subcommands: invert, reconstruct, edit, sweep, check-batch, timing,
-make-mask. The configuration-file values and the shared flags, which
+make-mask. Each takes ``--config`` and only the flags it reads
+(``COMMANDS``). The configuration-file values and the flags, which
 override them field by field, build one ``ExperimentConfig`` once; a
 rejected value is reported under the ``[section] key`` or ``--flag`` that
 set it.
@@ -44,20 +45,22 @@ class UsageError(ValueError):
     ``fecdiff <command>: error: ...`` line and exit code 2."""
 
 
-def _add_shared(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="configuration file (sectioned key=value)")
-    p.add_argument("--method", action="append", help="sampling method (repeatable)")
-    p.add_argument("--guidance", type=float, help="sampling guidance scale")
-    p.add_argument("--inv-guidance", type=float, help="inversion guidance scale")
-    p.add_argument("--steps", type=int, help="inference steps (default 50)")
-    p.add_argument("--seed", type=int, action="append", help="data seed (repeatable)")
-    p.add_argument("--prompt", help="source prompt")
-    p.add_argument("--edit-prompt", help="edit prompt")
-    p.add_argument("--blend-word", help="token whose attention map forms the edit mask")
-    p.add_argument("--mask", help="path to a FECMASK1 file")
-    p.add_argument("--layers", help="self-attention layer range start:end")
-    p.add_argument("--precision", type=int, choices=(32, 64), help="serialization float width")
-    p.add_argument("--out", help="output path")
+# Every flag but --config, with its add_argument keywords.
+FLAGS = {
+    "--method": dict(action="append", help="sampling method (repeatable)"),
+    "--guidance": dict(type=float, help="sampling guidance scale"),
+    "--inv-guidance": dict(type=float, help="inversion guidance scale"),
+    "--steps": dict(type=int, help="inference steps (default 50)"),
+    "--seed": dict(type=int, action="append", help="data seed (repeatable)"),
+    "--prompt": dict(help="source prompt"),
+    "--edit-prompt": dict(help="edit prompt"),
+    "--blend-word": dict(help="token whose attention map forms the edit mask"),
+    "--mask": dict(help="path to a FECMASK1 file"),
+    "--layers": dict(help="self-attention layer range start:end"),
+    "--precision": dict(type=int, choices=(32, 64), help="serialization float width"),
+    "--out": dict(help="output path"),
+    "--kv-out": dict(help="also capture and write a FECKV1 cache"),
+}
 
 
 def _one(value) -> tuple:
@@ -72,8 +75,9 @@ def _layer_bounds(text: str) -> tuple[int, int]:
         raise ValueError(f"--layers takes start:end, two integers; got {text!r}") from None
 
 
-# Every shared flag that sets a configuration field, as (flag, parser, field),
-# laid over the file's values in order, so --inv-guidance wins over --guidance.
+# Every flag that sets a configuration field, as (flag, parser, field), laid
+# over the file's values in order, so --inv-guidance wins over --guidance. A
+# flag the command does not take leaves its field unset.
 FLAG_FIELDS = (
     ("--method", tuple, "methods"),
     ("--guidance", _one, "samp_guidances"),
@@ -103,7 +107,7 @@ def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
         sources = {name: f"[{section}] {key}" for section, key, _, name in CONFIG_KEYS
                    if name in values}
         for flag, parse, name in FLAG_FIELDS:
-            given = getattr(args, "_".join(flag[2:].split("-")))
+            given = getattr(args, "_".join(flag[2:].split("-")), None)
             if given is not None:
                 values[name], sources[name] = parse(given), flag
         if methods:
@@ -132,16 +136,20 @@ def _cmd_invert(args) -> int:
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     (ctx,) = guidance_contexts(net, (cfg.prompts[0],), cfg.inv_guidances[0], cfg.embed_seed)
+    out = cfg.out or "trajectory.fectraj"
+    if args.kv_out:
+        root, ext = os.path.splitext(args.kv_out)
+        uncond_path = f"{root}.uncond{ext}"
+        for kv_path in (args.kv_out, uncond_path):
+            if os.path.realpath(kv_path) == os.path.realpath(out):
+                raise UsageError(f"the trajectory and a K/V cache would both be written to {out}")
     res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=bool(args.kv_out)),
                  seed=cfg.seeds[0])
-    out = cfg.out or "trajectory.fectraj"
     write_trajectory(out, res.trajectory, cfg.precision)
     print(f"wrote trajectory ({plan.steps} steps, guidance {ctx.scale}) to {out}")
     if args.kv_out:
         write_kv_cache(args.kv_out, res.kv_cache, cfg.precision)
         print(f"wrote KV cache ({len(res.kv_cache)} entries) to {args.kv_out}")
-        root, ext = os.path.splitext(args.kv_out)
-        uncond_path = f"{root}.uncond{ext}"
         write_kv_cache(uncond_path, res.kv_cache_uncond, cfg.precision)
         print(f"wrote unconditional KV cache to {uncond_path}")
     return 0
@@ -180,6 +188,8 @@ def _cmd_edit(args) -> int:
                          " with neither it returns the source unchanged")
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
+    # Only a range the user set, which EditRequest refuses for a method that ignores it.
+    layers = cfg.layer_range() if cfg.layer_start or cfg.layer_end is not None else None
     # An error here means an input the edit cannot use (mask file, blend word, layers).
     try:
         user_mask = read_mask(args.mask) if args.mask else None
@@ -188,7 +198,7 @@ def _cmd_edit(args) -> int:
             edit_prompt=edit,
             method=method,
             blend_word=cfg.blend_word,
-            layer_range=cfg.layer_range(),
+            layer_range=layers,
             guidance=cfg.samp_guidances[0],
         )
         out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)
@@ -202,7 +212,8 @@ def _cmd_edit(args) -> int:
         for key, value in report.locality.items():
             print(f"locality.{key} = {value!r}")
     if cfg.out:
-        np.save(cfg.out, out)
+        with open(cfg.out, "wb") as f:  # np.save given a name would append ".npy"
+            np.save(f, out)
         print(f"wrote edited latent to {cfg.out}")
     return 0
 
@@ -259,24 +270,31 @@ def _cmd_make_mask(args) -> int:
     return 0
 
 
+_RECONSTRUCT_FLAGS = "--method --guidance --inv-guidance --steps --seed --prompt --layers --out"
+
+# Every command as (handler, the flags it reads); argparse refuses any other.
+COMMANDS = {
+    "invert": (_cmd_invert,
+               "--guidance --inv-guidance --steps --seed --prompt --precision --out --kv-out"),
+    "reconstruct": (_cmd_reconstruct, _RECONSTRUCT_FLAGS),
+    "edit": (_cmd_edit, "--method --guidance --steps --seed --prompt --edit-prompt"
+                        " --blend-word --mask --layers --out"),
+    "sweep": (_cmd_sweep, _RECONSTRUCT_FLAGS),
+    "check-batch": (_cmd_check_batch, "--guidance --steps --seed --prompt"),
+    "timing": (_cmd_timing, "--guidance --steps --seed --prompt --edit-prompt --blend-word --out"),
+    "make-mask": (_cmd_make_mask, "--precision --out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fecdiff",
                                      description="diffusion inversion and sampling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "invert": _cmd_invert,
-        "reconstruct": _cmd_reconstruct,
-        "edit": _cmd_edit,
-        "sweep": _cmd_sweep,
-        "check-batch": _cmd_check_batch,
-        "timing": _cmd_timing,
-        "make-mask": _cmd_make_mask,
-    }
-    for name, fn in commands.items():
+    for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        _add_shared(p)
-        if name == "invert":
-            p.add_argument("--kv-out", help="also capture and write a FECKV1 cache")
+        p.add_argument("--config", help="configuration file (sectioned key=value)")
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 

@@ -1,8 +1,8 @@
 """Noise-prediction networks and the deterministic pseudo text embedder.
 
-Two denoisers share the sampler interface: a toy attention denoiser whose
-self-attention K/V pass through one optional hook (capture or inject),
-and an analytic Gaussian denoiser used as an oracle. Both are pure
+Two denoisers share the sampler interface: a toy attention denoiser with
+an optional hook on its self-attention K/V and one on its cross-attention
+maps, and an analytic Gaussian denoiser used as an oracle. Both are pure
 functions of their inputs; repeated calls are bit-identical. Each takes
 one latent or a stack of them along a leading batch axis, and every row of
 a stacked call is bit-identical to the single-latent call.
@@ -104,9 +104,15 @@ class LayerRange:
 
 @dataclass
 class KVCache:
-    """Self-attention Keys/Values recorded per (timestep, layer)."""
+    """Self-attention Keys/Values recorded per (timestep, layer). The cache
+    is the capture hook: ``cache(t, layer, k, v)`` stores copies of K and V
+    and returns them unchanged, so capturing never alters the output."""
 
     entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def __call__(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
+        self.store(t, layer, k.copy(), v.copy())
+        return k, v
 
     def store(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
         if (t, layer) in self.entries:
@@ -119,26 +125,11 @@ class KVCache:
         except KeyError:
             raise KeyError(f"no KV cached at (t={t}, layer={layer})") from None
 
-    def has_timestep(self, t: int) -> bool:
-        return any(key[0] == t for key in self.entries)
-
     def timesteps(self) -> list[int]:
         return sorted({key[0] for key in self.entries}, reverse=True)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-class KVCapture:
-    """K/V hook that records every layer's K and V into ``cache`` and
-    returns them unchanged, so capturing never alters the output."""
-
-    def __init__(self, cache: KVCache):
-        self.cache = cache
-
-    def __call__(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
-        self.cache.store(t, layer, k.copy(), v.copy())
-        return k, v
 
 
 class KVInject:
@@ -159,29 +150,23 @@ class KVInject:
 
 @dataclass
 class AttentionTrace:
-    """Head-averaged cross-attention maps per (timestep, layer).
-
-    Each stored map has shape (n_positions, n_tokens); rows are softmax
-    weights and sum to 1.
-    """
+    """Head-averaged cross-attention maps per (timestep, layer). The trace
+    is the ``trace_to`` hook: ``trace(t, layer, maps)`` stores one layer's
+    maps on the patch grid, shape ``(*batch, grid_h, grid_w, n_tokens)``,
+    softmax weights that sum to 1 along the last axis."""
 
     maps: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    grid_shape: tuple[int, int] | None = None
 
-    def store(self, t: int, layer: int, weights: np.ndarray):
-        self.maps[(t, layer)] = weights
-
-    def layers_at(self, t: int) -> list[int]:
-        return sorted(layer for (tt, layer) in self.maps if tt == t)
+    def __call__(self, t: int, layer: int, maps: np.ndarray):
+        self.maps[(t, layer)] = maps
 
     def token_map(self, t: int, token_index: int) -> np.ndarray:
-        """Map for one token at step t, averaged over layers; shape = grid."""
-        layers = self.layers_at(t)
-        if not layers:
+        """Map for one token at step t, averaged over the step's layers in
+        layer order; shape ``(*batch, grid_h, grid_w)``."""
+        cols = [self.maps[key][..., token_index] for key in sorted(self.maps) if key[0] == t]
+        if not cols:
             raise KeyError(f"no attention maps recorded at t={t}")
-        cols = [self.maps[(t, layer)][:, token_index] for layer in layers]
-        flat = np.mean(cols, axis=0)
-        return flat.reshape(self.grid_shape)
+        return np.mean(cols, axis=0)
 
 
 @dataclass(frozen=True)
@@ -341,7 +326,7 @@ class ToyDenoiser:
         t: int,
         cond: PromptEmbedding,
         *,
-        kv: KVCapture | KVInject | None = None,
+        kv: KVCache | KVInject | None = None,
         trace_to: AttentionTrace | None = None,
         route: str = "other",
     ) -> np.ndarray:
@@ -349,9 +334,12 @@ class ToyDenoiser:
 
         ``z`` is one latent of shape ``latent_shape`` or a stack of shape
         ``(B, *latent_shape)``; a stack is one call, and its rows share
-        ``t`` and ``cond``. ``kv`` sees every self-attention layer's K and
-        V and returns the pair the layer attends with; ``trace_to`` records
-        the head-averaged cross-attention maps. Neither changes the output
+        ``t`` and ``cond``. Each hook is a callable that ``predict`` hands
+        its arrays to and sets nothing on: ``kv(t, layer, k, v)`` sees every
+        self-attention layer's K and V and returns the pair the layer
+        attends with, and ``trace_to(t, layer, maps)`` gets every layer's
+        head-averaged cross-attention maps on the patch grid, of shape
+        ``(*batch, grid_h, grid_w, n_tokens)``. Neither changes the output
         unless ``kv`` swaps K or V.
         """
         cfg = self.config
@@ -402,8 +390,7 @@ class ToyDenoiser:
                 self._heads(cv),
             )
             if trace_to is not None:
-                trace_to.grid_shape = self.grid_shape
-                trace_to.store(t, layer, weights.mean(axis=-3))
+                trace_to(t, layer, weights.mean(axis=-3).reshape(*lead, gh, gw, -1))
             hdd += self._merge(out) @ blk["co"]
 
             a = _layer_norm(hdd, *blk["ln3"])

@@ -38,6 +38,11 @@ class EditRequest:
     def __post_init__(self):
         if self.method not in EDIT_METHODS:
             raise ValueError(f"unknown edit method {self.method!r}; expected one of {EDIT_METHODS}")
+        # Each input applies to one method, which alone would read it.
+        for value, what, method in ((self.blend_word, "a blend word", "fec-noise"),
+                                    (self.layer_range, "a layer range", "fec-kv-reuse")):
+            if value is not None and self.method != method:
+                raise ValueError(f"{what} applies to {method} edits only, not {self.method}")
         if self.blend_word is not None and self.blend_word not in self.edit_prompt.split():
             raise ValueError(f"blend word {self.blend_word!r} does not occur in the edit prompt")
 

@@ -336,9 +336,12 @@ def report_timing(cfg: ExperimentConfig) -> dict:
         sample_method(net, res, "direct", edit_ctx, plan, sched, route="edit")
 
     runs = {
-        method: functools.partial(run_edit, net, sched, plan, z0,
-                                  EditRequest(source, edit, method, blend, guidance=guidance),
-                                  cfg.embed_seed)
+        method: functools.partial(
+            run_edit, net, sched, plan, z0,
+            EditRequest(source, edit, method, blend if method == "fec-noise" else None,
+                        guidance=guidance),
+            cfg.embed_seed,
+        )
         for method in EDIT_METHODS
     }
     runs["direct-paired"] = direct_paired

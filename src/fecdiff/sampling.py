@@ -15,7 +15,6 @@ import numpy as np
 from .denoiser import (
     AttentionTrace,
     KVCache,
-    KVCapture,
     KVInject,
     LayerRange,
     NonFiniteError,
@@ -173,13 +172,13 @@ def desired_uncond(eps_t: np.ndarray, eps_c: np.ndarray, scale: float) -> np.nda
 
 
 def _uncond_known(ctx: GuidanceContext, kv=None, kv_uncond=None) -> bool:
-    """Whether the unconditional evaluation can be skipped: at scale 1 it
-    has no weight, and under shared branches with the same hook it is the
-    conditional evaluation again (``predict`` is deterministic). A capture
-    hook records what it sees, so its evaluation always runs."""
-    if isinstance(kv, KVCapture) or isinstance(kv_uncond, KVCapture):
-        return False
-    return ctx.scale == 1.0 or (ctx.shared and kv_uncond is kv)
+    """Whether the unconditional evaluation can be skipped: under shared
+    branches with one hook it is the conditional evaluation again
+    (``predict`` is deterministic); otherwise only at scale 1, where it has
+    no weight, and never when a ``KVCache`` records it."""
+    if ctx.shared and kv_uncond is kv:
+        return True
+    return ctx.scale == 1.0 and not isinstance(kv_uncond, KVCache)
 
 
 def guided_noise(
@@ -214,10 +213,10 @@ def invert(
     """Run DDIM inversion up the plan, recording every latent.
 
     With KV capture on, each step is followed by evaluations at
-    (z_t, t) purely to record K/V: one under the conditional embedding and
-    one under the unconditional embedding, filling one cache per guidance
-    branch. Under shared branches the two evaluations are the same, so one
-    runs and ``kv_cache_uncond`` is ``kv_cache`` itself.
+    (z_t, t) purely to record K/V, one per guidance branch into that
+    branch's cache; ``_uncond_known`` decides whether the unconditional one
+    runs. Under shared branches ``kv_cache_uncond`` is ``kv_cache`` itself,
+    so one evaluation fills it.
     """
     capture = capture or CaptureOptions()
     z0 = np.asarray(z0, dtype=np.float64)
@@ -235,9 +234,9 @@ def invert(
         if capture.kv:
             # At (z_t, t) the cached entries match exactly what the sampler
             # presents when its latent equals z_t.
-            net.predict(z, t, ctx.cond, kv=KVCapture(cache), route="capture")
-            if cache_u is not cache:
-                net.predict(z, t, ctx.uncond, kv=KVCapture(cache_u), route="capture")
+            net.predict(z, t, ctx.cond, kv=cache, route="capture")
+            if not _uncond_known(ctx, cache, cache_u):
+                net.predict(z, t, ctx.uncond, kv=cache_u, route="capture")
     traj = Trajectory(
         latents=latents, timesteps=tuple(plan.timesteps), guidance=ctx.scale, seed=seed
     )
@@ -343,14 +342,11 @@ def sample_fec_noise(
             return eps_des
         if eps_c is None:
             eps_c = net.predict(z, t, ctx.cond, route=route)
-        if _uncond_known(ctx):
-            eps_u_live = eps_c
-        else:
-            eps_u_live = net.predict(z, t, ctx.uncond, route=route)
+        eps_u_live = eps_c if _uncond_known(ctx) else net.predict(z, t, ctx.uncond, route=route)
         if ctx.scale == 1.0:
             # Singular Eq.-13 case: blend total noise so unmasked regions
             # still receive exactly the desired noise.
-            return m * cfg_combine(eps_c, eps_u_live, ctx.scale) + (1.0 - m) * eps_des
+            return m * eps_c + (1.0 - m) * eps_des
         eps_u = m * eps_u_live + (1.0 - m) * desired_uncond(eps_des, eps_c, ctx.scale)
         return cfg_combine(eps_c, eps_u, ctx.scale)
 
@@ -380,8 +376,9 @@ def sample_fec_kv_reuse(
     """
     if layers is None:
         layers = LayerRange(0, net.config.layer_count)
+    cached = set(cache.timesteps()) & set(cache_uncond.timesteps())
     for t in plan.timesteps:
-        if not (cache.has_timestep(t) and cache_uncond.has_timestep(t)):
+        if t not in cached:
             raise KeyError(f"KV cache has no entries at planned timestep t={t}")
     kv = KVInject(cache, layers, v_only)
     kv_u = kv if cache_uncond is cache else KVInject(cache_uncond, layers, v_only)

@@ -6,7 +6,6 @@ from fecdiff.denoiser import (
     DenoiserConfig,
     GaussianDenoiser,
     KVCache,
-    KVCapture,
     KVInject,
     LayerRange,
     NonFiniteError,
@@ -113,7 +112,7 @@ def test_capture_is_observation_only(net, cond):
     z = _latent(1)
     plain = net.predict(z, 500, cond)
     cache = KVCache()
-    captured = net.predict(z, 500, cond, kv=KVCapture(cache))
+    captured = net.predict(z, 500, cond, kv=cache)
     assert plain.tobytes() == captured.tobytes()
     assert len(cache) == net.layer_count
     k, v = cache.fetch(500, 0)
@@ -125,16 +124,16 @@ def test_capture_duplicate_guard():
     cond = embed_prompt("x", 0)
     z = _latent(0)
     cache = KVCache()
-    net.predict(z, 500, cond, kv=KVCapture(cache))
+    net.predict(z, 500, cond, kv=cache)
     with pytest.raises(ValueError):
-        net.predict(z, 500, cond, kv=KVCapture(cache))
+        net.predict(z, 500, cond, kv=cache)
 
 
 def test_inject_at_capture_point_is_identity(net, cond):
     # Injecting K/V captured at exactly (z, t) reproduces the plain output.
     z = _latent(2)
     cache = KVCache()
-    plain = net.predict(z, 500, cond, kv=KVCapture(cache))
+    plain = net.predict(z, 500, cond, kv=cache)
     layers = LayerRange(0, net.layer_count)
     injected = net.predict(z, 500, cond, kv=KVInject(cache, layers))
     v_only = net.predict(z, 500, cond, kv=KVInject(cache, layers, v_only=True))
@@ -145,7 +144,7 @@ def test_inject_at_capture_point_is_identity(net, cond):
 def test_inject_elsewhere_changes_output(net, cond):
     z = _latent(2)
     cache = KVCache()
-    net.predict(z, 500, cond, kv=KVCapture(cache))
+    net.predict(z, 500, cond, kv=cache)
     other = _latent(3)
     layers = LayerRange(0, net.layer_count)
     plain = net.predict(other, 500, cond)
@@ -168,14 +167,26 @@ def test_trace_rows_are_distributions(net, cond):
     z = _latent(0)
     trace = AttentionTrace()
     net.predict(z, 500, cond, trace_to=trace)
-    assert trace.grid_shape == net.grid_shape
-    assert trace.layers_at(500) == list(range(net.layer_count))
+    assert sorted(trace.maps) == [(500, layer) for layer in range(net.layer_count)]
     w = trace.maps[(500, 0)]
-    assert w.shape == (net.grid_shape[0] * net.grid_shape[1], net.config.n_tokens)
-    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    assert w.shape == (*net.grid_shape, net.config.n_tokens)
+    assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
     assert trace.token_map(500, 2).shape == net.grid_shape
     with pytest.raises(KeyError):
         trace.token_map(400, 0)
+
+
+def test_stacked_trace_holds_each_rows_maps(net, cond):
+    z = _latent(0)
+    single, stacked = AttentionTrace(), AttentionTrace()
+    net.predict(z, 500, cond, trace_to=single)
+    net.predict(np.stack([z, z]), 500, cond, trace_to=stacked)
+    assert stacked.maps.keys() == single.maps.keys()
+    for key, maps in stacked.maps.items():
+        assert maps.shape == (2, *net.grid_shape, net.config.n_tokens)
+        assert all(row.tobytes() == single.maps[key].tobytes() for row in maps)
+    token = single.token_map(500, 2)
+    assert all(row.tobytes() == token.tobytes() for row in stacked.token_map(500, 2))
 
 
 def test_predict_batch_rows_bit_identical(net, cond):
@@ -280,7 +291,7 @@ def _reference_predict(net, z, t, cond, kv=None, trace_to=None):
         a = _ref_layer_norm(hdd, *blk["ln2"])
         out, weights = attend(a @ blk["cq"], cond.tokens @ blk["ck"], cond.tokens @ blk["cv"])
         if trace_to is not None:
-            trace_to.store(t, layer, weights.mean(axis=0))
+            trace_to(t, layer, weights.mean(axis=0).reshape(gh, gw, -1))
         hdd = hdd + out @ blk["co"]
         a = _ref_layer_norm(hdd, *blk["ln3"])
         hdd = hdd + _ref_gelu(a @ blk["w1"] + blk["b1"]) @ blk["w2"] + blk["b2"]
@@ -312,8 +323,8 @@ def test_predict_matches_the_reference_forward(config):
         z = rng.standard_normal(config.latent_shape) * (1.0 + t / 100)
 
         got, ref = KVCache(), KVCache()
-        out = net.predict(z_src, t, cond, kv=KVCapture(got))
-        assert out.tobytes() == _reference_predict(net, z_src, t, cond, KVCapture(ref)).tobytes()
+        out = net.predict(z_src, t, cond, kv=got)
+        assert out.tobytes() == _reference_predict(net, z_src, t, cond, ref).tobytes()
         assert _entries(got) == _entries(ref)
 
         trace, ref_trace = AttentionTrace(), AttentionTrace()
@@ -394,6 +405,6 @@ def test_gaussian_denoiser_rejects_hooks():
     sched = build_schedule("scaled-linear-beta", 1000)
     den = GaussianDenoiser(sched)
     with pytest.raises(ValueError):
-        den.predict(np.zeros(3), 10, kv=KVCapture(KVCache()))
+        den.predict(np.zeros(3), 10, kv=KVCache())
     with pytest.raises(NonFiniteError):
         den.predict(np.array([np.inf]), 10)

@@ -23,14 +23,23 @@ def test_edit_request_validation():
     with pytest.raises(ValueError):
         EditRequest("a cat", "a dog", method="fec-noise", blend_word="bird")
     EditRequest("a cat", "a dog", method="fec-noise", blend_word="dog")
+    # An input the method would ignore is refused, not dropped.
+    fault = "{} applies to {} edits only, not {}"
+    for method in ("fec-ref", "fec-kv-reuse"):
+        with pytest.raises(ValueError, match=fault.format("a blend word", "fec-noise", method)):
+            EditRequest("a cat", "a dog", method=method, blend_word="dog")
+    for method in ("fec-noise", "fec-ref"):
+        with pytest.raises(ValueError, match=fault.format("a layer range", "fec-kv-reuse", method)):
+            EditRequest("a cat", "a dog", method=method, layer_range=LayerRange(1, 2))
+    EditRequest("a cat", "a dog", method="fec-kv-reuse", layer_range=LayerRange(1, 2))
 
 
 def _trace_with_map(t, grid, col):
     """One-layer trace whose token column is the given flat map."""
-    trace = AttentionTrace(grid_shape=grid)
+    trace = AttentionTrace()
     weights = np.full((grid[0] * grid[1], 8), 1e-3)
     weights[:, 1] = col
-    trace.store(t, 0, weights)
+    trace(t, 0, weights.reshape(*grid, 8))
     return trace
 
 
@@ -112,7 +121,7 @@ def test_blend_word_mask_gets_a_trace_every_step(net, sched, plan10, monkeypatch
     real = editing.derive_mask
 
     def logged(trace, blend_word, embedding, t, spatial_shape):
-        seen[t] = trace.layers_at(t)
+        seen[t] = sorted(layer for tt, layer in trace.maps if tt == t)
         return real(trace, blend_word, embedding, t, spatial_shape)
 
     monkeypatch.setattr(editing, "derive_mask", logged)

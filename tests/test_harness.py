@@ -665,6 +665,16 @@ _BAD_CONFIGS = {
          "a fec-noise edit needs --mask or --blend-word"),
         (["timing", "--blend-word", "dog"],
          "blend word 'dog' does not occur in the edit prompt"),
+        (["edit", "--method", "fec-kv-reuse", "--prompt", "a cat", "--edit-prompt", "a dog",
+          "--blend-word", "dog"], "a blend word applies to fec-noise edits only, not fec-kv-reuse"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a dog", "--blend-word", "dog",
+          "--layers", "1:2"], "a layer range applies to fec-kv-reuse edits only, not fec-noise"),
+        (["edit", "--method", "fec-ref", "--layers", "0:4"],
+         "a layer range applies to fec-kv-reuse edits only, not fec-ref"),
+        (["invert", "--out", "{tmp}/a.bin", "--kv-out", "{tmp}/a.bin"],
+         "the trajectory and a K/V cache would both be written to"),
+        (["invert", "--out", "{tmp}/a.uncond.bin", "--kv-out", "{tmp}/a.bin"],
+         "the trajectory and a K/V cache would both be written to"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "layers-0:99", "method-warp", "steps-0",
          "guidance-nan", "config-missing", "config-headless", "config-run-step", "config-shedule",
@@ -676,7 +686,9 @@ _BAD_CONFIGS = {
          "config-denoiser-seed-negative", "config-total-steps-0", "config-embed-seed-negative",
          "config-seeds-negative", "seed-negative", "reconstruct-two-methods",
          "edit-config-two-methods", "edit-method-v-reuse", "edit-no-mask",
-         "edit-config-no-mask", "timing-blend-word-missing"],
+         "edit-config-no-mask", "timing-blend-word-missing", "edit-kv-reuse-blend-word",
+         "edit-fec-noise-layers", "edit-fec-ref-layers", "invert-kv-out-is-out",
+         "invert-uncond-kv-out-is-out"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():
@@ -689,6 +701,39 @@ def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_pa
     assert len(err) == 1 and err[0].startswith(f"fecdiff {argv[0]}: error: ")
     assert fault in err[0]
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", "--method", "direct"],
+        ["reconstruct", "--mask", "nonexist.fecmask"],
+        ["edit", "--inv-guidance", "1"],
+        ["sweep", "--edit-prompt", "a dog"],
+        ["check-batch", "--out", "x.txt"],
+        ["timing", "--layers", "0:1"],
+        ["make-mask", "--steps", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_refuses_a_flag_its_command_ignores(argv, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ToyDenoiser, "predict", lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
+    out = tmp_path / "edited"
+    rc = main(["edit", "--method", "fec-ref", "--steps", "2", "--prompt", "a cat",
+               "--edit-prompt", "a dog", "--out", str(out)])
+    assert rc == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["edited"]
+    assert np.load(out).shape == (4, 16, 16)
+    assert capsys.readouterr().out.endswith(f"wrote edited latent to {out}\n")
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fecdiff.denoiser import KVCache, KVCapture, KVInject, LayerRange, embed_prompt
+from fecdiff.denoiser import KVCache, KVInject, LayerRange, embed_prompt
 from fecdiff.sampling import (
     CaptureOptions,
     GuidanceContext,
     Trajectory,
+    _uncond_known,
     as_mask,
     cfg_combine,
     ddim_invert_step,
@@ -336,9 +337,24 @@ def test_guided_noise_evaluates_an_unknown_unconditional_branch(net, sched, plan
     # scale 1 where the unconditional result has no weight.
     cap, cap_u = KVCache(), KVCache()
     log = _PromptLog(net)
-    guided_noise(log, z, t, _ctx(1.0), kv=KVCapture(cap), kv_uncond=KVCapture(cap_u))
+    guided_noise(log, z, t, _ctx(1.0), kv=cap, kv_uncond=cap_u)
     assert sum(log.prompts.values()) == 2
     assert len(cap_u) == net.config.layer_count
+
+
+def test_uncond_known_pairs_hooks_with_guidance_branches():
+    inject = KVInject(KVCache(), LayerRange(0, 4))
+    cache, cache_u = KVCache(), KVCache()
+    # name: (prompt, conditional hook, unconditional hook, known at scales 1 and 7.5)
+    cases = {
+        "no hook": ("a photo of a cat", None, None, (True, False)),
+        "shared inject": ("", inject, inject, (True, True)),
+        "capture pair": ("a photo of a cat", cache, cache_u, (False, False)),
+        "shared capture": ("", cache, cache, (True, True)),
+        "capture on cond only": ("a photo of a cat", cache, None, (True, False)),
+    }
+    for name, (prompt, kv, kv_u, known) in cases.items():
+        assert tuple(_uncond_known(_ctx(s, prompt), kv, kv_u) for s in (1.0, 7.5)) == known, name
 
 
 def test_invert_under_shared_branches_captures_once(net, sched, plan10):
@@ -351,7 +367,7 @@ def test_invert_under_shared_branches_captures_once(net, sched, plan10):
     # The one cache holds what a separate unconditional capture records.
     ref = KVCache()
     for t in plan10.timesteps:
-        net.predict(res.trajectory[t], t, embed_prompt("", 0), kv=KVCapture(ref))
+        net.predict(res.trajectory[t], t, embed_prompt("", 0), kv=ref)
     assert ref.entries.keys() == res.kv_cache.entries.keys()
     for key, (k, v) in ref.entries.items():
         k_got, v_got = res.kv_cache.fetch(*key)

@@ -110,6 +110,14 @@ MUTANTS = [
      'EDIT_METHODS = ("fec-noise", "fec-ref", "fec-kv-reuse")',
      'EDIT_METHODS = ("fec-noise", "fec-ref", "fec-kv-reuse", "direct")',
      "fecdiff edit and run_edit accept direct as an edit method"),
+    ("uncond-known-shared-hook-ignored", "src/fecdiff/sampling.py",
+     "    if ctx.shared and kv_uncond is kv:\n        return True\n", "",
+     "shared branches under one hook evaluate twice, so an empty-prompt capture stores twice"
+     " into one cache"),
+    ("trace-maps-flat", "src/fecdiff/denoiser.py",
+     "trace_to(t, layer, weights.mean(axis=-3).reshape(*lead, gh, gw, -1))",
+     "trace_to(t, layer, weights.mean(axis=-3))",
+     "predict hands the trace its maps flat, not laid out on the patch grid"),
 ]
 
 def _test_args(root: Path) -> list[str]:
