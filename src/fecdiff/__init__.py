@@ -49,6 +49,6 @@ from .sampling import (
     sample_fec_ref,
     sample_method,
 )
-from .schedule import NoiseSchedule, TimestepPlan, add_noise, build_schedule, timestep_plan
+from .schedule import NoiseSchedule, TimestepPlan, build_schedule, timestep_plan
 
 __version__ = "0.1.0"

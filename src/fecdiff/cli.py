@@ -1,11 +1,10 @@
 """Command-line interface for the toolkit.
 
-Subcommands: invert, reconstruct, edit, sweep, check-batch, timing,
-make-mask. Each takes ``--config`` and only the flags it reads
-(``COMMANDS``). The configuration-file values and the flags, which
-override them field by field, build one ``ExperimentConfig`` once; a
-rejected value is reported under the ``[section] key`` or ``--flag`` that
-set it.
+Subcommands: invert, reconstruct, edit, sweep, check-batch, timing. Each
+takes ``--config`` and only the flags it reads (``COMMANDS``). The
+configuration-file values and the flags, which override them field by
+field, build one ``ExperimentConfig`` once; a rejected value is reported
+under the ``[section] key`` or ``--flag`` that set it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .harness import (
     write_report_csv,
     write_report_json,
 )
-from .io_formats import read_mask, write_kv_cache, write_mask, write_trajectory
+from .io_formats import read_mask, write_kv_cache, write_trajectory
 from .metrics import trajectory_loss_curve
 from .sampling import CaptureOptions, guidance_contexts, invert
 
@@ -180,23 +179,19 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_edit(args) -> int:
     cfg = _config_from_args(args, EDIT_METHODS)
-    method = cfg.methods[0]
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source
-    if method == "fec-noise" and edit != source and not args.mask and cfg.blend_word is None:
-        raise UsageError("a fec-noise edit needs --mask or --blend-word;"
-                         " with neither it returns the source unchanged")
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     # Only a range the user set, which EditRequest refuses for a method that ignores it.
     layers = cfg.layer_range() if cfg.layer_start or cfg.layer_end is not None else None
-    # An error here means an input the edit cannot use (mask file, blend word, layers).
+    # An error here means an input the edit cannot use or lacks (mask, blend word, layers).
     try:
         user_mask = read_mask(args.mask) if args.mask else None
         req = EditRequest(
             source_prompt=source,
             edit_prompt=edit,
-            method=method,
+            method=cfg.methods[0],
             blend_word=cfg.blend_word,
             layer_range=layers,
             guidance=cfg.samp_guidances[0],
@@ -249,24 +244,12 @@ def _cmd_timing(args) -> int:
     cfg = _config_from_args(args)
     try:
         result = report_timing(cfg)
-    except ValueError as exc:  # a blend word the edit prompt lacks
+    except ValueError as exc:  # a fec-noise edit run_edit refuses
         raise UsageError(str(exc)) from exc
     print(json.dumps(result, indent=2))
     if cfg.out:
         with open(cfg.out, "w") as f:
             json.dump(result, f, indent=2)
-    return 0
-
-
-def _cmd_make_mask(args) -> int:
-    # Convenience: write a centered box mask for locality experiments.
-    cfg = _config_from_args(args)
-    h, w = cfg.denoiser.latent_shape[1:]
-    mask = np.zeros((h, w))
-    mask[h // 4 : 3 * h // 4, w // 4 : 3 * w // 4] = 1.0
-    out = cfg.out or "box.fecmask"
-    write_mask(out, mask, cfg.precision)
-    print(f"wrote box mask to {out}")
     return 0
 
 
@@ -282,7 +265,6 @@ COMMANDS = {
     "sweep": (_cmd_sweep, _RECONSTRUCT_FLAGS),
     "check-batch": (_cmd_check_batch, "--guidance --steps --seed --prompt"),
     "timing": (_cmd_timing, "--guidance --steps --seed --prompt --edit-prompt --blend-word --out"),
-    "make-mask": (_cmd_make_mask, "--precision --out"),
 }
 
 
@@ -295,12 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="configuration file (sectioned key=value)")
         for flag in flags.split():
             p.add_argument(flag, **FLAGS[flag])
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, subparser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        # Reported with the usage that lists the flags this command takes.
+        args.subparser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
     except UsageError as exc:

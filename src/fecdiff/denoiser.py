@@ -52,13 +52,9 @@ class PromptEmbedding:
     source_text: str
     seed: int
 
-    @property
-    def words(self) -> list[str]:
-        return self.source_text.split()
-
     def word_index(self, word: str) -> int:
         """Token slot of ``word``; raises if absent or truncated away."""
-        words = self.words
+        words = self.source_text.split()
         if word not in words:
             raise ValueError(f"word {word!r} not in prompt {self.source_text!r}")
         idx = words.index(word)
@@ -300,10 +296,6 @@ class ToyDenoiser:
         self.call_counts: Counter[str] = Counter()
         dh = d // config.head_count
         self._logit_scale = float(dh) if config.attn_scale == "dim" else float(np.sqrt(dh))
-
-    @property
-    def layer_count(self) -> int:
-        return self.config.layer_count
 
     def _heads(self, x: np.ndarray) -> np.ndarray:
         *lead, n, d = x.shape

@@ -48,10 +48,10 @@ class EditRequest:
 
 
 def _nearest_resize(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    h, w = m.shape
+    h, w = m.shape[-2:]
     rows = (np.arange(shape[0]) * h) // shape[0]
     cols = (np.arange(shape[1]) * w) // shape[1]
-    return m[np.ix_(rows, cols)]
+    return m[..., rows[:, None], cols]
 
 
 def derive_mask(
@@ -62,7 +62,8 @@ def derive_mask(
     spatial_shape: tuple[int, int],
 ) -> np.ndarray:
     """Binary mask over ``spatial_shape`` (1 = region to edit) from the
-    blend word's averaged cross-attention map.
+    blend word's averaged cross-attention map, one per latent of a stacked
+    trace.
 
     The map is averaged over heads and layers, resized (nearest neighbor)
     to ``spatial_shape``, min-max normalized and thresholded at
@@ -72,13 +73,13 @@ def derive_mask(
     """
     idx = embedding.word_index(blend_word)
     m = trace.token_map(t, idx)
-    if m.shape != tuple(spatial_shape):
+    if m.shape[-2:] != tuple(spatial_shape):
         m = _nearest_resize(m, tuple(spatial_shape))
-    lo, hi = m.min(), m.max()
-    if hi == lo:
-        return np.zeros_like(m)
-    m = (m - lo) / (hi - lo)
-    return (m >= MASK_THRESHOLD).astype(np.float64)
+    lo = m.min(axis=(-2, -1), keepdims=True)
+    span = m.max(axis=(-2, -1), keepdims=True) - lo
+    live = span > 0
+    m = (m - lo) / np.where(live, span, 1.0)
+    return ((m >= MASK_THRESHOLD) & live).astype(np.float64)
 
 
 @dataclass
@@ -116,14 +117,14 @@ def run_edit(
 ) -> tuple[np.ndarray, EditReport]:
     """Invert with the source prompt, then sample with the method under the
     edit prompt; identical prompts reconstruct (fec-noise takes the zero
-    mask, fec-ref its saved path). A fec-noise edit blends under the user
-    mask, else the blend word's per-step attention mask, else the zero mask.
-    The report carries per-step losses against the reference trajectory,
-    for fec-noise edits locality against the method's own reconstruction,
-    and the ascending steps whose blend-word mask was all zero. A user
-    mask is fec-noise's alone and must match the latent grid, and a layer
-    range must end within the network, else ``ValueError`` is raised
-    before inverting."""
+    mask, fec-ref its saved path). A fec-noise edit of a changed prompt
+    blends under the user mask, else the blend word's per-step attention
+    mask. The report carries per-step losses against the reference
+    trajectory, for fec-noise edits locality against the method's own
+    reconstruction, and the ascending steps whose blend-word mask was all
+    zero. ``ValueError`` is raised before inverting for a user mask on
+    another method or off the latent grid, a layer range past the network,
+    and a fec-noise edit of a changed prompt with no mask source."""
     grid = tuple(net.config.latent_shape[1:])
     layers = req.layer_range
     if layers is not None and layers.end > net.config.layer_count:
@@ -134,10 +135,13 @@ def run_edit(
         user_mask = as_mask(user_mask)
         if user_mask.shape != grid:
             raise ValueError(f"user mask {user_mask.shape} does not match the latent grid {grid}")
+    reconstruct = req.edit_prompt == req.source_prompt
+    unmasked = user_mask is None and req.blend_word is None
+    if req.method == "fec-noise" and not reconstruct and unmasked:
+        raise ValueError("a fec-noise edit needs a mask or a blend word, or it returns the source")
     ctx, edit_ctx = guidance_contexts(
         net, (req.source_prompt, req.edit_prompt), req.guidance, embed_seed
     )
-    reconstruct = req.edit_prompt == req.source_prompt
     res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=req.method in KV_METHODS))
     traj = res.trajectory
     record: dict[int, np.ndarray] = {}
@@ -150,7 +154,7 @@ def run_edit(
     elif method == "fec-noise" and not reconstruct:
         if user_mask is not None:
             mask = user_mask
-        elif req.blend_word is not None:
+        else:
 
             def mask(t, trace):
                 m = derive_mask(trace, req.blend_word, edit_ctx.cond, t, grid)

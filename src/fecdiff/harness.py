@@ -26,16 +26,11 @@ from .sampling import (
     guidance_contexts,
     invert,
     resolve_method,
-    sample_direct,
     sample_method,
 )
 from .schedule import DEFAULT_TRAIN_STEPS, SCHEDULE_KINDS, build_schedule, timestep_plan
 
 SYNTH_KINDS = ("gaussian", "blocks", "gradient")
-
-# The paper's observed serial-vs-parallel divergence threshold, reported
-# as context alongside batch-invariance results.
-PARALLEL_DIVERGENCE_CONTEXT = 1e-5
 
 # The configuration fields that list entries: a sweep crosses them, and
 # every other run takes the first entry of each.
@@ -289,7 +284,8 @@ def check_batch_invariance(cfg: ExperimentConfig) -> dict:
     direct descent; pass iff every stacked row is bit-identical to the
     single run at both levels."""
     net, sched, plan = cfg.components()
-    (ctx,) = guidance_contexts(net, (cfg.prompts[0],), cfg.samp_guidances[0], cfg.embed_seed)
+    prompt, g = cfg.prompts[0], cfg.samp_guidances[0]
+    (ctx,) = guidance_contexts(net, (prompt,), g, cfg.embed_seed)
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     stacked = np.stack([z0, z0])
 
@@ -299,8 +295,7 @@ def check_batch_invariance(cfg: ExperimentConfig) -> dict:
     forward_identical = all(row.tobytes() == single.tobytes() for row in batched)
 
     def full_run(z):
-        traj = invert(net, z, ctx, plan, sched).trajectory
-        return sample_direct(net, traj[plan.timesteps[0]], ctx, plan, sched)
+        return reconstruct_once(net, sched, plan, z, "direct", prompt, g, g, cfg.embed_seed)[0]
 
     sequential = full_run(z0)
     batched_runs = full_run(stacked)
@@ -310,7 +305,6 @@ def check_batch_invariance(cfg: ExperimentConfig) -> dict:
         "passed": forward_identical and run_identical,
         "forward_max_abs_diff": forward_diff,
         "full_run_max_abs_diff": run_diff,
-        "paper_divergence_context": PARALLEL_DIVERGENCE_CONTEXT,
         "batch": len(stacked),
     }
 
@@ -321,7 +315,8 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     ``direct-paired``, a direct reconstruction and a direct edit from one
     inversion. The fec-noise edit blends under the mask of
     ``cfg.blend_word``, else of the first edit-prompt word the source
-    prompt lacks. The kv-reuse edit makes no reconstruction-route calls."""
+    prompt lacks; with neither, ``run_edit`` refuses it (``ValueError``).
+    The kv-reuse edit makes no reconstruction-route calls."""
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     source = cfg.prompts[0]

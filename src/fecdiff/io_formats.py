@@ -45,6 +45,11 @@ def _check_shape(arr: np.ndarray, shape: tuple[int, ...], what: str):
         raise ValueError(f"{what} has shape {arr.shape}, not the header's {shape}")
 
 
+def _plan_order(timesteps) -> bool:
+    """Whether ``timesteps`` decrease strictly above 0, as a plan's do."""
+    return all(a > b for a, b in zip(timesteps, (*timesteps[1:], 0)))
+
+
 def _write_array(f, arr: np.ndarray, width: int):
     # The array's own buffer: no bytes copy when it is already stored at
     # ``width`` and contiguous.
@@ -112,9 +117,12 @@ class _Reader:
 
 def write_trajectory(path, traj: Trajectory, float_width: int = 64):
     """Header: version, steps, float width, dims, guidance, seed, timestep
-    list; payload: latents by descending t, then t = 0. Every latent is
-    fetched (``KeyError``) and checked against t = 0's shape (``ValueError``)
+    list; payload: latents by descending t, then t = 0. The timestep list
+    must decrease strictly and stay above 0, and every latent is fetched
+    (``KeyError``) and checked against t = 0's shape (``ValueError``), all
     before ``path`` is opened, so a failed write changes no file."""
+    if not _plan_order(traj.timesteps):
+        raise ValueError(f"timesteps {traj.timesteps} do not decrease strictly above 0")
     order = (*traj.timesteps, 0)
     latents = [traj[t] for t in order]
     dims = latents[-1].shape
@@ -141,6 +149,8 @@ def read_trajectory(path) -> Trajectory:
         (guidance,) = struct.unpack("<d", r.take(8))
         (seed,) = struct.unpack("<q", r.take(8))
         timesteps = r.timesteps(steps)
+        if not _plan_order(timesteps):
+            r.fail(f"timesteps {timesteps} do not decrease strictly above 0")
         r.payload((steps + 1) * math.prod(dims) * nbytes)
         latents = {t: r.array(dims, width) for t in timesteps}
         latents[0] = r.array(dims, width)

@@ -123,16 +123,21 @@ def _check_step(t: int, t_prev: int):
         raise ValueError(f"t_prev must be >= 0, got {t_prev}")
 
 
+def _ddim_move(z: np.ndarray, eps: np.ndarray, t_from: int, t_to: int, sched: NoiseSchedule):
+    """Predict z0 from ``z`` at ``t_from``, then re-noise it to ``t_to``."""
+    if z.shape != eps.shape:
+        raise ValueError(f"shape mismatch: {z.shape} vs {eps.shape}")
+    ab_from, ab_to = sched.ab(t_from), sched.ab(t_to)
+    z0_pred = (z - np.sqrt(1.0 - ab_from) * eps) / np.sqrt(ab_from)
+    return np.sqrt(ab_to) * z0_pred + np.sqrt(1.0 - ab_to) * eps
+
+
 def ddim_step(
     z_t: np.ndarray, eps: np.ndarray, t: int, t_prev: int, sched: NoiseSchedule
 ) -> np.ndarray:
     """One deterministic DDIM descent step from t to t_prev."""
     _check_step(t, t_prev)
-    if z_t.shape != eps.shape:
-        raise ValueError(f"shape mismatch: {z_t.shape} vs {eps.shape}")
-    ab_t, ab_p = sched.ab(t), sched.ab(t_prev)
-    z0_pred = (z_t - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
-    return np.sqrt(ab_p) * z0_pred + np.sqrt(1.0 - ab_p) * eps
+    return _ddim_move(z_t, eps, t, t_prev, sched)
 
 
 def ddim_invert_step(
@@ -140,11 +145,7 @@ def ddim_invert_step(
 ) -> np.ndarray:
     """One inversion step from t_prev up to t (algebraic inverse of ddim_step)."""
     _check_step(t, t_prev)
-    if z_prev.shape != eps.shape:
-        raise ValueError(f"shape mismatch: {z_prev.shape} vs {eps.shape}")
-    ab_t, ab_p = sched.ab(t), sched.ab(t_prev)
-    z0_pred = (z_prev - np.sqrt(1.0 - ab_p) * eps) / np.sqrt(ab_p)
-    return np.sqrt(ab_t) * z0_pred + np.sqrt(1.0 - ab_t) * eps
+    return _ddim_move(z_prev, eps, t_prev, t, sched)
 
 
 def desired_noise(
@@ -314,15 +315,16 @@ def sample_fec_noise(
     the saved inversion latent, then blends it with the live unconditional
     prediction under the step mask. ``mask`` is ``None``, an array applied
     at every step (checked with ``as_mask`` before the first step), or a
-    function ``mask(t, trace)`` of the step's conditional attention trace.
-    ``None``, or a mask with no nonzero entry, means the zero mask: the
-    step takes pure desired noise and evaluates no network, which
-    reconstructs the source. The conditional prediction is evaluated only
-    under a live mask or, traced, for a mask function, and the live
-    unconditional one only when ``guided_noise`` would evaluate it. With
-    guidance scale 1 the unconditional derivation is singular and blending
-    happens on total noise instead, preserving exactness in unmasked
-    regions.
+    function ``mask(t, trace)`` that gives each latent's spatial mask from
+    the step's conditional attention trace. ``None``, or a mask with no
+    nonzero entry, means the zero mask: the step takes pure desired noise
+    and evaluates no network, which reconstructs the source; a stacked
+    latent whose own mask is zero takes pure desired noise too, as it does
+    alone. The conditional prediction is evaluated only under a live mask
+    or, traced, for a mask function, and the live unconditional one only
+    when ``guided_noise`` would evaluate it. With guidance scale 1 the
+    unconditional derivation is singular and blending happens on total
+    noise instead, preserving exactness in unmasked regions.
     """
     if not traj.covers(plan):
         raise ValueError("trajectory does not cover the timestep plan")
@@ -331,11 +333,12 @@ def sample_fec_noise(
 
     def noise(z, t, t_prev):
         eps_des = desired_noise(z, traj[t_prev], t, t_prev, sched)
-        eps_c, m = None, mask
+        eps_c, m, live = None, mask, True
         if callable(mask):
             trace = AttentionTrace()
             eps_c = net.predict(z, t, ctx.cond, trace_to=trace, route=route)
-            m = mask(t, trace)
+            m = mask(t, trace)[..., None, :, :]
+            live = np.any(m, axis=(-2, -1), keepdims=True)
         if m is None or not np.any(m):
             # Eq. 13 cancels the conditional prediction exactly under a
             # zero mask, so the step is the desired noise itself.
@@ -346,9 +349,11 @@ def sample_fec_noise(
         if ctx.scale == 1.0:
             # Singular Eq.-13 case: blend total noise so unmasked regions
             # still receive exactly the desired noise.
-            return m * eps_c + (1.0 - m) * eps_des
-        eps_u = m * eps_u_live + (1.0 - m) * desired_uncond(eps_des, eps_c, ctx.scale)
-        return cfg_combine(eps_c, eps_u, ctx.scale)
+            eps = m * eps_c + (1.0 - m) * eps_des
+        else:
+            eps_u = m * eps_u_live + (1.0 - m) * desired_uncond(eps_des, eps_c, ctx.scale)
+            eps = cfg_combine(eps_c, eps_u, ctx.scale)
+        return np.where(live, eps, eps_des)
 
     z = traj[plan.timesteps[0]].copy()
     return _descend(z, plan, sched, noise, record, "fec-noise sampling")

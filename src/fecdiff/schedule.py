@@ -1,4 +1,4 @@
-"""Noise schedules, timestep plans, and the forward noising process."""
+"""Noise schedules and timestep plans."""
 
 from __future__ import annotations
 
@@ -97,18 +97,6 @@ def build_schedule(kind: str, T: int = DEFAULT_TRAIN_STEPS) -> NoiseSchedule:
         raise ValueError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}")
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     return NoiseSchedule(total_train_steps=T, alpha_bar=alpha_bar)
-
-
-def add_noise(z0: np.ndarray, eps: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    """Forward noising: sqrt(ab_t) * z0 + sqrt(1 - ab_t) * eps."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if z0.shape != eps.shape:
-        raise ValueError(f"shape mismatch: {z0.shape} vs {eps.shape}")
-    if not 1 <= t <= sched.total_train_steps:
-        raise ValueError(f"timestep {t} out of range [1, {sched.total_train_steps}]")
-    ab = sched.ab(t)
-    return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
 def timestep_plan(steps: int, T: int = DEFAULT_TRAIN_STEPS) -> TimestepPlan:

@@ -114,7 +114,7 @@ def test_capture_is_observation_only(net, cond):
     cache = KVCache()
     captured = net.predict(z, 500, cond, kv=cache)
     assert plain.tobytes() == captured.tobytes()
-    assert len(cache) == net.layer_count
+    assert len(cache) == net.config.layer_count
     k, v = cache.fetch(500, 0)
     assert k.shape == v.shape == (net.grid_shape[0] * net.grid_shape[1], net.config.model_dim)
 
@@ -134,7 +134,7 @@ def test_inject_at_capture_point_is_identity(net, cond):
     z = _latent(2)
     cache = KVCache()
     plain = net.predict(z, 500, cond, kv=cache)
-    layers = LayerRange(0, net.layer_count)
+    layers = LayerRange(0, net.config.layer_count)
     injected = net.predict(z, 500, cond, kv=KVInject(cache, layers))
     v_only = net.predict(z, 500, cond, kv=KVInject(cache, layers, v_only=True))
     assert plain.tobytes() == injected.tobytes()
@@ -146,7 +146,7 @@ def test_inject_elsewhere_changes_output(net, cond):
     cache = KVCache()
     net.predict(z, 500, cond, kv=cache)
     other = _latent(3)
-    layers = LayerRange(0, net.layer_count)
+    layers = LayerRange(0, net.config.layer_count)
     plain = net.predict(other, 500, cond)
     injected = net.predict(other, 500, cond, kv=KVInject(cache, layers))
     assert not np.array_equal(plain, injected)
@@ -167,7 +167,7 @@ def test_trace_rows_are_distributions(net, cond):
     z = _latent(0)
     trace = AttentionTrace()
     net.predict(z, 500, cond, trace_to=trace)
-    assert sorted(trace.maps) == [(500, layer) for layer in range(net.layer_count)]
+    assert sorted(trace.maps) == [(500, layer) for layer in range(net.config.layer_count)]
     w = trace.maps[(500, 0)]
     assert w.shape == (*net.grid_shape, net.config.n_tokens)
     assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
@@ -316,7 +316,7 @@ def _entries(cache):
 def test_predict_matches_the_reference_forward(config):
     net = ToyDenoiser(config)
     cond = embed_prompt("a photo of a cat", 0)
-    L = net.layer_count
+    L = net.config.layer_count
     rng = np.random.default_rng(7)
     for t in (999, 500, 20):
         z_src = rng.standard_normal(config.latent_shape)

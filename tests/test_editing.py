@@ -14,6 +14,7 @@ from fecdiff.editing import (
 )
 from fecdiff.harness import generate_synthetic_latent, reconstruct_once
 from fecdiff.metrics import latent_loss
+from fecdiff.sampling import guidance_contexts, invert, sample_fec_noise
 from fecdiff.schedule import timestep_plan
 
 
@@ -127,7 +128,7 @@ def test_blend_word_mask_gets_a_trace_every_step(net, sched, plan10, monkeypatch
     monkeypatch.setattr(editing, "derive_mask", logged)
     req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise", blend_word="dog")
     run_edit(net, sched, plan10, generate_synthetic_latent(1), req)
-    every_layer = list(range(net.layer_count))
+    every_layer = list(range(net.config.layer_count))
     assert seen == {t: every_layer for t in plan10.timesteps}
 
 
@@ -143,6 +144,34 @@ def test_blend_word_edit_reports_exactly_its_degenerate_steps(net, sched, plan10
     req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise", blend_word="dog")
     _, report = run_edit(net, sched, plan10, generate_synthetic_latent(1), req)
     assert report.mask_degenerate_steps == sorted(chosen)
+
+
+def _blend_mask(cond, grid, degenerate_at, keep):
+    """The blend-word mask of "dog", times ``keep`` at step ``degenerate_at``."""
+
+    def mask(t, trace):
+        m = derive_mask(trace, "dog", cond, t, grid)
+        return m * keep if t == degenerate_at else m
+
+    return mask
+
+
+def test_stacked_blend_word_descent_matches_each_single_descent(net, sched):
+    plan = timestep_plan(3, 1000)
+    grid = net.config.latent_shape[1:]
+    z0s = [generate_synthetic_latent(0, "gaussian"), generate_synthetic_latent(1, "blocks")]
+    # At the middle step the first row's mask is zero and the second's is not.
+    keep = np.array([0.0, 1.0])
+    for g in (7.5, 1.0):
+        ctx, edit_ctx = guidance_contexts(net, ("a cat on a mat", "a dog on a mat"), g)
+        stacked = invert(net, np.stack(z0s), ctx, plan, sched).trajectory
+        mask = _blend_mask(edit_ctx.cond, grid, plan.timesteps[1], keep[:, None, None])
+        out = sample_fec_noise(net, stacked, edit_ctx, plan, sched, mask)
+        for z0, row, k in zip(z0s, out, keep):
+            single = invert(net, z0, ctx, plan, sched).trajectory
+            mask = _blend_mask(edit_ctx.cond, grid, plan.timesteps[1], k)
+            expected = sample_fec_noise(net, single, edit_ctx, plan, sched, mask)
+            assert row.tobytes() == expected.tobytes(), (g, k)
 
 
 def test_identical_prompt_edit_degenerates_to_reconstruction(net, sched, plan10):
@@ -196,8 +225,9 @@ def test_non_finite_masks_are_rejected_as_masks(net, sched, bad):
         ("fec-ref", np.ones((16, 16)), None, "fec-noise edits only"),
         ("fec-noise", np.ones((8, 8)), None, r"mask \(8, 8\) does not match the latent grid"),
         ("fec-kv-reuse", None, LayerRange(0, 99), "layer range end 99 exceeds L=4"),
+        ("fec-noise", None, None, "a fec-noise edit needs a mask or a blend word"),
     ],
-    ids=["kv-reuse", "fec-ref", "fec-noise-8x8", "kv-reuse-layers-0:99"],
+    ids=["kv-reuse", "fec-ref", "fec-noise-8x8", "kv-reuse-layers-0:99", "fec-noise-no-mask"],
 )
 def test_unusable_user_mask_is_rejected_before_inverting(
     sched, plan10, method, mask, layers, fault
@@ -228,9 +258,9 @@ def test_blend_word_edit_reports_locality(net, sched, plan10):
 def test_kv_edit_layer_range_changes_output(net, sched, plan10):
     z0 = generate_synthetic_latent(2, "gaussian")
     full = EditRequest("a cat on a mat", "a dog on a mat", "fec-kv-reuse",
-                       layer_range=LayerRange(0, net.layer_count))
+                       layer_range=LayerRange(0, net.config.layer_count))
     half = EditRequest("a cat on a mat", "a dog on a mat", "fec-kv-reuse",
-                       layer_range=LayerRange(0, net.layer_count // 2))
+                       layer_range=LayerRange(0, net.config.layer_count // 2))
     out_full, _ = run_edit(net, sched, plan10, z0, full)
     out_half, _ = run_edit(net, sched, plan10, z0, half)
     assert not np.array_equal(out_full, out_half)
@@ -251,7 +281,7 @@ def test_kv_edit_empty_layer_range_injects_nothing(net, sched, plan10):
 def test_edit_embeds_prompts_at_the_network_token_shape(sched, plan10):
     net = ToyDenoiser(DenoiserConfig(n_tokens=4))
     z0 = generate_synthetic_latent(0, "gaussian")
-    req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise")
+    req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise", blend_word="dog")
     out, report = run_edit(net, sched, plan10, z0, req)
     assert out.shape == z0.shape and np.all(np.isfinite(out))
     assert report.locality is not None

@@ -508,8 +508,12 @@ def test_cli_check_batch_exit_code():
 
 
 def test_cli_edit_with_mask(tmp_path, capsys):
+    from fecdiff.io_formats import write_mask
+
     mask_path = tmp_path / "box.fecmask"
-    assert main(["make-mask", "--out", str(mask_path)]) == 0
+    box = np.zeros((16, 16))
+    box[4:12, 4:12] = 1.0
+    write_mask(mask_path, box)
     # fec-noise is the edit method when none is set.
     rc = main(["edit", "--steps", "5",
                "--prompt", "a cat on a mat", "--edit-prompt", "a dog on a mat",
@@ -660,11 +664,13 @@ _BAD_CONFIGS = {
          "--method: edit runs one method of fec-noise, fec-ref, fec-kv-reuse;"
          " got 'fec-v-reuse'"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a dog"],
-         "a fec-noise edit needs --mask or --blend-word"),
+         "a fec-noise edit needs a mask or a blend word"),
         (["edit", "--method", "fec-noise", "--config", "{tmp}/edit-prompts-dog.cfg"],
-         "a fec-noise edit needs --mask or --blend-word"),
+         "a fec-noise edit needs a mask or a blend word"),
         (["timing", "--blend-word", "dog"],
          "blend word 'dog' does not occur in the edit prompt"),
+        (["timing", "--prompt", "a cat on a mat", "--edit-prompt", "a mat on a cat"],
+         "a fec-noise edit needs a mask or a blend word"),
         (["edit", "--method", "fec-kv-reuse", "--prompt", "a cat", "--edit-prompt", "a dog",
           "--blend-word", "dog"], "a blend word applies to fec-noise edits only, not fec-kv-reuse"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a dog", "--blend-word", "dog",
@@ -686,7 +692,8 @@ _BAD_CONFIGS = {
          "config-denoiser-seed-negative", "config-total-steps-0", "config-embed-seed-negative",
          "config-seeds-negative", "seed-negative", "reconstruct-two-methods",
          "edit-config-two-methods", "edit-method-v-reuse", "edit-no-mask",
-         "edit-config-no-mask", "timing-blend-word-missing", "edit-kv-reuse-blend-word",
+         "edit-config-no-mask", "timing-blend-word-missing", "timing-no-new-word",
+         "edit-kv-reuse-blend-word",
          "edit-fec-noise-layers", "edit-fec-ref-layers", "invert-kv-out-is-out",
          "invert-uncond-kv-out-is-out"],
 )
@@ -712,7 +719,6 @@ def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_pa
         ["sweep", "--edit-prompt", "a dog"],
         ["check-batch", "--out", "x.txt"],
         ["timing", "--layers", "0:1"],
-        ["make-mask", "--steps", "5"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -722,7 +728,10 @@ def test_cli_refuses_a_flag_its_command_ignores(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    # The command's own usage and error prefix, not the top-level parser's.
+    assert err[0].startswith(f"usage: fecdiff {argv[0]} [-h] [--config CONFIG]")
+    assert err[-1] == f"fecdiff {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}"
     assert calls == []
 
 

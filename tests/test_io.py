@@ -247,6 +247,25 @@ def test_mutated_headers_read_or_raise_format_error_in_bounded_memory(
     assert peak < 16 * len(buf) + (1 << 20)
 
 
+@pytest.mark.parametrize("timesteps", [(1000, 0), (10, 1000)], ids=["ends-at-0", "ascending"])
+def test_trajectory_timesteps_out_of_plan_order_are_refused(tmp_path, timesteps):
+    # (1000, 0) keys two of three latents at t = 0 and loses one; (10, 1000)
+    # reads back as a trajectory that covers the plan (1000, 10).
+    rng = np.random.default_rng(0)
+    latents = {t: rng.standard_normal((2, 4, 4)) for t in (*timesteps, 30, 20, 0)}
+    path = tmp_path / "t.fectraj"
+    with pytest.raises(ValueError, match="do not decrease strictly above 0"):
+        write_trajectory(path, Trajectory(latents, timesteps, guidance=7.5))
+    assert not path.exists()
+    # The same list written by hand over a valid header: rank 3 puts the
+    # timestep list at bytes 52..60.
+    write_trajectory(path, Trajectory(latents, (30, 20), guidance=7.5))
+    data = path.read_bytes()
+    path.write_bytes(data[:52] + np.array(timesteps, dtype="<u4").tobytes() + data[60:])
+    with pytest.raises(FormatError, match="do not decrease strictly above 0"):
+        read_trajectory(path)
+
+
 def test_malformed_headers_name_the_fault(tmp_path, valid_files):
     data, _ = valid_files["traj64"]
     # rank = 0xFFFFFFFF asked the old reader for about 16 GiB of dims.

@@ -108,7 +108,7 @@ def test_invert_covers_plan(net, sched, plan10):
 def test_invert_capture_fills_both_branch_caches(net, sched, plan10):
     res = invert(net, _latent(0), _ctx(7.5), plan10, sched, CaptureOptions(kv=True))
     for cache in (res.kv_cache, res.kv_cache_uncond):
-        assert len(cache) == plan10.steps * net.layer_count
+        assert len(cache) == plan10.steps * net.config.layer_count
         assert cache.timesteps() == list(plan10.timesteps)
     t0 = plan10.timesteps[0]
     # Layer 0 self-attention sees only the latent stream, so its K/V are
@@ -130,7 +130,7 @@ def test_aligned_capture_matches_sampler_inputs(net, sched, plan10):
     res = invert(net, _latent(0), ctx, plan10, sched, CaptureOptions(kv=True))
     t = plan10.timesteps[0]
     z_t = res.trajectory[t]
-    layers = LayerRange(0, net.layer_count)
+    layers = LayerRange(0, net.config.layer_count)
     live = net.predict(z_t, t, ctx.cond)
     injected = net.predict(z_t, t, ctx.cond, kv=KVInject(res.kv_cache, layers))
     assert live.tobytes() == injected.tobytes()

@@ -3,7 +3,6 @@ import pytest
 
 from fecdiff.schedule import (
     NoiseSchedule,
-    add_noise,
     build_schedule,
     timestep_plan,
 )
@@ -49,18 +48,6 @@ def test_ab_bounds():
         sched.ab(-1)
     with pytest.raises(ValueError):
         sched.ab(11)
-
-
-def test_add_noise_formula():
-    sched = build_schedule("constant-beta", 10)
-    z0 = np.full((2, 2), 2.0)
-    eps = np.full((2, 2), -1.0)
-    t = 3
-    ab = sched.ab(t)
-    expected = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
-    assert np.array_equal(add_noise(z0, eps, t, sched), expected)
-    with pytest.raises(ValueError):
-        add_noise(z0, eps, 0, sched)
 
 
 def test_timestep_plan_even_stride():

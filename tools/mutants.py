@@ -71,7 +71,7 @@ MUTANTS = [
      "return (k if self.v_only else k_cached), v_cached", "return k_cached, v_cached",
      "KVInject swaps K in even for the V-only ablation"),
     ("degenerate-mask-unflagged", "src/fecdiff/editing.py",
-     "return np.zeros_like(m)", "return np.ones_like(m)",
+     "& live).astype", "| ~live).astype",
      "derive_mask gives a constant map a full mask, so no step counts as degenerate"),
     ("degenerate-steps-unrecorded", "src/fecdiff/editing.py",
      "report.mask_degenerate_steps.append(t)", "pass",
@@ -118,6 +118,21 @@ MUTANTS = [
      "trace_to(t, layer, weights.mean(axis=-3).reshape(*lead, gh, gw, -1))",
      "trace_to(t, layer, weights.mean(axis=-3))",
      "predict hands the trace its maps flat, not laid out on the patch grid"),
+    ("ddim-renoise-source-coefficient", "src/fecdiff/sampling.py",
+     "np.sqrt(1.0 - ab_to) * eps", "np.sqrt(1.0 - ab_from) * eps",
+     "the shared DDIM move re-noises with the source timestep's noise coefficient"),
+    ("edit-without-mask-source-accepted", "src/fecdiff/editing.py",
+     'if req.method == "fec-noise" and not reconstruct and unmasked:', "if False:",
+     "run_edit runs a fec-noise edit of a changed prompt that has no mask source"),
+    ("trajectory-order-unread", "src/fecdiff/io_formats.py",
+     "if not _plan_order(timesteps):", "if False:",
+     "read_trajectory accepts a timestep list that is not strictly decreasing above 0"),
+    ("cli-leftovers-top-level", "src/fecdiff/cli.py",
+     "args.subparser.error(", "build_parser().error(",
+     "an unknown flag is reported under the top-level usage, not the command's"),
+    ("fec-noise-mask-channel-axis-dropped", "src/fecdiff/sampling.py",
+     "m = mask(t, trace)[..., None, :, :]", "m = mask(t, trace)",
+     "sample_fec_noise does not put a mask function's result on the channel axis"),
 ]
 
 def _test_args(root: Path) -> list[str]:
