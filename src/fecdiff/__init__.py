@@ -1,9 +1,11 @@
 """Diffusion inversion-and-sampling toolkit with trajectory correction.
 
 DDIM inversion plus four samplers (direct descent and the reference-path,
-desired-noise and K/V-injection corrections) that share one descent loop,
-each under the one guidance context it is given; ``sample_method`` maps
-every method name, the negative-prompt baseline included, to a sampler.
+desired-noise and K/V-injection corrections), each under the one guidance
+context it is given; inversion and every descent step through one walk,
+and K/V capture is a guided evaluation with recording hooks.
+``sample_method`` maps every method name, the negative-prompt baseline
+included, to a sampler.
 A toy attention denoiser with callable hooks on its self-attention K/V
 and its cross-attention maps, with an analytic Gaussian oracle;
 reconstruction metrics; and an experiment harness.

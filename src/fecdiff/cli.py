@@ -44,24 +44,6 @@ class UsageError(ValueError):
     ``fecdiff <command>: error: ...`` line and exit code 2."""
 
 
-# Every flag but --config, with its add_argument keywords.
-FLAGS = {
-    "--method": dict(action="append", help="sampling method (repeatable)"),
-    "--guidance": dict(type=float, help="sampling guidance scale"),
-    "--inv-guidance": dict(type=float, help="inversion guidance scale"),
-    "--steps": dict(type=int, help="inference steps (default 50)"),
-    "--seed": dict(type=int, action="append", help="data seed (repeatable)"),
-    "--prompt": dict(help="source prompt"),
-    "--edit-prompt": dict(help="edit prompt"),
-    "--blend-word": dict(help="token whose attention map forms the edit mask"),
-    "--mask": dict(help="path to a FECMASK1 file"),
-    "--layers": dict(help="self-attention layer range start:end"),
-    "--precision": dict(type=int, choices=(32, 64), help="serialization float width"),
-    "--out": dict(help="output path"),
-    "--kv-out": dict(help="also capture and write a FECKV1 cache"),
-}
-
-
 def _one(value) -> tuple:
     return (value,)
 
@@ -74,24 +56,33 @@ def _layer_bounds(text: str) -> tuple[int, int]:
         raise ValueError(f"--layers takes start:end, two integers; got {text!r}") from None
 
 
-# Every flag that sets a configuration field, as (flag, parser, field), laid
-# over the file's values in order, so --inv-guidance wins over --guidance. A
-# flag the command does not take leaves its field unset.
-FLAG_FIELDS = (
-    ("--method", tuple, "methods"),
-    ("--guidance", _one, "samp_guidances"),
-    ("--guidance", _one, "inv_guidances"),
-    ("--inv-guidance", _one, "inv_guidances"),
-    ("--steps", int, "steps"),
-    ("--seed", tuple, "seeds"),
-    ("--prompt", _one, "prompts"),
-    ("--edit-prompt", _one, "edit_prompts"),
-    ("--blend-word", str, "blend_word"),
-    ("--layers", lambda text: _layer_bounds(text)[0], "layer_start"),
-    ("--layers", lambda text: _layer_bounds(text)[1], "layer_end"),
-    ("--precision", int, "precision"),
-    ("--out", str, "out"),
-)
+# Every flag but --config, as flag -> (its add_argument keywords, the
+# configuration fields it sets as (field, parser) pairs). The flags are laid
+# over the file's values in this order, so --inv-guidance wins over
+# --guidance. A flag the command does not take leaves its fields unset.
+FLAGS = {
+    "--method": (dict(action="append", help="sampling method (repeatable)"),
+                 (("methods", tuple),)),
+    "--guidance": (dict(type=float, help="sampling guidance scale"),
+                   (("samp_guidances", _one), ("inv_guidances", _one))),
+    "--inv-guidance": (dict(type=float, help="inversion guidance scale"),
+                       (("inv_guidances", _one),)),
+    "--steps": (dict(type=int, help="inference steps (default 50)"), (("steps", int),)),
+    "--seed": (dict(type=int, action="append", help="data seed (repeatable)"),
+               (("seeds", tuple),)),
+    "--prompt": (dict(help="source prompt"), (("prompts", _one),)),
+    "--edit-prompt": (dict(help="edit prompt"), (("edit_prompts", _one),)),
+    "--blend-word": (dict(help="token whose attention map forms the edit mask"),
+                     (("blend_word", str),)),
+    "--mask": (dict(help="path to a FECMASK1 file"), ()),
+    "--layers": (dict(help="self-attention layer range start:end"),
+                 (("layer_start", lambda text: _layer_bounds(text)[0]),
+                  ("layer_end", lambda text: _layer_bounds(text)[1]))),
+    "--precision": (dict(type=int, choices=(32, 64), help="serialization float width"),
+                    (("precision", int),)),
+    "--out": (dict(help="output path"), (("out", str),)),
+    "--kv-out": (dict(help="also capture and write a FECKV1 cache"), ()),
+}
 
 
 def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
@@ -105,10 +96,11 @@ def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
         values = load_config_file(args.config) if args.config else {}
         sources = {name: f"[{section}] {key}" for section, key, _, name in CONFIG_KEYS
                    if name in values}
-        for flag, parse, name in FLAG_FIELDS:
+        for flag, (_, fields) in FLAGS.items():
             given = getattr(args, "_".join(flag[2:].split("-")), None)
             if given is not None:
-                values[name], sources[name] = parse(given), flag
+                for name, parse in fields:
+                    values[name], sources[name] = parse(given), flag
         if methods:
             values.setdefault("methods", methods[:1])
         cfg = ExperimentConfig.from_fields(values)
@@ -276,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="configuration file (sectioned key=value)")
         for flag in flags.split():
-            p.add_argument(flag, **FLAGS[flag])
+            p.add_argument(flag, **FLAGS[flag][0])
         p.set_defaults(fn=fn, subparser=p)
     return parser
 

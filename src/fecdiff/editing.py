@@ -38,11 +38,14 @@ class EditRequest:
     def __post_init__(self):
         if self.method not in EDIT_METHODS:
             raise ValueError(f"unknown edit method {self.method!r}; expected one of {EDIT_METHODS}")
-        # Each input applies to one method, which alone would read it.
+        # Each input applies to one method, which alone would read it, and
+        # a blend word to a changed prompt only: identical prompts reconstruct.
         for value, what, method in ((self.blend_word, "a blend word", "fec-noise"),
                                     (self.layer_range, "a layer range", "fec-kv-reuse")):
             if value is not None and self.method != method:
                 raise ValueError(f"{what} applies to {method} edits only, not {self.method}")
+        if self.blend_word is not None and self.edit_prompt == self.source_prompt:
+            raise ValueError("a blend word needs an edit prompt that differs from the source")
         if self.blend_word is not None and self.blend_word not in self.edit_prompt.split():
             raise ValueError(f"blend word {self.blend_word!r} does not occur in the edit prompt")
 
@@ -95,13 +98,14 @@ def _locality(
     output: np.ndarray, reconstruction: np.ndarray, mask: np.ndarray
 ) -> dict[str, float]:
     """Region-restricted latent distances between an edit and the
-    reconstruction (mask zero-region = the part an edit must preserve)."""
+    reconstruction (mask zero-region = the part an edit must preserve),
+    averaged over the channels and over every latent of a stack."""
     keep = mask == 0.0
     edit = ~keep
     diff = (output - reconstruction) ** 2
     out = {
-        "outside_mask_mse": float(diff[:, keep].mean()) if keep.any() else 0.0,
-        "inside_mask_mse": float(diff[:, edit].mean()) if edit.any() else 0.0,
+        "outside_mask_mse": float(diff[..., keep].mean()) if keep.any() else 0.0,
+        "inside_mask_mse": float(diff[..., edit].mean()) if edit.any() else 0.0,
     }
     return out
 
@@ -123,19 +127,22 @@ def run_edit(
     trajectory, for fec-noise edits locality against the method's own
     reconstruction, and the ascending steps whose blend-word mask was all
     zero. ``ValueError`` is raised before inverting for a user mask on
-    another method or off the latent grid, a layer range past the network,
-    and a fec-noise edit of a changed prompt with no mask source."""
+    another method, with identical prompts or off the latent grid, a layer
+    range past the network, and a fec-noise edit of a changed prompt with
+    no mask source."""
     grid = tuple(net.config.latent_shape[1:])
     layers = req.layer_range
     if layers is not None and layers.end > net.config.layer_count:
         raise ValueError(f"layer range end {layers.end} exceeds L={net.config.layer_count}")
+    reconstruct = req.edit_prompt == req.source_prompt
     if user_mask is not None:
         if req.method != "fec-noise":
             raise ValueError(f"a user mask applies to fec-noise edits only, not {req.method}")
+        if reconstruct:
+            raise ValueError("a user mask needs an edit prompt that differs from the source")
         user_mask = as_mask(user_mask)
         if user_mask.shape != grid:
             raise ValueError(f"user mask {user_mask.shape} does not match the latent grid {grid}")
-    reconstruct = req.edit_prompt == req.source_prompt
     unmasked = user_mask is None and req.blend_word is None
     if req.method == "fec-noise" and not reconstruct and unmasked:
         raise ValueError("a fec-noise edit needs a mask or a blend word, or it returns the source")

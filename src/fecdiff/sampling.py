@@ -202,6 +202,20 @@ def _finite(z: np.ndarray, t: int, stage: str) -> np.ndarray:
     return z
 
 
+def _walk(z, pairs, move, sched: NoiseSchedule, noise, record, stage: str):
+    """Step ``z`` along the ``(from, to)`` timestep ``pairs`` with
+    ``move(z, noise(z, from, to), from, to, sched)``, checking each new
+    latent and recording every latent, the start's included, into
+    ``record``."""
+    if record is not None:
+        record[pairs[0][0]] = z.copy()
+    for t_from, t_to in pairs:
+        z = _finite(move(z, noise(z, t_from, t_to), t_from, t_to, sched), t_to, stage)
+        if record is not None:
+            record[t_to] = z.copy()
+    return z
+
+
 def invert(
     net,
     z0: np.ndarray,
@@ -213,47 +227,31 @@ def invert(
 ) -> InvertResult:
     """Run DDIM inversion up the plan, recording every latent.
 
-    With KV capture on, each step is followed by evaluations at
-    (z_t, t) purely to record K/V, one per guidance branch into that
-    branch's cache; ``_uncond_known`` decides whether the unconditional one
-    runs. Under shared branches ``kv_cache_uncond`` is ``kv_cache`` itself,
-    so one evaluation fills it.
+    With KV capture on, a guided evaluation at each (z_t, t), in ascending
+    t, records each branch's K/V through ``guided_noise``'s hooks into that
+    branch's cache; its noise is unused. Under shared branches
+    ``kv_cache_uncond`` is ``kv_cache`` itself, so one evaluation fills it.
     """
     capture = capture or CaptureOptions()
-    z0 = np.asarray(z0, dtype=np.float64)
-    _finite(z0, 0, "inversion")
+    z0 = _finite(np.asarray(z0, dtype=np.float64), 0, "inversion")
+    latents: dict[int, np.ndarray] = {}
+
+    def noise(z, t_prev, t):
+        return guided_noise(net, z, t, ctx, route="inversion")
+
+    _walk(z0, plan.inversion_pairs(), ddim_invert_step, sched, noise, latents, "inversion")
     cache = cache_u = None
     if capture.kv:
         cache = KVCache()
         cache_u = cache if ctx.shared else KVCache()
-    latents: dict[int, np.ndarray] = {0: z0.copy()}
-    z = z0
-    for t_prev, t in plan.inversion_pairs():
-        eps = guided_noise(net, z, t, ctx, route="inversion")
-        z = _finite(ddim_invert_step(z, eps, t_prev, t, sched), t, "inversion")
-        latents[t] = z.copy()
-        if capture.kv:
-            # At (z_t, t) the cached entries match exactly what the sampler
-            # presents when its latent equals z_t.
-            net.predict(z, t, ctx.cond, kv=cache, route="capture")
-            if not _uncond_known(ctx, cache, cache_u):
-                net.predict(z, t, ctx.uncond, kv=cache_u, route="capture")
+        # At (z_t, t) the cached entries match exactly what the sampler
+        # presents when its latent equals z_t.
+        for t in reversed(plan.timesteps):
+            guided_noise(net, latents[t], t, ctx, route="capture", kv=cache, kv_uncond=cache_u)
     traj = Trajectory(
         latents=latents, timesteps=tuple(plan.timesteps), guidance=ctx.scale, seed=seed
     )
     return InvertResult(trajectory=traj, kv_cache=cache, kv_cache_uncond=cache_u)
-
-
-def _descend(z, plan: TimestepPlan, sched: NoiseSchedule, noise, record, stage: str):
-    """DDIM descent down the plan from ``z``, taking each step's noise from
-    ``noise(z, t, t_prev)`` and recording every latent into ``record``."""
-    if record is not None:
-        record[plan.timesteps[0]] = z.copy()
-    for t, t_prev in plan.sampling_pairs():
-        z = _finite(ddim_step(z, noise(z, t, t_prev), t, t_prev, sched), t_prev, stage)
-        if record is not None:
-            record[t_prev] = z.copy()
-    return z
 
 
 def sample_direct(
@@ -272,7 +270,7 @@ def sample_direct(
         return guided_noise(net, z, t, ctx, route=route)
 
     z = np.asarray(traj_start, dtype=np.float64)
-    return _descend(z, plan, sched, noise, record, "sampling")
+    return _walk(z, plan.sampling_pairs(), ddim_step, sched, noise, record, "sampling")
 
 
 def sample_fec_ref(
@@ -356,7 +354,7 @@ def sample_fec_noise(
         return np.where(live, eps, eps_des)
 
     z = traj[plan.timesteps[0]].copy()
-    return _descend(z, plan, sched, noise, record, "fec-noise sampling")
+    return _walk(z, plan.sampling_pairs(), ddim_step, sched, noise, record, "fec-noise sampling")
 
 
 def sample_fec_kv_reuse(
@@ -392,7 +390,7 @@ def sample_fec_kv_reuse(
         return guided_noise(net, z, t, ctx, route=route, kv=kv, kv_uncond=kv_u)
 
     z = np.asarray(traj_start, dtype=np.float64)
-    return _descend(z, plan, sched, noise, record, "fec-kv-reuse sampling")
+    return _walk(z, plan.sampling_pairs(), ddim_step, sched, noise, record, "fec-kv-reuse sampling")
 
 
 RECON_METHODS = ("direct", "neg-prompt", "fec-ref", "fec-noise", "fec-kv-reuse", "fec-v-reuse")

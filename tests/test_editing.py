@@ -24,6 +24,9 @@ def test_edit_request_validation():
     with pytest.raises(ValueError):
         EditRequest("a cat", "a dog", method="fec-noise", blend_word="bird")
     EditRequest("a cat", "a dog", method="fec-noise", blend_word="dog")
+    # Identical prompts reconstruct, so a blend word would be ignored.
+    with pytest.raises(ValueError, match="a blend word needs an edit prompt that differs"):
+        EditRequest("a cat", "a cat", method="fec-noise", blend_word="cat")
     # An input the method would ignore is refused, not dropped.
     fault = "{} applies to {} edits only, not {}"
     for method in ("fec-ref", "fec-kv-reuse"):
@@ -207,6 +210,24 @@ def test_box_mask_edit_locality(net, sched, plan10):
     assert report.locality["inside_mask_mse"] > report.locality["outside_mask_mse"]
 
 
+def test_stacked_box_edit_matches_each_single_edit(net, sched):
+    plan = timestep_plan(2, 1000)
+    box = np.zeros((16, 16))
+    box[4:12, 4:12] = 1.0
+    req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise")
+    z0s = [generate_synthetic_latent(0, "gaussian"), generate_synthetic_latent(1, "blocks")]
+    out, _ = run_edit(net, sched, plan, np.stack(z0s), req, user_mask=box)
+    singles = [run_edit(net, sched, plan, z0, req, user_mask=box) for z0 in z0s]
+    for row, (single, _) in zip(out, singles):
+        assert row.tobytes() == single.tobytes()
+    # A stack's locality averages over its latents.
+    _, twice = run_edit(net, sched, plan, np.stack([z0s[0], z0s[0]]), req, user_mask=box)
+    single_locality = singles[0][1].locality
+    assert twice.locality.keys() == single_locality.keys()
+    for key, value in single_locality.items():
+        assert twice.locality[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_masks_are_rejected_as_masks(net, sched, bad):
     mask = np.zeros((16, 16))
@@ -219,21 +240,27 @@ def test_non_finite_masks_are_rejected_as_masks(net, sched, bad):
 
 
 @pytest.mark.parametrize(
-    "method, mask, layers, fault",
+    "method, edit, mask, layers, fault",
     [
-        ("fec-kv-reuse", np.ones((16, 16)), None, "fec-noise edits only"),
-        ("fec-ref", np.ones((16, 16)), None, "fec-noise edits only"),
-        ("fec-noise", np.ones((8, 8)), None, r"mask \(8, 8\) does not match the latent grid"),
-        ("fec-kv-reuse", None, LayerRange(0, 99), "layer range end 99 exceeds L=4"),
-        ("fec-noise", None, None, "a fec-noise edit needs a mask or a blend word"),
+        ("fec-kv-reuse", "a dog on a mat", np.ones((16, 16)), None, "fec-noise edits only"),
+        ("fec-ref", "a dog on a mat", np.ones((16, 16)), None, "fec-noise edits only"),
+        ("fec-noise", "a dog on a mat", np.ones((8, 8)), None,
+         r"mask \(8, 8\) does not match the latent grid"),
+        ("fec-kv-reuse", "a dog on a mat", None, LayerRange(0, 99),
+         "layer range end 99 exceeds L=4"),
+        ("fec-noise", "a dog on a mat", None, None,
+         "a fec-noise edit needs a mask or a blend word"),
+        ("fec-noise", "a cat on a mat", np.ones((16, 16)), None,
+         "a user mask needs an edit prompt that differs"),
     ],
-    ids=["kv-reuse", "fec-ref", "fec-noise-8x8", "kv-reuse-layers-0:99", "fec-noise-no-mask"],
+    ids=["kv-reuse", "fec-ref", "fec-noise-8x8", "kv-reuse-layers-0:99", "fec-noise-no-mask",
+         "fec-noise-same-prompt"],
 )
 def test_unusable_user_mask_is_rejected_before_inverting(
-    sched, plan10, method, mask, layers, fault
+    sched, plan10, method, edit, mask, layers, fault
 ):
     net = ToyDenoiser(DenoiserConfig())
-    req = EditRequest("a cat on a mat", "a dog on a mat", method, layer_range=layers)
+    req = EditRequest("a cat on a mat", edit, method, layer_range=layers)
     with pytest.raises(ValueError, match=fault):
         run_edit(net, sched, plan10, generate_synthetic_latent(1), req, user_mask=mask)
     assert not net.call_counts

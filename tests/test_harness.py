@@ -669,6 +669,8 @@ _BAD_CONFIGS = {
          "a fec-noise edit needs a mask or a blend word"),
         (["timing", "--blend-word", "dog"],
          "blend word 'dog' does not occur in the edit prompt"),
+        (["edit", "--prompt", "a cat on a mat", "--blend-word", "cat"],
+         "a blend word needs an edit prompt that differs from the source"),
         (["timing", "--prompt", "a cat on a mat", "--edit-prompt", "a mat on a cat"],
          "a fec-noise edit needs a mask or a blend word"),
         (["edit", "--method", "fec-kv-reuse", "--prompt", "a cat", "--edit-prompt", "a dog",
@@ -692,7 +694,8 @@ _BAD_CONFIGS = {
          "config-denoiser-seed-negative", "config-total-steps-0", "config-embed-seed-negative",
          "config-seeds-negative", "seed-negative", "reconstruct-two-methods",
          "edit-config-two-methods", "edit-method-v-reuse", "edit-no-mask",
-         "edit-config-no-mask", "timing-blend-word-missing", "timing-no-new-word",
+         "edit-config-no-mask", "timing-blend-word-missing", "edit-blend-word-same-prompt",
+         "timing-no-new-word",
          "edit-kv-reuse-blend-word",
          "edit-fec-noise-layers", "edit-fec-ref-layers", "invert-kv-out-is-out",
          "invert-uncond-kv-out-is-out"],

@@ -123,17 +123,18 @@ def test_invert_capture_fills_both_branch_caches(net, sched, plan10):
 
 
 def test_aligned_capture_matches_sampler_inputs(net, sched, plan10):
-    # At the inversion endpoint the sampler sees the same latent the
-    # aligned capture pass recorded, so injection reproduces the live
-    # evaluation bit-exactly.
+    # At every planned step the sampler on the inversion path sees the
+    # latent the aligned capture pass recorded, so injecting either
+    # branch's cache reproduces that branch's live evaluation bit-exactly.
     ctx = _ctx(7.5)
     res = invert(net, _latent(0), ctx, plan10, sched, CaptureOptions(kv=True))
-    t = plan10.timesteps[0]
-    z_t = res.trajectory[t]
     layers = LayerRange(0, net.config.layer_count)
-    live = net.predict(z_t, t, ctx.cond)
-    injected = net.predict(z_t, t, ctx.cond, kv=KVInject(res.kv_cache, layers))
-    assert live.tobytes() == injected.tobytes()
+    for t in plan10.timesteps:
+        z_t = res.trajectory[t]
+        for cache, emb in ((res.kv_cache, ctx.cond), (res.kv_cache_uncond, ctx.uncond)):
+            live = net.predict(z_t, t, emb)
+            injected = net.predict(z_t, t, emb, kv=KVInject(cache, layers))
+            assert live.tobytes() == injected.tobytes(), (t, emb is ctx.cond)
 
 
 # ------------------------------------------------------------ samplers

@@ -133,6 +133,21 @@ MUTANTS = [
     ("fec-noise-mask-channel-axis-dropped", "src/fecdiff/sampling.py",
      "m = mask(t, trace)[..., None, :, :]", "m = mask(t, trace)",
      "sample_fec_noise does not put a mask function's result on the channel axis"),
+    ("locality-first-axis", "src/fecdiff/editing.py",
+     "diff[..., keep]", "diff[:, keep]",
+     "_locality indexes the mask on the axes after the first, so a stacked box edit fails"),
+    ("capture-at-next-latent", "src/fecdiff/sampling.py",
+     "guided_noise(net, latents[t], t, ctx,",
+     "guided_noise(net, latents[next((s for s in sorted(latents) if s > t), t)], t, ctx,",
+     "capture records each step's K/V at the next saved latent up (z_T's own at T)"),
+    ("edit-same-prompt-mask-accepted", "src/fecdiff/editing.py",
+     'raise ValueError("a user mask needs an edit prompt that differs from the source")',
+     "pass",
+     "run_edit ignores a user mask when the edit prompt equals the source"),
+    ("edit-same-prompt-blend-word-accepted", "src/fecdiff/editing.py",
+     'raise ValueError("a blend word needs an edit prompt that differs from the source")',
+     "pass",
+     "EditRequest takes a blend word that an identical-prompt edit ignores"),
 ]
 
 def _test_args(root: Path) -> list[str]:
