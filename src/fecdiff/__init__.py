@@ -42,7 +42,6 @@ from .sampling import (
     ddim_invert_step,
     ddim_step,
     desired_noise,
-    desired_uncond,
     guidance_contexts,
     invert,
     sample_direct,

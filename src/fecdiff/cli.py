@@ -36,7 +36,7 @@ from .harness import (
 )
 from .io_formats import read_mask, write_kv_cache, write_trajectory
 from .metrics import trajectory_loss_curve
-from .sampling import CaptureOptions, guidance_contexts, invert
+from .sampling import KV_METHODS, CaptureOptions, guidance_contexts, invert
 
 
 class UsageError(ValueError):
@@ -112,6 +112,13 @@ def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
         if methods and cfg.methods[0] not in methods:
             raise ConfigError(f"{args.command} runs one method of {', '.join(methods)};"
                               f" got {cfg.methods[0]!r}", "methods")
+        # reconstruct runs the first method and sweep every one; only a kv
+        # method reads a layer range. EditRequest refuses one for edit.
+        runs = cfg.methods if args.command == "sweep" else cfg.methods[:1]
+        if (args.command in ("reconstruct", "sweep") and values.keys() & {"layer_start", "layer_end"}
+                and not set(runs) & set(KV_METHODS)):
+            raise ConfigError(f"a layer range applies to {' and '.join(KV_METHODS)} only,"
+                              f" not {', '.join(runs)}", "layer_start", "layer_end")
         return cfg
     except FileNotFoundError as exc:
         raise UsageError(f"configuration file not found: {exc}") from exc

@@ -196,6 +196,10 @@ def read_kv_cache(path) -> KVCache:
         version, steps, layer_count, width = r.u32s(4)
         r.version(version, "KV cache")
         nbytes = r.width(width)
+        if steps == 0 or layer_count == 0:
+            # write_kv_cache refuses an empty cache, so no file holds one.
+            r.fail(f"a KV cache holds at least one timestep and one layer, not {steps}"
+                   f" timesteps and {layer_count} layers")
         (k_rank,) = r.u32s(1)
         k_dims = r.u32s(k_rank)
         (v_rank,) = r.u32s(1)
@@ -219,6 +223,8 @@ def write_mask(path, mask: np.ndarray, float_width: int = 64):
     mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim != 2:
         raise ValueError("mask must be a 2-D spatial grid")
+    if mask.size == 0:
+        raise ValueError(f"mask is empty: shape {mask.shape}")
     with open(path, "wb") as f:
         f.write(MASK_MAGIC)
         _write_u32s(f, _VERSION, float_width, *mask.shape)
@@ -231,5 +237,7 @@ def read_mask(path) -> np.ndarray:
         r.magic(MASK_MAGIC)
         version, width, h, w = r.u32s(4)
         r.version(version, "mask")
+        if h == 0 or w == 0:
+            r.fail(f"mask is empty: shape ({h}, {w})")
         r.payload(h * w * r.width(width))
         return r.array((h, w), width)

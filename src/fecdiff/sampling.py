@@ -163,15 +163,6 @@ def desired_noise(
     return (z_target_prev - a * z_tilde_t) / b
 
 
-def desired_uncond(eps_t: np.ndarray, eps_c: np.ndarray, scale: float) -> np.ndarray:
-    """Unconditional noise making cfg_combine(eps_c, result, scale) == eps_t."""
-    if scale == 1.0:
-        raise ValueError("degenerate guidance: scale = 1 leaves no unconditional weight")
-    if eps_t.shape != eps_c.shape:
-        raise ValueError(f"shape mismatch: {eps_t.shape} vs {eps_c.shape}")
-    return (eps_t - scale * eps_c) / (1.0 - scale)
-
-
 def _uncond_known(ctx: GuidanceContext, kv=None, kv_uncond=None) -> bool:
     """Whether the unconditional evaluation can be skipped: under shared
     branches with one hook it is the conditional evaluation again
@@ -286,9 +277,11 @@ def sample_fec_ref(
 
 
 def as_mask(values) -> np.ndarray:
-    """``values`` as a float64 mask, after checking that every value is
-    finite and lies in [0, 1]."""
+    """``values`` as a float64 mask, after checking that it is not empty
+    and that every value is finite and lies in [0, 1]."""
     mask = np.asarray(values, dtype=np.float64)
+    if mask.size == 0:
+        raise ValueError(f"mask is empty: shape {mask.shape}")
     if not np.all(np.isfinite(mask)):
         raise ValueError("mask values must be finite; the mask holds NaN or infinity")
     if mask.min() < 0.0 or mask.max() > 1.0:
@@ -309,20 +302,20 @@ def sample_fec_noise(
 ) -> np.ndarray:
     """Desired-noise sampler.
 
-    Each step derives the unconditional noise that would land exactly on
-    the saved inversion latent, then blends it with the live unconditional
-    prediction under the step mask. ``mask`` is ``None``, an array applied
-    at every step (checked with ``as_mask`` before the first step), or a
-    function ``mask(t, trace)`` that gives each latent's spatial mask from
-    the step's conditional attention trace. ``None``, or a mask with no
-    nonzero entry, means the zero mask: the step takes pure desired noise
-    and evaluates no network, which reconstructs the source; a stacked
-    latent whose own mask is zero takes pure desired noise too, as it does
-    alone. The conditional prediction is evaluated only under a live mask
-    or, traced, for a mask function, and the live unconditional one only
-    when ``guided_noise`` would evaluate it. With guidance scale 1 the
-    unconditional derivation is singular and blending happens on total
-    noise instead, preserving exactness in unmasked regions.
+    Each step blends the guided prediction ``eps_c`` with the desired noise
+    ``eps_des``, which lands exactly on the saved inversion latent, under
+    the step mask: ``m * eps_c + (1 - m) * eps_des``. Guidance is affine in
+    the unconditional noise, so this is the paper's Eq. 13 (blend that
+    noise with the one guiding to ``eps_des``, then guide) at every scale,
+    1 included, and wherever the mask is 0 the step takes ``eps_des``
+    exactly. ``mask`` is ``None``, an array applied at every step (checked
+    with ``as_mask`` before the first step), or a function ``mask(t,
+    trace)`` giving each latent's spatial mask from the step's conditional
+    attention trace. ``None``, or a mask with no nonzero entry, is the zero
+    mask: the step evaluates no network, which reconstructs the source.
+    The conditional prediction is evaluated only under a nonzero mask or,
+    traced, for a mask function, and the unconditional one only when
+    ``guided_noise`` would evaluate it.
     """
     if not traj.covers(plan):
         raise ValueError("trajectory does not cover the timestep plan")
@@ -331,27 +324,19 @@ def sample_fec_noise(
 
     def noise(z, t, t_prev):
         eps_des = desired_noise(z, traj[t_prev], t, t_prev, sched)
-        eps_c, m, live = None, mask, True
+        eps_c, m = None, mask
         if callable(mask):
             trace = AttentionTrace()
             eps_c = net.predict(z, t, ctx.cond, trace_to=trace, route=route)
             m = mask(t, trace)[..., None, :, :]
-            live = np.any(m, axis=(-2, -1), keepdims=True)
         if m is None or not np.any(m):
-            # Eq. 13 cancels the conditional prediction exactly under a
-            # zero mask, so the step is the desired noise itself.
+            # Under a zero mask the blend is eps_des: no network runs.
             return eps_des
         if eps_c is None:
             eps_c = net.predict(z, t, ctx.cond, route=route)
-        eps_u_live = eps_c if _uncond_known(ctx) else net.predict(z, t, ctx.uncond, route=route)
-        if ctx.scale == 1.0:
-            # Singular Eq.-13 case: blend total noise so unmasked regions
-            # still receive exactly the desired noise.
-            eps = m * eps_c + (1.0 - m) * eps_des
-        else:
-            eps_u = m * eps_u_live + (1.0 - m) * desired_uncond(eps_des, eps_c, ctx.scale)
-            eps = cfg_combine(eps_c, eps_u, ctx.scale)
-        return np.where(live, eps, eps_des)
+        if not _uncond_known(ctx):  # eps_c becomes the guided prediction
+            eps_c = cfg_combine(eps_c, net.predict(z, t, ctx.uncond, route=route), ctx.scale)
+        return m * eps_c + (1.0 - m) * eps_des
 
     z = traj[plan.timesteps[0]].copy()
     return _walk(z, plan.sampling_pairs(), ddim_step, sched, noise, record, "fec-noise sampling")

@@ -29,7 +29,6 @@ from fecdiff.sampling import (
     ddim_invert_step,
     ddim_step,
     desired_noise,
-    desired_uncond,
     invert,
     sample_direct,
     sample_method,
@@ -129,9 +128,14 @@ def test_criterion_03_algebraic_roundtrips(sched):
         ok &= float(np.max(np.abs(back - z))) < 1e-12
         e = desired_noise(z, target, t, t_prev, sched)
         ok &= float(np.max(np.abs(ddim_step(z, e, t, t_prev, sched) - target))) < 1e-12
+    # fec-noise's blend of guided noise is Eq. 13's blend of unconditional
+    # noise with the one that guides to the desired noise, then guidance.
+    m = rng.random((4, 16, 16))
     for scale in (0.0, 2.0, 7.5):
-        eps_u = desired_uncond(eps, z, scale)
-        ok &= float(np.max(np.abs(cfg_combine(z, eps_u, scale) - eps))) < 1e-12
+        u_des = (target - scale * z) / (1.0 - scale)
+        eq13 = cfg_combine(z, m * eps + (1.0 - m) * u_des, scale)
+        blend = m * cfg_combine(z, eps, scale) + (1.0 - m) * target
+        ok &= float(np.max(np.abs(eq13 - blend))) < 1e-12
     ok &= cfg_combine(z, eps, 1.0).tobytes() == z.tobytes()
     _verdict(3, "algebraic roundtrips", ok)
 

@@ -526,8 +526,9 @@ def test_cli_edit_with_mask(tmp_path, capsys):
 @pytest.mark.parametrize(
     "method, size, fault",
     [("fec-kv-reuse", 16, "fec-noise edits only"), ("fec-noise", 8, "latent grid (16, 16)"),
-     ("fec-noise", "missing", "No such file"), ("fec-noise", "zeros", "bad magic")],
-    ids=["kv-reuse", "fec-noise-8x8", "missing-file", "malformed-file"],
+     ("fec-noise", "missing", "No such file"), ("fec-noise", "zeros", "bad magic"),
+     ("fec-noise", "empty", "mask is empty: shape (0, 0)")],
+    ids=["kv-reuse", "fec-noise-8x8", "missing-file", "malformed-file", "empty-file"],
 )
 def test_cli_edit_rejects_a_mask_it_cannot_use(method, size, fault, tmp_path, capsys):
     from fecdiff.io_formats import write_mask
@@ -535,6 +536,8 @@ def test_cli_edit_rejects_a_mask_it_cannot_use(method, size, fault, tmp_path, ca
     mask_path = tmp_path / "m.fecmask"
     if size == "zeros":
         mask_path.write_bytes(bytes(20))
+    elif size == "empty":  # a 0x0 FECMASK1 file, which write_mask refuses to write
+        mask_path.write_bytes(b"FECMASK1" + np.array([1, 64, 0, 0], dtype="<u4").tobytes())
     elif size != "missing":
         write_mask(mask_path, np.ones((size, size)), 64)
     rc = main(["edit", "--method", method, "--steps", "2", "--prompt", "a cat on a mat",
@@ -600,6 +603,7 @@ _BAD_CONFIGS = {
     "methods-direct": "[run]\nmethods = direct\n",
     "inv-guidances-nan": "[run]\ninv_guidances = nan\n",
     "layers-3-1": "[run]\nlayer_start = 3\nlayer_end = 1\n",
+    "layer-end-direct": "[run]\nmethods = direct\nlayer_end = 2\n",
 }
 
 
@@ -679,6 +683,12 @@ _BAD_CONFIGS = {
           "--layers", "1:2"], "a layer range applies to fec-kv-reuse edits only, not fec-noise"),
         (["edit", "--method", "fec-ref", "--layers", "0:4"],
          "a layer range applies to fec-kv-reuse edits only, not fec-ref"),
+        (["reconstruct", "--method", "direct", "--layers", "1:3"],
+         "a layer range applies to fec-kv-reuse and fec-v-reuse only, not direct"),
+        (["reconstruct", "--layers", "1:3"],
+         "a layer range applies to fec-kv-reuse and fec-v-reuse only, not direct"),
+        (["sweep", "--method", "direct", "--method", "fec-noise", "--layers", "1:3"],
+         "a layer range applies to fec-kv-reuse and fec-v-reuse only, not direct, fec-noise"),
         (["invert", "--out", "{tmp}/a.bin", "--kv-out", "{tmp}/a.bin"],
          "the trajectory and a K/V cache would both be written to"),
         (["invert", "--out", "{tmp}/a.uncond.bin", "--kv-out", "{tmp}/a.bin"],
@@ -697,7 +707,8 @@ _BAD_CONFIGS = {
          "edit-config-no-mask", "timing-blend-word-missing", "edit-blend-word-same-prompt",
          "timing-no-new-word",
          "edit-kv-reuse-blend-word",
-         "edit-fec-noise-layers", "edit-fec-ref-layers", "invert-kv-out-is-out",
+         "edit-fec-noise-layers", "edit-fec-ref-layers", "reconstruct-direct-layers",
+         "reconstruct-default-method-layers", "sweep-no-kv-method-layers", "invert-kv-out-is-out",
          "invert-uncond-kv-out-is-out"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
@@ -775,11 +786,16 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
         (["edit", "--config", "{tmp}/methods-direct.cfg", "--steps", "2"],
          "[run] methods: edit runs one method of fec-noise, fec-ref, fec-kv-reuse;"
          " got 'direct'"),
+        (["sweep", "--config", "{tmp}/layer-end-direct.cfg"],
+         "[run] layer_end: a layer range applies to fec-kv-reuse and fec-v-reuse only"),
+        (["reconstruct", "--method", "fec-ref", "--layers", "0:2"],
+         "--layers: a layer range applies to fec-kv-reuse and fec-v-reuse only"),
     ],
     ids=["config-methods-warp", "config-schedule-kind", "config-inv-guidances-nan",
          "config-layers-3-1", "flag-steps-0", "flag-layers-0:99", "flag-over-file",
          "flag-method-repeated", "flag-seed-repeated", "config-seeds-repeated",
-         "reconstruct-two-seeds", "edit-config-two-edit-prompts", "edit-config-method-direct"],
+         "reconstruct-two-seeds", "edit-config-two-edit-prompts", "edit-config-method-direct",
+         "config-layer-end-direct", "flag-layers-fec-ref"],
 )
 def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tmp_path):
     for name, text in _BAD_CONFIGS.items():

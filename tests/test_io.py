@@ -153,6 +153,9 @@ def test_mask_roundtrip(tmp_path):
         assert f.read(len(MASK_MAGIC)) == MASK_MAGIC
     with pytest.raises(ValueError):
         write_mask(tmp_path / "m2.fecmask", np.zeros(4))
+    with pytest.raises(ValueError, match=r"mask is empty: shape \(0, 0\)"):
+        write_mask(tmp_path / "m2.fecmask", np.zeros((0, 0)))
+    assert not (tmp_path / "m2.fecmask").exists()
 
 
 def test_invalid_width_rejected(tmp_path):
@@ -288,6 +291,13 @@ def test_malformed_headers_name_the_fault(tmp_path, valid_files):
     cases.append((bytes(header), read_kv_cache, "hold no values"))
     # Timesteps (30, 20) -> (30, 30).
     cases.append((kv[:50] + kv[46:50] + kv[54:], read_kv_cache, "repeats a timestep"))
+    # A cache of 0 timesteps or 0 layers, which write_kv_cache refuses to write.
+    zero = (0).to_bytes(4, "little")
+    cases.append((kv[:10] + zero + kv[14:], read_kv_cache, "not 0 timesteps and 2 layers"))
+    cases.append((kv[:14] + zero + kv[18:], read_kv_cache, "not 2 timesteps and 0 layers"))
+    mask, _ = valid_files["mask"]
+    # A 0x0 mask, which write_mask refuses to write.
+    cases.append((mask[:16] + zero + zero, read_mask, r"mask is empty: shape \(0, 0\)"))
     for i, (blob, read, message) in enumerate(cases):
         path = tmp_path / f"case{i}"
         path.write_bytes(blob)

@@ -14,7 +14,6 @@ from fecdiff.sampling import (
     ddim_invert_step,
     ddim_step,
     desired_noise,
-    desired_uncond,
     guided_noise,
     invert,
     sample_direct,
@@ -82,13 +81,17 @@ def test_desired_noise_hits_target(sched):
         assert np.max(np.abs(landed - target)) < 1e-12
 
 
-def test_desired_uncond_roundtrip():
-    eps_t, eps_c = _latent(0), _latent(1)
-    for scale in (0.0, 2.0, 7.5, -1.0):
-        eps_u = desired_uncond(eps_t, eps_c, scale)
-        assert np.max(np.abs(cfg_combine(eps_c, eps_u, scale) - eps_t)) < 1e-12
-    with pytest.raises(ValueError):
-        desired_uncond(eps_t, eps_c, 1.0)
+def test_guided_blend_is_eq13_blend():
+    # Guidance is affine in the unconditional noise, so blending guided
+    # noise with the desired noise is Eq. 13: blend the unconditional noise
+    # with the one that guides to the desired noise, then guide.
+    eps_c, eps_u, eps_des = _latent(0), _latent(1), _latent(2)
+    m = np.random.default_rng(3).random(eps_c.shape)
+    for scale in (0.0, 2.0, 7.5):
+        u_des = (eps_des - scale * eps_c) / (1.0 - scale)
+        eq13 = cfg_combine(eps_c, m * eps_u + (1.0 - m) * u_des, scale)
+        blend = m * cfg_combine(eps_c, eps_u, scale) + (1.0 - m) * eps_des
+        assert np.max(np.abs(eq13 - blend)) < 1e-12, scale
 
 
 # ------------------------------------------------------------ inversion
@@ -388,6 +391,9 @@ def _assert_rejected_before_any_call(net, sched, plan, mask, match):
 def test_array_mask_validation(net, sched, plan10):
     _assert_rejected_before_any_call(
         net, sched, plan10, np.array([[0.0, 2.0]]), r"lie in \[0, 1\]"
+    )
+    _assert_rejected_before_any_call(
+        net, sched, plan10, np.zeros((0, 0)), r"mask is empty: shape \(0, 0\)"
     )
     assert np.array_equal(as_mask(np.array([[0.0, 1.0]])), [[0.0, 1.0]])
 

@@ -148,6 +148,26 @@ MUTANTS = [
      'raise ValueError("a blend word needs an edit prompt that differs from the source")',
      "pass",
      "EditRequest takes a blend word that an identical-prompt edit ignores"),
+    ("fec-noise-unconditional-blend", "src/fecdiff/sampling.py",
+     "        if not _uncond_known(ctx):  # eps_c becomes the guided prediction\n"
+     "            eps_c = cfg_combine(eps_c, net.predict(z, t, ctx.uncond, route=route), ctx.scale)\n"
+     "        return m * eps_c + (1.0 - m) * eps_des\n",
+     "        eps_u = eps_c if _uncond_known(ctx) else net.predict(z, t, ctx.uncond, route=route)\n"
+     "        if ctx.scale == 1.0:\n"
+     "            return m * eps_c + (1.0 - m) * eps_des\n"
+     "        u_des = (eps_des - ctx.scale * eps_c) / (1.0 - ctx.scale)\n"
+     "        return cfg_combine(eps_c, m * eps_u + (1.0 - m) * u_des, ctx.scale)\n",
+     "fec-noise blends the unconditional noise with Eq. 13's derived one and then guides,"
+     " so a masked edit is exact outside the mask only to rounding"),
+    ("cli-unread-layer-range-accepted", "src/fecdiff/cli.py",
+     'if (args.command in ("reconstruct", "sweep")', "if (False",
+     "reconstruct and sweep run with a layer range that none of their methods reads"),
+    ("kv-empty-header-accepted", "src/fecdiff/io_formats.py",
+     "if steps == 0 or layer_count == 0:", "if False:",
+     "read_kv_cache reads a header of 0 timesteps or 0 layers as an empty cache"),
+    ("mask-empty-accepted", "src/fecdiff/sampling.py",
+     'raise ValueError(f"mask is empty: shape {mask.shape}")', "pass",
+     "as_mask takes an empty mask, which then fails in numpy's reduction"),
 ]
 
 def _test_args(root: Path) -> list[str]:
