@@ -115,7 +115,7 @@ def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
         # reconstruct runs the first method and sweep every one; only a kv
         # method reads a layer range. EditRequest refuses one for edit.
         runs = cfg.methods if args.command == "sweep" else cfg.methods[:1]
-        if (args.command in ("reconstruct", "sweep") and values.keys() & {"layer_start", "layer_end"}
+        if (args.command in ("reconstruct", "sweep") and cfg.layer_range() is not None
                 and not set(runs) & set(KV_METHODS)):
             raise ConfigError(f"a layer range applies to {' and '.join(KV_METHODS)} only,"
                               f" not {', '.join(runs)}", "layer_start", "layer_end")
@@ -182,8 +182,6 @@ def _cmd_edit(args) -> int:
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
-    # Only a range the user set, which EditRequest refuses for a method that ignores it.
-    layers = cfg.layer_range() if cfg.layer_start or cfg.layer_end is not None else None
     # An error here means an input the edit cannot use or lacks (mask, blend word, layers).
     try:
         user_mask = read_mask(args.mask) if args.mask else None
@@ -192,7 +190,7 @@ def _cmd_edit(args) -> int:
             edit_prompt=edit,
             method=cfg.methods[0],
             blend_word=cfg.blend_word,
-            layer_range=layers,
+            layer_range=cfg.layer_range(),
             guidance=cfg.samp_guidances[0],
         )
         out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)

@@ -205,7 +205,7 @@ def _sinusoidal(x: float | np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(arg), np.cos(arg)], axis=-1)
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _layer_norm(x: np.ndarray) -> np.ndarray:
     # ``np.add.reduce(...) / n`` is the reduction ``np.mean`` runs, without
     # its Python wrapper; the variance is byte-equal to ``x.var(axis=-1)``.
     n = x.shape[-1]
@@ -215,10 +215,7 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray
     # faster, and after a K/V-capturing inversion it left a heap that
     # reading the caches back regrew on every other read (about 4,800
     # page faults per io benchmark job, against none).
-    y = d / np.sqrt(var + 1e-5)
-    y *= gain
-    y += bias
-    return y
+    return d / np.sqrt(var + 1e-5)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -266,33 +263,26 @@ class ToyDenoiser:
 
         self.grid_shape = (h // p, w // p)
         self.w_in = lin(c * p * p, d)
-        self.b_in = np.zeros(d)
         self.w_time = lin(d, d)
         self.pos = _sinusoidal(np.arange(self.grid_shape[0] * self.grid_shape[1]), d)
         self.blocks = []
         for _ in range(config.layer_count):
             self.blocks.append(
                 {
-                    "ln1": (np.ones(d), np.zeros(d)),
                     # Double-scale value projection: self-attention values
                     # dominate each block's output, so the latent
                     # sensitivity of the network flows mainly through the
                     # K/V path rather than the residual MLP.
                     "wq": lin(d, d), "wk": lin(d, d), "wv": 2.0 * lin(d, d), "wo": lin(d, d),
-                    "ln2": (np.ones(d), np.zeros(d)),
                     "cq": lin(d, d), "ck": lin(config.token_dim, d),
                     "cv": lin(config.token_dim, d), "co": lin(d, d),
-                    "ln3": (np.ones(d), np.zeros(d)),
-                    "w1": lin(d, 2 * d), "b1": np.zeros(2 * d),
-                    "w2": lin(2 * d, d), "b2": np.zeros(d),
+                    "w1": lin(d, 2 * d), "w2": lin(2 * d, d),
                 }
             )
-        self.ln_out = (np.ones(d), np.zeros(d))
         # Half-scale output head: keeps noise predictions moderate so the
         # guided sampling dynamics stay out of the saturating regime at
         # large guidance scales.
         self.w_out = 0.5 * lin(d, c * p * p)
-        self.b_out = np.zeros(c * p * p)
         self.call_counts: Counter[str] = Counter()
         dh = d // config.head_count
         self._logit_scale = float(dh) if config.attn_scale == "dim" else float(np.sqrt(dh))
@@ -358,12 +348,11 @@ class ToyDenoiser:
         # ``hdd`` is a fresh array from here on, so the residual adds below
         # run in place, each keeping its expression's association.
         hdd = x @ self.w_in
-        hdd += self.b_in
         hdd += _sinusoidal(float(t), cfg.model_dim) @ self.w_time
         hdd += self.pos
 
         for layer, blk in enumerate(self.blocks):
-            a = _layer_norm(hdd, *blk["ln1"])
+            a = _layer_norm(hdd)
             q = a @ blk["wq"]
             k = a @ blk["wk"]
             v = a @ blk["wv"]
@@ -372,7 +361,7 @@ class ToyDenoiser:
             out, _ = self._attend(self._heads(q), self._heads(k), self._heads(v))
             hdd += self._merge(out) @ blk["wo"]
 
-            a = _layer_norm(hdd, *blk["ln2"])
+            a = _layer_norm(hdd)
             q = a @ blk["cq"]
             ck = cond.tokens @ blk["ck"]
             cv = cond.tokens @ blk["cv"]
@@ -385,14 +374,10 @@ class ToyDenoiser:
                 trace_to(t, layer, weights.mean(axis=-3).reshape(*lead, gh, gw, -1))
             hdd += self._merge(out) @ blk["co"]
 
-            a = _layer_norm(hdd, *blk["ln3"])
-            u = a @ blk["w1"]
-            u += blk["b1"]
-            hdd += _gelu(u) @ blk["w2"]
-            hdd += blk["b2"]
+            a = _layer_norm(hdd)
+            hdd += _gelu(a @ blk["w1"]) @ blk["w2"]
 
-        out = _layer_norm(hdd, *self.ln_out) @ self.w_out
-        out += self.b_out
+        out = _layer_norm(hdd) @ self.w_out
         out = np.moveaxis(out.reshape(*lead, gh, gw, c, p, p), (-5, -4), (-4, -2))
         return np.ascontiguousarray(out.reshape(*lead, c, h, w))
 

@@ -76,7 +76,7 @@ class ExperimentConfig:
     prompts: tuple[str, ...] = ("a cat sitting on a mat",)
     edit_prompts: tuple[str, ...] = ()
     blend_word: str | None = None
-    layer_start: int = 0
+    layer_start: int | None = None
     layer_end: int | None = None
     denoiser: DenoiserConfig = field(default_factory=DenoiserConfig)
     precision: int = 64
@@ -116,7 +116,8 @@ class ExperimentConfig:
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}", name)
         # Checked before LayerRange is built, so that the error names its fields.
-        start, count = self.layer_start, self.denoiser.layer_count
+        count = self.denoiser.layer_count
+        start = self.layer_start or 0
         end = count if self.layer_end is None else self.layer_end
         if not 0 <= start <= end:
             raise ConfigError(f"invalid layer range [{start}, {end})", "layer_start", "layer_end")
@@ -135,10 +136,13 @@ class ExperimentConfig:
             denoiser=DenoiserConfig(**{k: v for k, v in values.items() if k in denoiser}),
         )
 
-    def layer_range(self) -> LayerRange:
-        """The injection layer range; ``layer_end=None`` means every layer."""
+    def layer_range(self) -> LayerRange | None:
+        """The injection layer range, ``None`` when neither bound is set; an
+        unset start is 0 and an unset end the last layer."""
+        if self.layer_start is None and self.layer_end is None:
+            return None
         end = self.denoiser.layer_count if self.layer_end is None else self.layer_end
-        return LayerRange(self.layer_start, end)
+        return LayerRange(self.layer_start or 0, end)
 
     def components(self):
         """The (network, schedule, plan) triple this configuration describes."""
@@ -316,7 +320,8 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     inversion. The fec-noise edit blends under the mask of
     ``cfg.blend_word``, else of the first edit-prompt word the source
     prompt lacks; with neither, ``run_edit`` refuses it (``ValueError``).
-    The kv-reuse edit makes no reconstruction-route calls."""
+    The kv-reuse edit injects over ``cfg.layer_range()`` and makes no
+    reconstruction-route calls."""
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     source = cfg.prompts[0]
@@ -334,7 +339,7 @@ def report_timing(cfg: ExperimentConfig) -> dict:
         method: functools.partial(
             run_edit, net, sched, plan, z0,
             EditRequest(source, edit, method, blend if method == "fec-noise" else None,
-                        guidance=guidance),
+                        cfg.layer_range() if method == "fec-kv-reuse" else None, guidance),
             cfg.embed_seed,
         )
         for method in EDIT_METHODS

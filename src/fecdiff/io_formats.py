@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .denoiser import KVCache
-from .sampling import Trajectory
+from .sampling import Trajectory, as_mask
 
 TRAJ_MAGIC = b"FECTRAJ1"
 KV_MAGIC = b"FECKV1"
@@ -220,11 +220,9 @@ def read_kv_cache(path) -> KVCache:
 
 
 def write_mask(path, mask: np.ndarray, float_width: int = 64):
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = as_mask(mask)
     if mask.ndim != 2:
         raise ValueError("mask must be a 2-D spatial grid")
-    if mask.size == 0:
-        raise ValueError(f"mask is empty: shape {mask.shape}")
     with open(path, "wb") as f:
         f.write(MASK_MAGIC)
         _write_u32s(f, _VERSION, float_width, *mask.shape)
@@ -240,4 +238,8 @@ def read_mask(path) -> np.ndarray:
         if h == 0 or w == 0:
             r.fail(f"mask is empty: shape ({h}, {w})")
         r.payload(h * w * r.width(width))
-        return r.array((h, w), width)
+        mask = r.array((h, w), width)
+        try:
+            return as_mask(mask)
+        except ValueError as exc:
+            r.fail(str(exc))

@@ -9,7 +9,7 @@ import pytest
 
 from fecdiff import cli, harness, sampling
 from fecdiff.cli import main
-from fecdiff.denoiser import ConfigError, DenoiserConfig, ToyDenoiser
+from fecdiff.denoiser import ConfigError, DenoiserConfig, LayerRange, ToyDenoiser
 from fecdiff.harness import (
     CONFIG_KEYS,
     RECON_METHODS,
@@ -139,6 +139,13 @@ def test_run_sweep_records_cell_errors(monkeypatch):
     kv, direct = report.rows
     assert kv["error"] == "RuntimeError: sampler broke"
     assert not direct["error"] and direct["latent_loss"] >= 0.0
+
+
+def test_layer_range_is_none_exactly_when_no_bound_is_set():
+    assert ExperimentConfig().layer_range() is None
+    assert ExperimentConfig(layer_start=0).layer_range() == LayerRange(0, 4)
+    assert ExperimentConfig(layer_start=1).layer_range() == LayerRange(1, 4)
+    assert ExperimentConfig(layer_end=2).layer_range() == LayerRange(0, 2)
 
 
 def test_empty_layer_range_injects_nothing():
@@ -332,6 +339,16 @@ def test_report_timing_call_accounting():
     assert kv["edit"] == 2 * cfg.steps
     assert paired["reconstruction"] == 2 * cfg.steps
     assert paired["edit"] == 2 * cfg.steps
+
+
+def test_report_timing_injects_over_the_configured_layer_range(monkeypatch):
+    requests = []
+    monkeypatch.setattr(harness, "run_edit", lambda net, sched, plan, z0, req, seed:
+                        requests.append((req.method, req.layer_range)))
+    for bounds, layers in ((dict(layer_start=1, layer_end=2), LayerRange(1, 2)), ({}, None)):
+        requests.clear()
+        report_timing(_small_cfg(steps=2, edit_prompts=("a dog",), **bounds))
+        assert requests == [("fec-noise", None), ("fec-ref", None), ("fec-kv-reuse", layers)]
 
 
 def test_report_writers_and_inf_token(tmp_path):
@@ -604,6 +621,7 @@ _BAD_CONFIGS = {
     "inv-guidances-nan": "[run]\ninv_guidances = nan\n",
     "layers-3-1": "[run]\nlayer_start = 3\nlayer_end = 1\n",
     "layer-end-direct": "[run]\nmethods = direct\nlayer_end = 2\n",
+    "layer-start-0": "[run]\nlayer_start = 0\n",
 }
 
 
@@ -683,6 +701,9 @@ _BAD_CONFIGS = {
           "--layers", "1:2"], "a layer range applies to fec-kv-reuse edits only, not fec-noise"),
         (["edit", "--method", "fec-ref", "--layers", "0:4"],
          "a layer range applies to fec-kv-reuse edits only, not fec-ref"),
+        (["edit", "--method", "fec-noise", "--prompt", "a cat", "--edit-prompt", "a dog",
+          "--blend-word", "dog", "--config", "{tmp}/layer-start-0.cfg"],
+         "a layer range applies to fec-kv-reuse edits only, not fec-noise"),
         (["reconstruct", "--method", "direct", "--layers", "1:3"],
          "a layer range applies to fec-kv-reuse and fec-v-reuse only, not direct"),
         (["reconstruct", "--layers", "1:3"],
@@ -707,7 +728,8 @@ _BAD_CONFIGS = {
          "edit-config-no-mask", "timing-blend-word-missing", "edit-blend-word-same-prompt",
          "timing-no-new-word",
          "edit-kv-reuse-blend-word",
-         "edit-fec-noise-layers", "edit-fec-ref-layers", "reconstruct-direct-layers",
+         "edit-fec-noise-layers", "edit-fec-ref-layers", "edit-config-layer-start-0",
+         "reconstruct-direct-layers",
          "reconstruct-default-method-layers", "sweep-no-kv-method-layers", "invert-kv-out-is-out",
          "invert-uncond-kv-out-is-out"],
 )

@@ -155,6 +155,10 @@ def test_mask_roundtrip(tmp_path):
         write_mask(tmp_path / "m2.fecmask", np.zeros(4))
     with pytest.raises(ValueError, match=r"mask is empty: shape \(0, 0\)"):
         write_mask(tmp_path / "m2.fecmask", np.zeros((0, 0)))
+    for value, message in ((2.0, r"lie in \[0, 1\]"), (-0.5, r"lie in \[0, 1\]"),
+                           (np.nan, "must be finite")):
+        with pytest.raises(ValueError, match=message):
+            write_mask(tmp_path / "m2.fecmask", np.full((16, 16), value))
     assert not (tmp_path / "m2.fecmask").exists()
 
 
@@ -298,6 +302,11 @@ def test_malformed_headers_name_the_fault(tmp_path, valid_files):
     mask, _ = valid_files["mask"]
     # A 0x0 mask, which write_mask refuses to write.
     cases.append((mask[:16] + zero + zero, read_mask, r"mask is empty: shape \(0, 0\)"))
+    # Values outside [0, 1], which write_mask refuses to write: the first
+    # entry of np.eye(4) -> 2.0, then NaN and infinity.
+    for value, message in ((2.0, r"lie in \[0, 1\]"), (np.nan, "be finite"), (np.inf, "be finite")):
+        blob = mask[:24] + np.float64(value).tobytes() + mask[32:]
+        cases.append((blob, read_mask, rf"case\d+: mask values must {message}"))
     for i, (blob, read, message) in enumerate(cases):
         path = tmp_path / f"case{i}"
         path.write_bytes(blob)

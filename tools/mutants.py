@@ -168,6 +168,16 @@ MUTANTS = [
     ("mask-empty-accepted", "src/fecdiff/sampling.py",
      'raise ValueError(f"mask is empty: shape {mask.shape}")', "pass",
      "as_mask takes an empty mask, which then fails in numpy's reduction"),
+    ("mask-read-range-unchecked", "src/fecdiff/io_formats.py",
+     "            return as_mask(mask)\n", "            return mask\n",
+     "read_mask returns values outside [0, 1], NaN or infinity"),
+    ("timing-layer-range-dropped", "src/fecdiff/harness.py",
+     'cfg.layer_range() if method == "fec-kv-reuse" else None', "None",
+     "report_timing's kv-reuse edit injects over every layer whatever the configured range"),
+    ("layer-start-zero-unset", "src/fecdiff/harness.py",
+     "if self.layer_start is None and self.layer_end is None:",
+     "if not self.layer_start and self.layer_end is None:",
+     "a range set only by layer_start = 0 counts as unset, so fecdiff edit ignores it"),
 ]
 
 def _test_args(root: Path) -> list[str]:
