@@ -90,12 +90,12 @@ def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
     command but ``sweep`` runs one entry of each list, so a list the user
     set must hold one; a command that runs only some methods passes the
     ``methods`` it can run, and runs the first when the user sets none. A
-    rejected value is a ``UsageError`` that starts with the ``[section]
-    key`` or ``--flag`` of each rejected field the user set."""
+    rejected value is a ``ConfigError``, which ``main`` names by the
+    ``args.sources`` entry (``[section] key`` or ``--flag``) of each field."""
     try:
         values = load_config_file(args.config) if args.config else {}
-        sources = {name: f"[{section}] {key}" for section, key, _, name in CONFIG_KEYS
-                   if name in values}
+        args.sources = sources = {name: f"[{section}] {key}"
+                                  for section, key, _, name in CONFIG_KEYS if name in values}
         for flag, (_, fields) in FLAGS.items():
             given = getattr(args, "_".join(flag[2:].split("-")), None)
             if given is not None:
@@ -122,9 +122,8 @@ def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
         return cfg
     except FileNotFoundError as exc:
         raise UsageError(f"configuration file not found: {exc}") from exc
-    except ConfigError as exc:
-        named = ", ".join(dict.fromkeys(sources[f] for f in exc.fields if f in sources))
-        raise UsageError(f"{named}: {exc}" if named else str(exc)) from exc
+    except ConfigError:
+        raise
     except (ValueError, configparser.Error) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -180,19 +179,19 @@ def _cmd_edit(args) -> int:
     cfg = _config_from_args(args, EDIT_METHODS)
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source
+    req = EditRequest(
+        source_prompt=source,
+        edit_prompt=edit,
+        method=cfg.methods[0],
+        blend_word=cfg.blend_word,
+        layer_range=cfg.layer_range(),
+        guidance=cfg.samp_guidances[0],
+    )
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     # An error here means an input the edit cannot use or lacks (mask, blend word, layers).
     try:
         user_mask = read_mask(args.mask) if args.mask else None
-        req = EditRequest(
-            source_prompt=source,
-            edit_prompt=edit,
-            method=cfg.methods[0],
-            blend_word=cfg.blend_word,
-            layer_range=cfg.layer_range(),
-            guidance=cfg.samp_guidances[0],
-        )
         out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
@@ -241,6 +240,8 @@ def _cmd_timing(args) -> int:
     cfg = _config_from_args(args)
     try:
         result = report_timing(cfg)
+    except ConfigError:  # an EditRequest refusal, which main names
+        raise
     except ValueError as exc:  # a fec-noise edit run_edit refuses
         raise UsageError(str(exc)) from exc
     print(json.dumps(result, indent=2))
@@ -285,8 +286,13 @@ def main(argv=None) -> int:
         args.subparser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         message = " ".join(str(exc).split())  # one line, whatever raised it
+        # A rejected value is reported under the key or flag that set it.
+        sources = getattr(args, "sources", {})
+        named = dict.fromkeys(sources[f] for f in getattr(exc, "fields", ()) if f in sources)
+        if named:
+            message = f"{', '.join(named)}: {message}"
         print(f"fecdiff {args.command}: error: {message}", file=sys.stderr)
         return 2
 

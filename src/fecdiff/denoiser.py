@@ -175,9 +175,6 @@ class DenoiserConfig:
     n_tokens: int = DEFAULT_N_TOKENS
     token_dim: int = DEFAULT_TOKEN_DIM
     init_seed: int = 0
-    # Softmax logit scale: "sqrt-dim" is standard scaled dot-product
-    # attention; "dim" divides by the full head dimension instead.
-    attn_scale: str = "sqrt-dim"
 
     def __post_init__(self):
         d, nh, (h, w), p = self.model_dim, self.head_count, self.latent_shape[1:], self.patch_size
@@ -190,9 +187,6 @@ class DenoiserConfig:
         if h % p or w % p:
             raise ConfigError(f"latent spatial dims {(h, w)} not divisible by patch size {p}",
                               "latent_shape", "patch_size")
-        if self.attn_scale not in ("sqrt-dim", "dim"):
-            raise ConfigError(f"attn_scale must be 'sqrt-dim' or 'dim', got {self.attn_scale!r}",
-                              "attn_scale")
         for name in ("layer_count", "init_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}", name)
@@ -284,8 +278,7 @@ class ToyDenoiser:
         # large guidance scales.
         self.w_out = 0.5 * lin(d, c * p * p)
         self.call_counts: Counter[str] = Counter()
-        dh = d // config.head_count
-        self._logit_scale = float(dh) if config.attn_scale == "dim" else float(np.sqrt(dh))
+        self._logit_scale = float(np.sqrt(d // config.head_count))
 
     def _heads(self, x: np.ndarray) -> np.ndarray:
         *lead, n, d = x.shape

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import AttentionTrace, LayerRange, PromptEmbedding
+from .denoiser import AttentionTrace, ConfigError, LayerRange, PromptEmbedding
 from .metrics import latent_loss, trajectory_loss_curve
 from .sampling import (
     KV_METHODS,
@@ -28,6 +28,8 @@ EDIT_METHODS = ("fec-noise", "fec-ref", "fec-kv-reuse")
 
 @dataclass(frozen=True)
 class EditRequest:
+    """One edit; an input it cannot use raises a ``ConfigError`` naming it."""
+
     source_prompt: str
     edit_prompt: str
     method: str
@@ -40,14 +42,19 @@ class EditRequest:
             raise ValueError(f"unknown edit method {self.method!r}; expected one of {EDIT_METHODS}")
         # Each input applies to one method, which alone would read it, and
         # a blend word to a changed prompt only: identical prompts reconstruct.
-        for value, what, method in ((self.blend_word, "a blend word", "fec-noise"),
-                                    (self.layer_range, "a layer range", "fec-kv-reuse")):
+        for value, what, method, fields in (
+            (self.blend_word, "a blend word", "fec-noise", ("blend_word",)),
+            (self.layer_range, "a layer range", "fec-kv-reuse", ("layer_start", "layer_end")),
+        ):
             if value is not None and self.method != method:
-                raise ValueError(f"{what} applies to {method} edits only, not {self.method}")
+                raise ConfigError(f"{what} applies to {method} edits only, not {self.method}",
+                                  *fields)
         if self.blend_word is not None and self.edit_prompt == self.source_prompt:
-            raise ValueError("a blend word needs an edit prompt that differs from the source")
+            raise ConfigError("a blend word needs an edit prompt that differs from the source",
+                              "blend_word")
         if self.blend_word is not None and self.blend_word not in self.edit_prompt.split():
-            raise ValueError(f"blend word {self.blend_word!r} does not occur in the edit prompt")
+            raise ConfigError(f"blend word {self.blend_word!r} does not occur in the edit prompt",
+                              "blend_word")
 
 
 def _nearest_resize(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -128,8 +135,8 @@ def run_edit(
     reconstruction, and the ascending steps whose blend-word mask was all
     zero. ``ValueError`` is raised before inverting for a user mask on
     another method, with identical prompts or off the latent grid, a layer
-    range past the network, and a fec-noise edit of a changed prompt with
-    no mask source."""
+    range past the network, a fec-noise edit of a changed prompt with no
+    mask source, and a blend word beyond the edit prompt's token slots."""
     grid = tuple(net.config.latent_shape[1:])
     layers = req.layer_range
     if layers is not None and layers.end > net.config.layer_count:
@@ -149,6 +156,8 @@ def run_edit(
     ctx, edit_ctx = guidance_contexts(
         net, (req.source_prompt, req.edit_prompt), req.guidance, embed_seed
     )
+    if req.blend_word is not None:
+        edit_ctx.cond.word_index(req.blend_word)  # raises past the token slots
     res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=req.method in KV_METHODS))
     traj = res.trajectory
     record: dict[int, np.ndarray] = {}

@@ -409,7 +409,6 @@ CONFIG_KEYS = (
     ("denoiser", "heads", int, "head_count"),
     ("denoiser", "dim", int, "model_dim"),
     ("denoiser", "seed", int, "init_seed"),
-    ("denoiser", "attn_scale", str, "attn_scale"),
     ("run", "steps", int, "steps"),
     ("run", "methods", _parse_strs, "methods"),
     ("run", "inv_guidances", _parse_numbers(float), "inv_guidances"),
@@ -438,7 +437,7 @@ def load_config_file(path) -> dict:
 
     Sections and keys:
       [schedule] kind, total_steps
-      [denoiser] layers, heads, dim, seed, attn_scale
+      [denoiser] layers, heads, dim, seed
       [run] steps, methods, inv_guidances, samp_guidances, seeds,
         embed_seed, data_kind, prompts, edit_prompts, blend_word,
         layer_start, layer_end, precision, out

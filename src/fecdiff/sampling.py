@@ -174,13 +174,13 @@ def _uncond_known(ctx: GuidanceContext, kv=None, kv_uncond=None) -> bool:
 
 
 def guided_noise(
-    net, z, t, ctx: GuidanceContext, *, route="other", kv=None, kv_uncond=None
+    net, z, t, ctx: GuidanceContext, *, route="other", kv=None, kv_uncond=None, trace_to=None
 ) -> np.ndarray:
     """Classifier-free-guided noise; ``kv`` and ``kv_uncond`` hook the
-    conditional and the unconditional evaluation. The unconditional one
-    runs only when its result is not already known, and then the noise is
-    the conditional prediction itself, whatever the scale."""
-    eps_c = net.predict(z, t, ctx.cond, kv=kv, route=route)
+    conditional and the unconditional evaluation, ``trace_to`` traces the
+    conditional one. The unconditional one runs only when its result is not
+    already known, and then the noise is the conditional prediction."""
+    eps_c = net.predict(z, t, ctx.cond, kv=kv, trace_to=trace_to, route=route)
     if _uncond_known(ctx, kv, kv_uncond):
         return eps_c
     eps_u = net.predict(z, t, ctx.uncond, kv=kv_uncond, route=route)
@@ -302,41 +302,33 @@ def sample_fec_noise(
 ) -> np.ndarray:
     """Desired-noise sampler.
 
-    Each step blends the guided prediction ``eps_c`` with the desired noise
+    Each step blends ``guided_noise``'s noise with the desired noise
     ``eps_des``, which lands exactly on the saved inversion latent, under
-    the step mask: ``m * eps_c + (1 - m) * eps_des``. Guidance is affine in
+    the step mask: ``m * guided + (1 - m) * eps_des``. Guidance is affine in
     the unconditional noise, so this is the paper's Eq. 13 (blend that
     noise with the one guiding to ``eps_des``, then guide) at every scale,
     1 included, and wherever the mask is 0 the step takes ``eps_des``
     exactly. ``mask`` is ``None``, an array applied at every step (checked
     with ``as_mask`` before the first step), or a function ``mask(t,
     trace)`` giving each latent's spatial mask from the step's conditional
-    attention trace. ``None``, or a mask with no nonzero entry, is the zero
-    mask: the step evaluates no network, which reconstructs the source.
-    The conditional prediction is evaluated only under a nonzero mask or,
-    traced, for a mask function, and the unconditional one only when
-    ``guided_noise`` would evaluate it.
+    attention trace. ``None``, or an array with no nonzero entry, is the
+    zero mask: no network runs, which reconstructs the source.
     """
     if not traj.covers(plan):
         raise ValueError("trajectory does not cover the timestep plan")
     if mask is not None and not callable(mask):
         mask = as_mask(mask)
+        if not np.any(mask):
+            mask = None
 
     def noise(z, t, t_prev):
         eps_des = desired_noise(z, traj[t_prev], t, t_prev, sched)
-        eps_c, m = None, mask
-        if callable(mask):
-            trace = AttentionTrace()
-            eps_c = net.predict(z, t, ctx.cond, trace_to=trace, route=route)
-            m = mask(t, trace)[..., None, :, :]
-        if m is None or not np.any(m):
-            # Under a zero mask the blend is eps_des: no network runs.
+        if mask is None:
             return eps_des
-        if eps_c is None:
-            eps_c = net.predict(z, t, ctx.cond, route=route)
-        if not _uncond_known(ctx):  # eps_c becomes the guided prediction
-            eps_c = cfg_combine(eps_c, net.predict(z, t, ctx.uncond, route=route), ctx.scale)
-        return m * eps_c + (1.0 - m) * eps_des
+        trace = AttentionTrace() if callable(mask) else None
+        guided = guided_noise(net, z, t, ctx, route=route, trace_to=trace)
+        m = mask(t, trace)[..., None, :, :] if trace is not None else mask
+        return m * guided + (1.0 - m) * eps_des
 
     z = traj[plan.timesteps[0]].copy()
     return _walk(z, plan.sampling_pairs(), ddim_step, sched, noise, record, "fec-noise sampling")

@@ -266,7 +266,7 @@ def _reference_predict(net, z, t, cond, kv=None, trace_to=None):
     gh, gw = net.grid_shape
     nh = cfg.head_count
     dh = cfg.model_dim // nh
-    scale = float(dh) if cfg.attn_scale == "dim" else float(np.sqrt(dh))
+    scale = float(np.sqrt(dh))
 
     def heads(x):
         return x.reshape(x.shape[0], nh, dh).transpose(1, 0, 2)
@@ -306,11 +306,10 @@ def _entries(cache):
     "config",
     [
         DenoiserConfig(),
-        DenoiserConfig(attn_scale="dim"),
         DenoiserConfig(model_dim=48, head_count=3),
         DenoiserConfig(latent_shape=(4, 12, 12)),
     ],
-    ids=["default", "dim-scale", "dim48-3heads", "latent-12x12"],
+    ids=["default", "dim48-3heads", "latent-12x12"],
 )
 def test_predict_matches_the_reference_forward(config):
     net = ToyDenoiser(config)

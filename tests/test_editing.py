@@ -257,27 +257,30 @@ def test_non_finite_masks_are_rejected_as_masks(net, sched, bad):
 
 
 @pytest.mark.parametrize(
-    "method, edit, mask, layers, fault",
+    "method, edit, mask, layers, blend_word, fault",
     [
-        ("fec-kv-reuse", "a dog on a mat", np.ones((16, 16)), None, "fec-noise edits only"),
-        ("fec-ref", "a dog on a mat", np.ones((16, 16)), None, "fec-noise edits only"),
-        ("fec-noise", "a dog on a mat", np.ones((8, 8)), None,
+        ("fec-kv-reuse", "a dog on a mat", np.ones((16, 16)), None, None,
+         "fec-noise edits only"),
+        ("fec-ref", "a dog on a mat", np.ones((16, 16)), None, None, "fec-noise edits only"),
+        ("fec-noise", "a dog on a mat", np.ones((8, 8)), None, None,
          r"mask \(8, 8\) does not match the latent grid"),
-        ("fec-kv-reuse", "a dog on a mat", None, LayerRange(0, 99),
+        ("fec-kv-reuse", "a dog on a mat", None, LayerRange(0, 99), None,
          "layer range end 99 exceeds L=4"),
-        ("fec-noise", "a dog on a mat", None, None,
+        ("fec-noise", "a dog on a mat", None, None, None,
          "a fec-noise edit needs a mask or a blend word"),
-        ("fec-noise", "a cat on a mat", np.ones((16, 16)), None,
+        ("fec-noise", "a cat on a mat", np.ones((16, 16)), None, None,
          "a user mask needs an edit prompt that differs"),
+        ("fec-noise", "a b c d e f g h dog", None, None, "dog",
+         "word 'dog' falls beyond the 8 token slots"),
     ],
     ids=["kv-reuse", "fec-ref", "fec-noise-8x8", "kv-reuse-layers-0:99", "fec-noise-no-mask",
-         "fec-noise-same-prompt"],
+         "fec-noise-same-prompt", "fec-noise-blend-word-past-token-slots"],
 )
 def test_unusable_user_mask_is_rejected_before_inverting(
-    sched, plan10, method, edit, mask, layers, fault
+    sched, plan10, method, edit, mask, layers, blend_word, fault
 ):
     net = ToyDenoiser(DenoiserConfig())
-    req = EditRequest("a cat on a mat", edit, method, layer_range=layers)
+    req = EditRequest("a cat on a mat", edit, method, blend_word, layers)
     with pytest.raises(ValueError, match=fault):
         run_edit(net, sched, plan10, generate_synthetic_latent(1), req, user_mask=mask)
     assert not net.call_counts

@@ -78,7 +78,7 @@ def test_experiment_config_validation():
                 dict(layer_end=3, denoiser=DenoiserConfig(layer_count=2))):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    for bad in (dict(head_count=3), dict(head_count=0), dict(attn_scale="bogus"),
+    for bad in (dict(head_count=3), dict(head_count=0),
                 dict(latent_shape=(4, 15, 16)), dict(model_dim=0), dict(model_dim=-4),
                 dict(model_dim=5, head_count=5), dict(layer_count=-1), dict(init_seed=-1)):
         with pytest.raises(ValueError):
@@ -331,10 +331,10 @@ def test_report_timing_call_accounting():
     kv = timing["fec-kv-reuse"]["calls"]
     paired = timing["direct-paired"]["calls"]
     # The fec-noise edit blends under the mask of "dog", the word the
-    # source prompt lacks: each step evaluates the traced conditional
-    # branch, and the unconditional one under a nonzero mask.
+    # source prompt lacks: at guidance 7.5 each step evaluates the traced
+    # conditional branch and the unconditional one, whatever the mask.
     noise = timing["fec-noise"]["calls"]
-    assert cfg.steps < noise["edit"] <= 2 * cfg.steps
+    assert noise["edit"] == 2 * cfg.steps
     assert kv.get("reconstruction", 0) == 0
     assert kv["edit"] == 2 * cfg.steps
     assert paired["reconstruction"] == 2 * cfg.steps
@@ -400,7 +400,6 @@ _KEY_SAMPLES = {
     ("denoiser", "heads"): ("2", 2),
     ("denoiser", "dim"): ("32", 32),
     ("denoiser", "seed"): ("5", 5),
-    ("denoiser", "attn_scale"): ("dim", "dim"),
     ("run", "steps"): ("4", 4),
     ("run", "methods"): ("direct; fec-ref", ("direct", "fec-ref")),
     ("run", "inv_guidances"): ("1, 5", (1.0, 5.0)),
@@ -622,6 +621,8 @@ _BAD_CONFIGS = {
     "layers-3-1": "[run]\nlayer_start = 3\nlayer_end = 1\n",
     "layer-end-direct": "[run]\nmethods = direct\nlayer_end = 2\n",
     "layer-start-0": "[run]\nlayer_start = 0\n",
+    "layer-end-2": "[run]\nlayer_end = 2\n",
+    "blend-word-dog": "[run]\nblend_word = dog\n",
 }
 
 
@@ -643,7 +644,7 @@ _BAD_CONFIGS = {
         (["sweep", "--config", "{tmp}/shedule.cfg"],
          "unknown section 'shedule'; did you mean 'schedule'?"),
         (["reconstruct", "--config", "{tmp}/attn-scale.cfg"],
-         "attn_scale must be 'sqrt-dim' or 'dim', got 'bogus'"),
+         "unknown key 'attn_scale' in [denoiser]"),
         (["sweep", "--config", "{tmp}/prompts-empty.cfg"], "prompts must be a non-empty tuple"),
         (["sweep", "--config", "{tmp}/samp-guidances-empty.cfg"],
          "samp_guidances must be a non-empty tuple"),
@@ -710,6 +711,10 @@ _BAD_CONFIGS = {
          "a layer range applies to fec-kv-reuse and fec-v-reuse only, not direct"),
         (["sweep", "--method", "direct", "--method", "fec-noise", "--layers", "1:3"],
          "a layer range applies to fec-kv-reuse and fec-v-reuse only, not direct, fec-noise"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a b c d e f g h dog",
+          "--blend-word", "dog"], "word 'dog' falls beyond the 8 token slots"),
+        (["timing", "--prompt", "a cat", "--edit-prompt", "a b c d e f g h dog",
+          "--blend-word", "dog"], "word 'dog' falls beyond the 8 token slots"),
         (["invert", "--out", "{tmp}/a.bin", "--kv-out", "{tmp}/a.bin"],
          "the trajectory and a K/V cache would both be written to"),
         (["invert", "--out", "{tmp}/a.uncond.bin", "--kv-out", "{tmp}/a.bin"],
@@ -730,7 +735,9 @@ _BAD_CONFIGS = {
          "edit-kv-reuse-blend-word",
          "edit-fec-noise-layers", "edit-fec-ref-layers", "edit-config-layer-start-0",
          "reconstruct-direct-layers",
-         "reconstruct-default-method-layers", "sweep-no-kv-method-layers", "invert-kv-out-is-out",
+         "reconstruct-default-method-layers", "sweep-no-kv-method-layers",
+         "edit-blend-word-past-token-slots", "timing-blend-word-past-token-slots",
+         "invert-kv-out-is-out",
          "invert-uncond-kv-out-is-out"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
@@ -812,12 +819,43 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
          "[run] layer_end: a layer range applies to fec-kv-reuse and fec-v-reuse only"),
         (["reconstruct", "--method", "fec-ref", "--layers", "0:2"],
          "--layers: a layer range applies to fec-kv-reuse and fec-v-reuse only"),
+        # EditRequest's refusals, each set once from a file and once by a flag.
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a dog", "--blend-word", "dog",
+          "--config", "{tmp}/layer-start-0.cfg"],
+         "[run] layer_start: a layer range applies to fec-kv-reuse edits only, not fec-noise"),
+        (["edit", "--method", "fec-ref", "--config", "{tmp}/layer-end-2.cfg"],
+         "[run] layer_end: a layer range applies to fec-kv-reuse edits only, not fec-ref"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a dog", "--blend-word", "dog",
+          "--layers", "1:2"],
+         "--layers: a layer range applies to fec-kv-reuse edits only, not fec-noise"),
+        (["edit", "--method", "fec-ref", "--prompt", "a cat", "--edit-prompt", "a dog",
+          "--config", "{tmp}/blend-word-dog.cfg"],
+         "[run] blend_word: a blend word applies to fec-noise edits only, not fec-ref"),
+        (["edit", "--method", "fec-kv-reuse", "--prompt", "a cat", "--edit-prompt", "a dog",
+          "--blend-word", "dog"],
+         "--blend-word: a blend word applies to fec-noise edits only, not fec-kv-reuse"),
+        (["edit", "--prompt", "a dog", "--config", "{tmp}/blend-word-dog.cfg"],
+         "[run] blend_word: a blend word needs an edit prompt that differs from the source"),
+        (["edit", "--prompt", "a cat on a mat", "--blend-word", "cat"],
+         "--blend-word: a blend word needs an edit prompt that differs from the source"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a bird",
+          "--config", "{tmp}/blend-word-dog.cfg"],
+         "[run] blend_word: blend word 'dog' does not occur in the edit prompt"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a bird", "--blend-word", "dog"],
+         "--blend-word: blend word 'dog' does not occur in the edit prompt"),
+        (["timing", "--blend-word", "dog"],
+         "--blend-word: blend word 'dog' does not occur in the edit prompt"),
     ],
     ids=["config-methods-warp", "config-schedule-kind", "config-inv-guidances-nan",
          "config-layers-3-1", "flag-steps-0", "flag-layers-0:99", "flag-over-file",
          "flag-method-repeated", "flag-seed-repeated", "config-seeds-repeated",
          "reconstruct-two-seeds", "edit-config-two-edit-prompts", "edit-config-method-direct",
-         "config-layer-end-direct", "flag-layers-fec-ref"],
+         "config-layer-end-direct", "flag-layers-fec-ref", "edit-config-layer-start-fec-noise",
+         "edit-config-layer-end-fec-ref", "edit-flag-layers-fec-noise",
+         "edit-config-blend-word-fec-ref", "edit-flag-blend-word-kv-reuse",
+         "edit-config-blend-word-same-prompt", "edit-flag-blend-word-same-prompt",
+         "edit-config-blend-word-absent", "edit-flag-blend-word-absent",
+         "timing-flag-blend-word-absent"],
 )
 def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tmp_path):
     for name, text in _BAD_CONFIGS.items():

@@ -285,13 +285,14 @@ def test_fec_noise_all_zero_array_mask_is_the_zero_mask(net, sched, plan10):
             out = sample_fec_noise(log, traj, edit_ctx, plan10, sched, mask)
             assert log.prompts == Counter()
             assert out.tobytes() == zero.tobytes()
-        # A mask function pays its traced conditional evaluation and
-        # nothing more when its mask comes out all zero.
+        # A mask function pays a live mask's guided evaluation even when its
+        # mask comes out all zero, and the step is still the desired noise.
         log = _PromptLog(net)
         out = sample_fec_noise(
             log, traj, edit_ctx, plan10, sched, lambda t, trace: np.zeros((16, 16))
         )
-        assert log.prompts == Counter({"a photo of a dog": plan10.steps})
+        uncond_calls = 0 if scale == 1.0 else plan10.steps
+        assert log.prompts == Counter({"a photo of a dog": plan10.steps, "": uncond_calls})
         assert out.tobytes() == zero.tobytes()
 
 

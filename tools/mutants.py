@@ -97,8 +97,7 @@ MUTANTS = [
      "if len(got) > 1:", "if len(got) > 1 and name == 'methods':",
      "a single-run command silently takes the first entry of every list but methods"),
     ("config-source-unnamed", "src/fecdiff/cli.py",
-     'raise UsageError(f"{named}: {exc}" if named else str(exc)) from exc',
-     "raise UsageError(str(exc)) from exc",
+     '            message = f"{\', \'.join(named)}: {message}"\n', "            pass\n",
      "a rejected value's error does not name the file key or flag that set it"),
     ("csv-inf-negative", "src/fecdiff/harness.py",
      'return "inf" if v > 0 else "-inf"', 'return "-inf"',
@@ -131,7 +130,8 @@ MUTANTS = [
      "args.subparser.error(", "build_parser().error(",
      "an unknown flag is reported under the top-level usage, not the command's"),
     ("fec-noise-mask-channel-axis-dropped", "src/fecdiff/sampling.py",
-     "m = mask(t, trace)[..., None, :, :]", "m = mask(t, trace)",
+     "m = mask(t, trace)[..., None, :, :] if trace is not None else mask",
+     "m = mask(t, trace) if trace is not None else mask",
      "sample_fec_noise does not put a mask function's result on the channel axis"),
     ("locality-first-axis", "src/fecdiff/editing.py",
      "diff[..., keep]", "diff[:, keep]",
@@ -145,20 +145,14 @@ MUTANTS = [
      "pass",
      "run_edit ignores a user mask when the edit prompt equals the source"),
     ("edit-same-prompt-blend-word-accepted", "src/fecdiff/editing.py",
-     'raise ValueError("a blend word needs an edit prompt that differs from the source")',
+     'raise ConfigError("a blend word needs an edit prompt that differs from the source",\n'
+     '                              "blend_word")',
      "pass",
      "EditRequest takes a blend word that an identical-prompt edit ignores"),
-    ("fec-noise-unconditional-blend", "src/fecdiff/sampling.py",
-     "        if not _uncond_known(ctx):  # eps_c becomes the guided prediction\n"
-     "            eps_c = cfg_combine(eps_c, net.predict(z, t, ctx.uncond, route=route), ctx.scale)\n"
-     "        return m * eps_c + (1.0 - m) * eps_des\n",
-     "        eps_u = eps_c if _uncond_known(ctx) else net.predict(z, t, ctx.uncond, route=route)\n"
-     "        if ctx.scale == 1.0:\n"
-     "            return m * eps_c + (1.0 - m) * eps_des\n"
-     "        u_des = (eps_des - ctx.scale * eps_c) / (1.0 - ctx.scale)\n"
-     "        return cfg_combine(eps_c, m * eps_u + (1.0 - m) * u_des, ctx.scale)\n",
-     "fec-noise blends the unconditional noise with Eq. 13's derived one and then guides,"
-     " so a masked edit is exact outside the mask only to rounding"),
+    ("fec-noise-guidance-dropped", "src/fecdiff/sampling.py",
+     "guided_noise(net, z, t, ctx, route=route, trace_to=trace)",
+     "net.predict(z, t, ctx.cond, trace_to=trace, route=route)",
+     "fec-noise blends the conditional prediction alone, unguided, with the desired noise"),
     ("cli-unread-layer-range-accepted", "src/fecdiff/cli.py",
      'if (args.command in ("reconstruct", "sweep")', "if (False",
      "reconstruct and sweep run with a layer range that none of their methods reads"),
@@ -178,6 +172,10 @@ MUTANTS = [
      "if self.layer_start is None and self.layer_end is None:",
      "if not self.layer_start and self.layer_end is None:",
      "a range set only by layer_start = 0 counts as unset, so fecdiff edit ignores it"),
+    ("edit-blend-word-slot-unchecked", "src/fecdiff/editing.py",
+     "    if req.blend_word is not None:\n"
+     "        edit_ctx.cond.word_index(req.blend_word)  # raises past the token slots\n", "",
+     "run_edit inverts before it finds a blend word past the edit prompt's token slots"),
 ]
 
 def _test_args(root: Path) -> list[str]:
