@@ -3,14 +3,16 @@
 Subcommands: invert, reconstruct, edit, sweep, check-batch, timing. Each
 takes ``--config`` and only the flags it reads (``COMMANDS``). The
 configuration-file values and the flags, which override them field by
-field, build one ``ExperimentConfig`` once; a rejected value is reported
-under the ``[section] key`` or ``--flag`` that set it.
+field, build one ``ExperimentConfig`` once. The code that owns a rule
+raises its refusal, and ``main`` alone turns one into a single
+``fecdiff <command>: error: ...`` line and exit code 2: a ``ConfigError``
+(named by the ``[section] key`` or ``--flag`` that set it), a
+``FormatError`` or an ``OSError``. Any other exception is a bug.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import os
 import sys
@@ -34,14 +36,9 @@ from .harness import (
     write_report_csv,
     write_report_json,
 )
-from .io_formats import read_mask, write_kv_cache, write_trajectory
+from .io_formats import FormatError, read_mask, write_kv_cache, write_trajectory
 from .metrics import trajectory_loss_curve
 from .sampling import KV_METHODS, CaptureOptions, guidance_contexts, invert
-
-
-class UsageError(ValueError):
-    """A command-line request no command can carry out; reported as one
-    ``fecdiff <command>: error: ...`` line and exit code 2."""
 
 
 def _one(value) -> tuple:
@@ -53,7 +50,7 @@ def _layer_bounds(text: str) -> tuple[int, int]:
     try:
         return int(start), int(end)
     except ValueError:
-        raise ValueError(f"--layers takes start:end, two integers; got {text!r}") from None
+        raise ConfigError(f"--layers takes start:end, two integers; got {text!r}") from None
 
 
 # Every flag but --config, as flag -> (its add_argument keywords, the
@@ -85,47 +82,43 @@ FLAGS = {
 }
 
 
-def _config_from_args(args, methods: tuple = ()) -> ExperimentConfig:
+def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
     """The file's values with the flags laid over them, built once. Every
     command but ``sweep`` runs one entry of each list, so a list the user
-    set must hold one; a command that runs only some methods passes the
-    ``methods`` it can run, and runs the first when the user sets none. A
-    rejected value is a ``ConfigError``, which ``main`` names by the
-    ``args.sources`` entry (``[section] key`` or ``--flag``) of each field."""
-    try:
-        values = load_config_file(args.config) if args.config else {}
-        args.sources = sources = {name: f"[{section}] {key}"
-                                  for section, key, _, name in CONFIG_KEYS if name in values}
-        for flag, (_, fields) in FLAGS.items():
-            given = getattr(args, "_".join(flag[2:].split("-")), None)
-            if given is not None:
-                for name, parse in fields:
-                    values[name], sources[name] = parse(given), flag
-        if methods:
-            values.setdefault("methods", methods[:1])
-        cfg = ExperimentConfig.from_fields(values)
-        for name in LIST_FIELDS * (args.command != "sweep"):
-            got = values.get(name, ())
-            if len(got) > 1:
-                raise ConfigError(f"{args.command} runs one entry of {name}, not {len(got)}:"
-                                  f" {', '.join(map(repr, got))}", name)
-        if methods and cfg.methods[0] not in methods:
-            raise ConfigError(f"{args.command} runs one method of {', '.join(methods)};"
-                              f" got {cfg.methods[0]!r}", "methods")
-        # reconstruct runs the first method and sweep every one; only a kv
-        # method reads a layer range. EditRequest refuses one for edit.
-        runs = cfg.methods if args.command == "sweep" else cfg.methods[:1]
-        if (args.command in ("reconstruct", "sweep") and cfg.layer_range() is not None
-                and not set(runs) & set(KV_METHODS)):
-            raise ConfigError(f"a layer range applies to {' and '.join(KV_METHODS)} only,"
-                              f" not {', '.join(runs)}", "layer_start", "layer_end")
-        return cfg
-    except FileNotFoundError as exc:
-        raise UsageError(f"configuration file not found: {exc}") from exc
-    except ConfigError:
-        raise
-    except (ValueError, configparser.Error) as exc:
-        raise UsageError(str(exc)) from exc
+    set must hold one; ``method`` is the one a command runs when the user
+    sets none. A command without ``--inv-guidance`` inverts at its sampling
+    guidance, so it refuses a file's ``inv_guidances`` that no
+    ``--guidance`` overrides. Every refusal, here or in
+    ``load_config_file`` and the config classes, is a ``ConfigError``,
+    which ``main`` names by the ``args.sources`` entry (``[section] key``
+    or ``--flag``) of each field."""
+    values = load_config_file(args.config) if args.config else {}
+    args.sources = sources = {name: f"[{section}] {key}"
+                              for section, key, _, name in CONFIG_KEYS if name in values}
+    for flag, (_, fields) in FLAGS.items():
+        given = getattr(args, "_".join(flag[2:].split("-")), None)
+        if given is not None:
+            for name, parse in fields:
+                values[name], sources[name] = parse(given), flag
+    if method:
+        values.setdefault("methods", (method,))
+    cfg = ExperimentConfig.from_fields(values)
+    for name in LIST_FIELDS * (args.command != "sweep"):
+        got = values.get(name, ())
+        if len(got) > 1:
+            raise ConfigError(f"{args.command} runs one entry of {name}, not {len(got)}:"
+                              f" {', '.join(map(repr, got))}", name)
+    if not hasattr(args, "inv_guidance") and sources.get("inv_guidances", "").startswith("["):
+        raise ConfigError(f"{args.command} inverts at its sampling guidance and reads no"
+                          " inv_guidances", "inv_guidances")
+    # reconstruct runs the first method and sweep every one; only a kv
+    # method reads a layer range. EditRequest refuses one for edit.
+    runs = cfg.methods if args.command == "sweep" else cfg.methods[:1]
+    if (args.command in ("reconstruct", "sweep") and cfg.layer_range() is not None
+            and not set(runs) & set(KV_METHODS)):
+        raise ConfigError(f"a layer range applies to {' and '.join(KV_METHODS)} only,"
+                          f" not {', '.join(runs)}", "layer_start", "layer_end")
+    return cfg
 
 
 def _cmd_invert(args) -> int:
@@ -139,7 +132,7 @@ def _cmd_invert(args) -> int:
         uncond_path = f"{root}.uncond{ext}"
         for kv_path in (args.kv_out, uncond_path):
             if os.path.realpath(kv_path) == os.path.realpath(out):
-                raise UsageError(f"the trajectory and a K/V cache would both be written to {out}")
+                raise ConfigError(f"the trajectory and a K/V cache would both be written to {out}")
     res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=bool(args.kv_out)),
                  seed=cfg.seeds[0])
     write_trajectory(out, res.trajectory, cfg.precision)
@@ -176,7 +169,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_edit(args) -> int:
-    cfg = _config_from_args(args, EDIT_METHODS)
+    cfg = _config_from_args(args, EDIT_METHODS[0])
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source
     req = EditRequest(
@@ -189,12 +182,8 @@ def _cmd_edit(args) -> int:
     )
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
-    # An error here means an input the edit cannot use or lacks (mask, blend word, layers).
-    try:
-        user_mask = read_mask(args.mask) if args.mask else None
-        out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    user_mask = read_mask(args.mask) if args.mask else None
+    out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)
     print(f"method = {req.method}")
     print(f"reconstructed = {report.reconstructed}")
     final_t, final_loss = report.per_step_losses[-1]
@@ -238,12 +227,7 @@ def _cmd_check_batch(args) -> int:
 
 def _cmd_timing(args) -> int:
     cfg = _config_from_args(args)
-    try:
-        result = report_timing(cfg)
-    except ConfigError:  # an EditRequest refusal, which main names
-        raise
-    except ValueError as exc:  # a fec-noise edit run_edit refuses
-        raise UsageError(str(exc)) from exc
+    result = report_timing(cfg)
     print(json.dumps(result, indent=2))
     if cfg.out:
         with open(cfg.out, "w") as f:
@@ -286,7 +270,7 @@ def main(argv=None) -> int:
         args.subparser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
-    except (UsageError, ConfigError) as exc:
+    except (ConfigError, FormatError, OSError) as exc:
         message = " ".join(str(exc).split())  # one line, whatever raised it
         # A rejected value is reported under the key or flag that set it.
         sources = getattr(args, "sources", {})

@@ -53,13 +53,15 @@ class PromptEmbedding:
     seed: int
 
     def word_index(self, word: str) -> int:
-        """Token slot of ``word``; raises if absent or truncated away."""
+        """Token slot of ``word``, a blend word: one absent or truncated away
+        raises a ``ConfigError`` naming ``blend_word``."""
         words = self.source_text.split()
         if word not in words:
-            raise ValueError(f"word {word!r} not in prompt {self.source_text!r}")
+            raise ConfigError(f"word {word!r} not in prompt {self.source_text!r}", "blend_word")
         idx = words.index(word)
         if idx >= self.tokens.shape[0]:
-            raise ValueError(f"word {word!r} falls beyond the {self.tokens.shape[0]} token slots")
+            raise ConfigError(f"word {word!r} falls beyond the {self.tokens.shape[0]} token slots",
+                              "blend_word")
         return idx
 
 

@@ -28,7 +28,8 @@ EDIT_METHODS = ("fec-noise", "fec-ref", "fec-kv-reuse")
 
 @dataclass(frozen=True)
 class EditRequest:
-    """One edit; an input it cannot use raises a ``ConfigError`` naming it."""
+    """One edit; a method other than ``EDIT_METHODS``, or an input the
+    method cannot use, raises a ``ConfigError`` naming its field."""
 
     source_prompt: str
     edit_prompt: str
@@ -39,7 +40,8 @@ class EditRequest:
 
     def __post_init__(self):
         if self.method not in EDIT_METHODS:
-            raise ValueError(f"unknown edit method {self.method!r}; expected one of {EDIT_METHODS}")
+            raise ConfigError(f"edit runs one method of {', '.join(EDIT_METHODS)};"
+                              f" got {self.method!r}", "methods")
         # Each input applies to one method, which alone would read it, and
         # a blend word to a changed prompt only: identical prompts reconstruct.
         for value, what, method, fields in (
@@ -133,26 +135,28 @@ def run_edit(
     mask. The report carries per-step losses against the reference
     trajectory, for fec-noise edits locality against the method's own
     reconstruction, and the ascending steps whose blend-word mask was all
-    zero. ``ValueError`` is raised before inverting for a user mask on
+    zero. ``ConfigError`` is raised before inverting for a user mask on
     another method, with identical prompts or off the latent grid, a layer
     range past the network, a fec-noise edit of a changed prompt with no
-    mask source, and a blend word beyond the edit prompt's token slots."""
+    mask source, and a blend word beyond the edit prompt's token slots
+    (naming ``blend_word``). A user mask that is empty or holds a value
+    outside [0, 1] raises ``as_mask``'s ``ValueError``."""
     grid = tuple(net.config.latent_shape[1:])
     layers = req.layer_range
     if layers is not None and layers.end > net.config.layer_count:
-        raise ValueError(f"layer range end {layers.end} exceeds L={net.config.layer_count}")
+        raise ConfigError(f"layer range end {layers.end} exceeds L={net.config.layer_count}")
     reconstruct = req.edit_prompt == req.source_prompt
     if user_mask is not None:
         if req.method != "fec-noise":
-            raise ValueError(f"a user mask applies to fec-noise edits only, not {req.method}")
+            raise ConfigError(f"a user mask applies to fec-noise edits only, not {req.method}")
         if reconstruct:
-            raise ValueError("a user mask needs an edit prompt that differs from the source")
+            raise ConfigError("a user mask needs an edit prompt that differs from the source")
         user_mask = as_mask(user_mask)
         if user_mask.shape != grid:
-            raise ValueError(f"user mask {user_mask.shape} does not match the latent grid {grid}")
+            raise ConfigError(f"user mask {user_mask.shape} does not match the latent grid {grid}")
     unmasked = user_mask is None and req.blend_word is None
     if req.method == "fec-noise" and not reconstruct and unmasked:
-        raise ValueError("a fec-noise edit needs a mask or a blend word, or it returns the source")
+        raise ConfigError("a fec-noise edit needs a mask or a blend word, or it returns the source")
     ctx, edit_ctx = guidance_contexts(
         net, (req.source_prompt, req.edit_prompt), req.guidance, embed_seed
     )

@@ -319,7 +319,7 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     ``direct-paired``, a direct reconstruction and a direct edit from one
     inversion. The fec-noise edit blends under the mask of
     ``cfg.blend_word``, else of the first edit-prompt word the source
-    prompt lacks; with neither, ``run_edit`` refuses it (``ValueError``).
+    prompt lacks; with neither, ``run_edit`` refuses it (``ConfigError``).
     The kv-reuse edit injects over ``cfg.layer_range()`` and makes no
     reconstruction-route calls."""
     net, sched, plan = cfg.components()
@@ -428,12 +428,14 @@ CONFIG_KEYS = (
 
 def load_config_file(path) -> dict:
     """The field values a sectioned key = value file sets, keyed by each
-    key's ``CONFIG_KEYS`` field (``FileNotFoundError`` if the file is
-    missing); ``ExperimentConfig.from_fields`` builds the configuration
-    from them. A section or key that ``CONFIG_KEYS`` does not list, or a
-    value its parser rejects, raises ``ValueError``; a rejected value's
-    message starts with its ``[section] key``. Lists are separated by
-    spaces or commas; methods, prompts and edit_prompts by semicolons.
+    key's ``CONFIG_KEYS`` field; ``ExperimentConfig.from_fields`` builds
+    the configuration from them. A missing file raises
+    ``FileNotFoundError`` (``configuration file not found: <path>``). A
+    malformed file (``configparser.Error`` or undecodable text, whose
+    message it keeps), a section or key that ``CONFIG_KEYS`` does not
+    list, or a value its parser rejects raises ``ConfigError``; a rejected
+    value's message starts with its ``[section] key``. Lists are separated
+    by spaces or commas; methods, prompts and edit_prompts by semicolons.
 
     Sections and keys:
       [schedule] kind, total_steps
@@ -443,24 +445,28 @@ def load_config_file(path) -> dict:
         layer_start, layer_end, precision, out
     """
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
-        raise FileNotFoundError(path)
+    try:
+        found = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if not found:
+        raise FileNotFoundError(f"configuration file not found: {path}")
     table = {(section, key): (parse, name) for section, key, parse, name in CONFIG_KEYS}
     sections = list(dict.fromkeys(section for section, *_ in CONFIG_KEYS))
     values = {}
     # A [DEFAULT] section would hand its keys to every other section.
     for section in ["DEFAULT"] * bool(parser.defaults()) + parser.sections():
         if section not in sections:
-            raise ValueError(f"unknown section {section!r}{_closest(section, sections)}")
+            raise ConfigError(f"unknown section {section!r}{_closest(section, sections)}")
         for key, text in parser.items(section):
             if (section, key) not in table:
                 known = [k for s, k in table if s == section]
-                raise ValueError(f"unknown key {key!r} in [{section}]{_closest(key, known)}")
+                raise ConfigError(f"unknown key {key!r} in [{section}]{_closest(key, known)}")
             parse, name = table[section, key]
             try:
                 values[name] = parse(text)
             except ValueError as exc:
-                raise ValueError(f"[{section}] {key}: {exc}") from None
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
     return values
 
 

@@ -12,5 +12,5 @@ def test_fingerprint_prints_one_digest_per_area():
                           capture_output=True, text=True, check=True, timeout=300)
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert [area for area, _ in lines] == ["sweep", "edit", "cli", "files", "calls", "reads",
-                                          "commands"]
+                                          "commands", "refusals"]
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)

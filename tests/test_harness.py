@@ -387,8 +387,12 @@ def test_load_config_file(tmp_path):
     assert cfg.precision == 32
     path.write_text("[run]\nprompts = a 100% cat\n")
     assert load_config_file(path) == {"prompts": ("a 100% cat",)}
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="^configuration file not found: "):
         load_config_file(tmp_path / "missing.cfg")
+    # Every other refusal is a ConfigError; an undecodable file keeps the codec's text.
+    path.write_bytes(b"\xff[run]\n")
+    with pytest.raises(ConfigError, match="can't decode byte 0xff"):
+        load_config_file(path)
 
 
 # One file text per configuration-file key, with the value it parses to;
@@ -623,6 +627,7 @@ _BAD_CONFIGS = {
     "layer-start-0": "[run]\nlayer_start = 0\n",
     "layer-end-2": "[run]\nlayer_end = 2\n",
     "blend-word-dog": "[run]\nblend_word = dog\n",
+    "inv-guidances-1": "[run]\ninv_guidances = 1\n",
 }
 
 
@@ -845,6 +850,21 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
          "--blend-word: blend word 'dog' does not occur in the edit prompt"),
         (["timing", "--blend-word", "dog"],
          "--blend-word: blend word 'dog' does not occur in the edit prompt"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a b c d e f g h dog",
+          "--blend-word", "dog"], "--blend-word: word 'dog' falls beyond the 8 token slots"),
+        (["timing", "--prompt", "a cat", "--edit-prompt", "a b c d e f g h dog",
+          "--blend-word", "dog"], "--blend-word: word 'dog' falls beyond the 8 token slots"),
+        # A command without --inv-guidance inverts at its sampling guidance.
+        (["edit", "--method", "fec-ref", "--steps", "2", "--prompt", "a cat",
+          "--edit-prompt", "a dog", "--config", "{tmp}/inv-guidances-1.cfg"],
+         "[run] inv_guidances: edit inverts at its sampling guidance and reads no"
+         " inv_guidances"),
+        (["check-batch", "--steps", "2", "--config", "{tmp}/inv-guidances-1.cfg"],
+         "[run] inv_guidances: check-batch inverts at its sampling guidance and reads no"
+         " inv_guidances"),
+        (["timing", "--steps", "2", "--config", "{tmp}/inv-guidances-1.cfg"],
+         "[run] inv_guidances: timing inverts at its sampling guidance and reads no"
+         " inv_guidances"),
     ],
     ids=["config-methods-warp", "config-schedule-kind", "config-inv-guidances-nan",
          "config-layers-3-1", "flag-steps-0", "flag-layers-0:99", "flag-over-file",
@@ -855,7 +875,9 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
          "edit-config-blend-word-fec-ref", "edit-flag-blend-word-kv-reuse",
          "edit-config-blend-word-same-prompt", "edit-flag-blend-word-same-prompt",
          "edit-config-blend-word-absent", "edit-flag-blend-word-absent",
-         "timing-flag-blend-word-absent"],
+         "timing-flag-blend-word-absent", "edit-flag-blend-word-past-token-slots",
+         "timing-flag-blend-word-past-token-slots", "edit-config-inv-guidances",
+         "check-batch-config-inv-guidances", "timing-config-inv-guidances"],
 )
 def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tmp_path):
     for name, text in _BAD_CONFIGS.items():
@@ -864,6 +886,33 @@ def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tm
     assert main(argv) == 2
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith(f"fecdiff {argv[0]}: error: {start}")
+
+
+def test_cli_guidance_overrides_a_file_inv_guidances(tmp_path, capsys):
+    # --guidance sets the inversion guidance too, so the file's is not in effect.
+    path = tmp_path / "f.cfg"
+    path.write_text(_BAD_CONFIGS["inv-guidances-1"])
+    argv = ["edit", "--method", "fec-ref", "--steps", "2", "--prompt", "a cat",
+            "--edit-prompt", "a dog", "--guidance", "3"]
+    assert main([*argv, "--config", str(path)]) == 0
+    with_file = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == with_file
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reconstruct", "--method", "direct"], ["invert"],
+     ["edit", "--method", "fec-ref", "--prompt", "a cat", "--edit-prompt", "a dog"],
+     ["sweep", "--method", "direct", "--prompt", "a cat"], ["timing"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_reports_an_out_path_the_os_refuses(argv, tmp_path, capsys):
+    # Found when the write runs, after the computation.
+    out = tmp_path / "missing" / "out"
+    assert main([*argv, "--steps", "2", "--out", str(out)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == f"fecdiff {argv[0]}: error: [Errno 2] No such file or directory: {str(out)!r}"
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,12 @@ are the same bytes. The areas:
 - ``commands``: what ``fecdiff edit`` (box mask, blend word, kv-reuse with
   ``--layers``, fec-ref), ``sweep`` (with ``--out``, and with ``--config``),
   ``check-batch`` and ``timing`` print and write, without the ``time_s``
-  entries; of ``timing`` only the call counts.
+  entries; of ``timing`` only the call counts;
+- ``refusals``: for each request of a fixed list that the toolkit must
+  refuse (one or more per kind of exit-2 refusal, and an ``--out`` under
+  a missing directory for every command that writes one), the argv, the
+  exit code and the last stderr line, or the type name of an exception
+  that escaped ``main``.
 
 Standard library and numpy only. It calls only names that older trees of
 the toolkit also have, so it fingerprints them too.
@@ -40,6 +45,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import sys
 import tempfile
 
@@ -216,6 +222,129 @@ def commands(digest, tmp):
     digest.update(_json([rc, {name: entry["calls"] for name, entry in json.loads(stdout).items()}]))
 
 
+# Requests fecdiff must refuse, with ``{tmp}`` for the scratch directory.
+# The files they name are the _REFUSAL_FILES written there.
+_REFUSED = (
+    "reconstruct --mask {tmp}/box.fecmask",
+    "invert --precision 16",
+    "sweep --config {tmp}/missing.cfg",
+    "sweep --config {tmp}/headless.cfg",
+    "sweep --config {tmp}/undecodable.cfg",
+    "sweep --config {tmp}/shedule.cfg",
+    "sweep --config {tmp}/run-step.cfg",
+    "reconstruct --config {tmp}/attn-scale.cfg",
+    "reconstruct --method warp",
+    "sweep --config {tmp}/data-kind.cfg",
+    "sweep --config {tmp}/schedule-kind.cfg",
+    "sweep --config {tmp}/methods-empty.cfg",
+    "sweep --config {tmp}/prompts-blank-entry.cfg",
+    "sweep --method direct --method direct",
+    "sweep --config {tmp}/seeds-repeated.cfg",
+    "sweep --guidance nan",
+    "invert --config {tmp}/precision-16.cfg",
+    "reconstruct --config {tmp}/dim-5.cfg",
+    "reconstruct --config {tmp}/heads-3.cfg",
+    "reconstruct --config {tmp}/layers-negative.cfg",
+    "reconstruct --config {tmp}/denoiser-seed-negative.cfg",
+    "reconstruct --seed -1",
+    "reconstruct --layers a:b",
+    "reconstruct --layers 2:1",
+    "sweep --config {tmp}/total-steps-0.cfg",
+    "sweep --steps 0",
+    "reconstruct --method fec-kv-reuse --layers 0:99",
+    "reconstruct --method direct --layers 1:3",
+    "sweep --method direct --method fec-noise --layers 1:3",
+    "reconstruct --seed 1 --seed 2",
+    "edit --config {tmp}/edit-prompts-two.cfg",
+    "edit --method direct",
+    "edit --config {tmp}/methods-direct.cfg",
+    "edit --prompt cat --edit-prompt dog",
+    "timing --prompt 'a cat' --edit-prompt 'cat a'",
+    "edit --prompt cat --edit-prompt dog --mask {tmp}/missing.fecmask",
+    "edit --prompt cat --edit-prompt dog --mask {tmp}/bad-magic.fecmask",
+    "edit --prompt cat --edit-prompt dog --mask {tmp}/empty.fecmask",
+    "edit --prompt cat --edit-prompt dog --mask {tmp}/out-of-range.fecmask",
+    "edit --prompt cat --edit-prompt dog --mask {tmp}/small.fecmask",
+    "edit --method fec-ref --prompt cat --edit-prompt dog --mask {tmp}/box.fecmask",
+    "edit --prompt cat --edit-prompt cat --mask {tmp}/box.fecmask",
+    "edit --method fec-kv-reuse --prompt cat --edit-prompt dog --blend-word dog",
+    "edit --method fec-ref --prompt cat --edit-prompt dog --config {tmp}/blend-word-dog.cfg",
+    "edit --prompt cat --edit-prompt cat --blend-word cat",
+    "edit --prompt cat --edit-prompt bird --blend-word dog",
+    "timing --blend-word dog",
+    "edit --method fec-ref --layers 0:4",
+    "edit --prompt cat --edit-prompt dog --blend-word dog --config {tmp}/layer-start-0.cfg",
+    "edit --prompt cat --edit-prompt 'a b c d e f g h dog' --blend-word dog",
+    "timing --prompt cat --edit-prompt 'a b c d e f g h dog' --blend-word dog",
+    "invert --out {tmp}/a.bin --kv-out {tmp}/a.bin",
+    "invert --out {tmp}/a.uncond.bin --kv-out {tmp}/a.bin",
+    "edit --steps 2 --method fec-ref --prompt cat --edit-prompt dog"
+    " --config {tmp}/inv-guidances-1.cfg",
+    "check-batch --steps 2 --config {tmp}/inv-guidances-1.cfg",
+    "timing --steps 2 --config {tmp}/inv-guidances-1.cfg",
+    "reconstruct --steps 2 --method direct --out {tmp}/missing/r.txt",
+    "invert --steps 2 --out {tmp}/missing/t.fectraj",
+    "edit --steps 2 --method fec-ref --prompt cat --edit-prompt dog --out {tmp}/missing/e.npy",
+    "sweep --steps 2 --method direct --out {tmp}/missing/s.csv",
+    "timing --steps 2 --out {tmp}/missing/t.json",
+)
+
+_REFUSAL_FILES = {
+    "headless.cfg": b"steps = 3\n",
+    "undecodable.cfg": b"\xff[run]\n",
+    "shedule.cfg": b"[shedule]\nkind = cosine\n",
+    "run-step.cfg": b"[run]\nstep = 3\n",
+    "attn-scale.cfg": b"[denoiser]\nattn_scale = 1\n",
+    "data-kind.cfg": b"[run]\ndata_kind = checkerboard\n",
+    "schedule-kind.cfg": b"[schedule]\nkind = bogus\n",
+    "methods-empty.cfg": b"[run]\nmethods = ;\n",
+    "prompts-blank-entry.cfg": b"[run]\nprompts = a cat; ; a dog\n",
+    "seeds-repeated.cfg": b"[run]\nseeds = 0 0\n",
+    "precision-16.cfg": b"[run]\nprecision = 16\n",
+    "dim-5.cfg": b"[denoiser]\ndim = 5\n",
+    "heads-3.cfg": b"[denoiser]\nheads = 3\n",
+    "layers-negative.cfg": b"[denoiser]\nlayers = -1\n",
+    "denoiser-seed-negative.cfg": b"[denoiser]\nseed = -1\n",
+    "total-steps-0.cfg": b"[schedule]\ntotal_steps = 0\n",
+    "edit-prompts-two.cfg": b"[run]\nedit_prompts = a; b\n",
+    "methods-direct.cfg": b"[run]\nmethods = direct\n",
+    "blend-word-dog.cfg": b"[run]\nblend_word = dog\n",
+    "layer-start-0.cfg": b"[run]\nlayer_start = 0\n",
+    "inv-guidances-1.cfg": b"[run]\ninv_guidances = 1\n",
+    "bad-magic.fecmask": bytes(20),
+}
+
+
+def _mask_bytes(values: np.ndarray) -> bytes:
+    """A FECMASK1 file of ``values``, unchecked, so it may hold what the
+    reader refuses."""
+    header = np.array([1, 64, *values.shape], dtype="<u4").tobytes()
+    return b"FECMASK1" + header + values.astype("<f8").tobytes()
+
+
+def refusals(digest, tmp):
+    files = dict(_REFUSAL_FILES)
+    files["box.fecmask"] = _mask_bytes(_box((16, 16)))
+    files["empty.fecmask"] = _mask_bytes(np.zeros((0, 0)))
+    files["out-of-range.fecmask"] = _mask_bytes(np.full((16, 16), 2.0))
+    files["small.fecmask"] = _mask_bytes(np.ones((8, 8)))
+    for name, data in files.items():
+        with open(os.path.join(tmp, name), "wb") as f:
+            f.write(data)
+    for request in _REFUSED:
+        argv = shlex.split(request.replace("{tmp}", tmp))
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                outcome = cli_main(argv)
+        except SystemExit as exc:  # argparse's own refusals
+            outcome = exc.code
+        except Exception as exc:  # noqa: BLE001 - what escaped is the result
+            outcome = type(exc).__name__
+        lines = err.getvalue().replace(tmp, "<dir>").splitlines()
+        digest.update(_json([request, outcome, lines[-1] if lines else ""]))
+
+
 def timing_calls(calls):
     cfg = ExperimentConfig(steps=STEPS, prompts=(SOURCE,), edit_prompts=(EDIT,))
     for name, entry in report_timing(cfg).items():
@@ -223,7 +352,7 @@ def timing_calls(calls):
 
 
 def main() -> int:
-    areas = ("sweep", "edit", "cli", "files", "calls", "reads", "commands")
+    areas = ("sweep", "edit", "cli", "files", "calls", "reads", "commands", "refusals")
     digests = {area: hashlib.sha256() for area in areas}
     with tempfile.TemporaryDirectory(prefix="fecdiff-fingerprint-") as tmp:
         sweep(digests["sweep"])
@@ -231,6 +360,7 @@ def main() -> int:
         cli(digests["cli"], tmp)
         files(digests["files"], digests["reads"], digests["calls"], tmp)
         commands(digests["commands"], tmp)
+        refusals(digests["refusals"], tmp)
     timing_calls(digests["calls"])
     for area, digest in digests.items():
         print(f"{area} {digest.hexdigest()}")

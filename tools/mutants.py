@@ -80,7 +80,7 @@ MUTANTS = [
      "_locality(out, recon, user_mask)", "_locality(out, recon, np.zeros_like(user_mask))",
      "run_edit measures locality against an all-zero mask"),
     ("config-unknown-key-skipped", "src/fecdiff/harness.py",
-     'raise ValueError(f"unknown key {key!r} in [{section}]{_closest(key, known)}")',
+     'raise ConfigError(f"unknown key {key!r} in [{section}]{_closest(key, known)}")',
      "continue",
      "load_config_file skips a key it does not know"),
     ("config-data-kind-unchecked", "src/fecdiff/harness.py",
@@ -141,7 +141,7 @@ MUTANTS = [
      "guided_noise(net, latents[next((s for s in sorted(latents) if s > t), t)], t, ctx,",
      "capture records each step's K/V at the next saved latent up (z_T's own at T)"),
     ("edit-same-prompt-mask-accepted", "src/fecdiff/editing.py",
-     'raise ValueError("a user mask needs an edit prompt that differs from the source")',
+     'raise ConfigError("a user mask needs an edit prompt that differs from the source")',
      "pass",
      "run_edit ignores a user mask when the edit prompt equals the source"),
     ("edit-same-prompt-blend-word-accepted", "src/fecdiff/editing.py",
@@ -176,6 +176,17 @@ MUTANTS = [
      "    if req.blend_word is not None:\n"
      "        edit_ctx.cond.word_index(req.blend_word)  # raises past the token slots\n", "",
      "run_edit inverts before it finds a blend word past the edit prompt's token slots"),
+    ("config-file-inv-guidances-accepted", "src/fecdiff/cli.py",
+     'if not hasattr(args, "inv_guidance") and sources.get("inv_guidances", "").startswith("["):',
+     "if False:",
+     "edit, check-batch and timing silently ignore a file's inv_guidances"),
+    ("cli-os-error-uncaught", "src/fecdiff/cli.py",
+     "except (ConfigError, FormatError, OSError) as exc:",
+     "except (ConfigError, FormatError) as exc:",
+     "a path the OS refuses escapes main as a traceback, not one error line and exit 2"),
+    ("edit-method-field-dropped", "src/fecdiff/editing.py",
+     'f" got {self.method!r}", "methods")', 'f" got {self.method!r}")',
+     "EditRequest's method refusal names no field, so the CLI cannot name its flag or key"),
 ]
 
 def _test_args(root: Path) -> list[str]:
