@@ -1,10 +1,11 @@
 """Command-line interface for the toolkit.
 
-Subcommands: invert, reconstruct, edit, sweep, check-batch, timing. Each
-takes ``--config`` and only the flags it reads (``COMMANDS``). The
-configuration-file values and the flags, which override them field by
-field, build one ``ExperimentConfig`` once. The code that owns a rule
-raises its refusal, and ``main`` alone turns one into a single
+Subcommands: invert, reconstruct, edit, sweep, check-batch, timing.
+``COMMANDS`` says which configuration fields each reads: a command takes
+``--config`` and exactly the flags that set a field it reads, and refuses
+a file key of any other. The file's values and the flags, which override
+them field by field, build one ``ExperimentConfig`` once. The code that
+owns a rule raises its refusal, and ``main`` alone turns one into a single
 ``fecdiff <command>: error: ...`` line and exit code 2: a ``ConfigError``
 (named by the ``[section] key`` or ``--flag`` that set it), a
 ``FormatError`` or an ``OSError``. Any other exception is a bug.
@@ -83,12 +84,11 @@ FLAGS = {
 
 
 def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
-    """The file's values with the flags laid over them, built once. Every
-    command but ``sweep`` runs one entry of each list, so a list the user
-    set must hold one; ``method`` is the one a command runs when the user
-    sets none. A command without ``--inv-guidance`` inverts at its sampling
-    guidance, so it refuses a file's ``inv_guidances`` that no
-    ``--guidance`` overrides. Every refusal, here or in
+    """The file's values with the flags laid over them, built once. A file
+    key whose field the command does not read (``COMMANDS``) is refused,
+    unless a flag overrides it. Every command but ``sweep`` runs one entry
+    of each list, so a list the user set must hold one; ``method`` is the
+    one a command runs when the user sets none. Every refusal, here or in
     ``load_config_file`` and the config classes, is a ``ConfigError``,
     which ``main`` names by the ``args.sources`` entry (``[section] key``
     or ``--flag``) of each field."""
@@ -96,10 +96,14 @@ def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
     args.sources = sources = {name: f"[{section}] {key}"
                               for section, key, _, name in CONFIG_KEYS if name in values}
     for flag, (_, fields) in FLAGS.items():
-        given = getattr(args, "_".join(flag[2:].split("-")), None)
+        given = getattr(args, flag[2:].replace("-", "_"), None)
         if given is not None:
             for name, parse in fields:
                 values[name], sources[name] = parse(given), flag
+    reads = COMMANDS[args.command][1]
+    for name, source in sources.items():
+        if source.startswith("[") and name not in reads:
+            raise ConfigError(f"{args.command} reads no {name}", name)
     if method:
         values.setdefault("methods", (method,))
     cfg = ExperimentConfig.from_fields(values)
@@ -108,9 +112,6 @@ def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
         if len(got) > 1:
             raise ConfigError(f"{args.command} runs one entry of {name}, not {len(got)}:"
                               f" {', '.join(map(repr, got))}", name)
-    if not hasattr(args, "inv_guidance") and sources.get("inv_guidances", "").startswith("["):
-        raise ConfigError(f"{args.command} inverts at its sampling guidance and reads no"
-                          " inv_guidances", "inv_guidances")
     # reconstruct runs the first method and sweep every one; only a kv
     # method reads a layer range. EditRequest refuses one for edit.
     runs = cfg.methods if args.command == "sweep" else cfg.methods[:1]
@@ -235,30 +236,35 @@ def _cmd_timing(args) -> int:
     return 0
 
 
-_RECONSTRUCT_FLAGS = "--method --guidance --inv-guidance --steps --seed --prompt --layers --out"
-
-# Every command as (handler, the flags it reads); argparse refuses any other.
-COMMANDS = {
-    "invert": (_cmd_invert,
-               "--guidance --inv-guidance --steps --seed --prompt --precision --out --kv-out"),
-    "reconstruct": (_cmd_reconstruct, _RECONSTRUCT_FLAGS),
-    "edit": (_cmd_edit, "--method --guidance --steps --seed --prompt --edit-prompt"
-                        " --blend-word --mask --layers --out"),
-    "sweep": (_cmd_sweep, _RECONSTRUCT_FLAGS),
-    "check-batch": (_cmd_check_batch, "--guidance --steps --seed --prompt"),
-    "timing": (_cmd_timing, "--guidance --steps --seed --prompt --edit-prompt --blend-word --out"),
-}
+# Every command as (handler, the configuration fields it reads): those only
+# a file sets ([schedule], [denoiser], embed_seed, data_kind), steps, seeds,
+# prompts, and its own list, where mask and kv_out stand for the flags that
+# set no field.
+_READ_BY_ALL = {name for section, _, _, name in CONFIG_KEYS if section != "run"} | {
+    "embed_seed", "data_kind", "steps", "seeds", "prompts"}
+COMMANDS = {name: (fn, _READ_BY_ALL | set(reads.split())) for name, fn, reads in (
+    ("invert", _cmd_invert, "inv_guidances precision out kv_out"),
+    ("reconstruct", _cmd_reconstruct,
+     "methods inv_guidances samp_guidances layer_start layer_end out"),
+    ("edit", _cmd_edit,
+     "methods samp_guidances edit_prompts blend_word layer_start layer_end out mask"),
+    ("sweep", _cmd_sweep, "methods inv_guidances samp_guidances layer_start layer_end out"),
+    ("check-batch", _cmd_check_batch, "samp_guidances"),
+    ("timing", _cmd_timing, "samp_guidances edit_prompts blend_word layer_start layer_end out"),
+)}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fecdiff",
                                      description="diffusion inversion and sampling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in COMMANDS.items():
+    for name, (fn, reads) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="configuration file (sectioned key=value)")
-        for flag in flags.split():
-            p.add_argument(flag, **FLAGS[flag][0])
+        # A command takes the flags that set a field it reads, or are named in it.
+        for flag, (keywords, fields) in FLAGS.items():
+            if {field for field, _ in fields} & reads or flag[2:].replace("-", "_") in reads:
+                p.add_argument(flag, **keywords)
         p.set_defaults(fn=fn, subparser=p)
     return parser
 

@@ -429,13 +429,13 @@ CONFIG_KEYS = (
 def load_config_file(path) -> dict:
     """The field values a sectioned key = value file sets, keyed by each
     key's ``CONFIG_KEYS`` field; ``ExperimentConfig.from_fields`` builds
-    the configuration from them. A missing file raises
-    ``FileNotFoundError`` (``configuration file not found: <path>``). A
-    malformed file (``configparser.Error`` or undecodable text, whose
-    message it keeps), a section or key that ``CONFIG_KEYS`` does not
-    list, or a value its parser rejects raises ``ConfigError``; a rejected
-    value's message starts with its ``[section] key``. Lists are separated
-    by spaces or commas; methods, prompts and edit_prompts by semicolons.
+    the configuration from them. A path the OS refuses (missing, a
+    directory, unreadable) raises its own ``OSError``. A malformed file
+    (``configparser.Error`` or undecodable text, whose message it keeps),
+    a section or key that ``CONFIG_KEYS`` does not list, or a value its
+    parser rejects raises ``ConfigError``; a rejected value's message
+    starts with its ``[section] key``. Lists are separated by spaces or
+    commas; methods, prompts and edit_prompts by semicolons.
 
     Sections and keys:
       [schedule] kind, total_steps
@@ -445,12 +445,11 @@ def load_config_file(path) -> dict:
         layer_start, layer_end, precision, out
     """
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        found = parser.read(path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if not found:
-        raise FileNotFoundError(f"configuration file not found: {path}")
+    with open(path) as f:
+        try:
+            parser.read_file(f)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(str(exc)) from exc
     table = {(section, key): (parse, name) for section, key, parse, name in CONFIG_KEYS}
     sections = list(dict.fromkeys(section for section, *_ in CONFIG_KEYS))
     values = {}

@@ -387,8 +387,11 @@ def test_load_config_file(tmp_path):
     assert cfg.precision == 32
     path.write_text("[run]\nprompts = a 100% cat\n")
     assert load_config_file(path) == {"prompts": ("a 100% cat",)}
-    with pytest.raises(FileNotFoundError, match="^configuration file not found: "):
+    # A path the OS refuses raises the OS's own error.
+    with pytest.raises(FileNotFoundError, match="No such file or directory"):
         load_config_file(tmp_path / "missing.cfg")
+    with pytest.raises(IsADirectoryError, match="Is a directory"):
+        load_config_file(tmp_path)
     # Every other refusal is a ConfigError; an undecodable file keeps the codec's text.
     path.write_bytes(b"\xff[run]\n")
     with pytest.raises(ConfigError, match="can't decode byte 0xff"):
@@ -642,7 +645,8 @@ _BAD_CONFIGS = {
         (["reconstruct", "--method", "warp"], "unknown method 'warp'"),
         (["sweep", "--steps", "0"], "steps must be in"),
         (["sweep", "--guidance", "nan"], "guidance scales must be finite"),
-        (["sweep", "--config", "{tmp}/missing.cfg"], "configuration file not found"),
+        (["sweep", "--config", "{tmp}/missing.cfg"], "[Errno 2] No such file or directory: "),
+        (["sweep", "--config", "{tmp}"], "[Errno 21] Is a directory: "),
         (["sweep", "--config", "{tmp}/headless.cfg"], "File contains no section headers"),
         (["sweep", "--config", "{tmp}/run-step.cfg"],
          "unknown key 'step' in [run]; did you mean 'steps'?"),
@@ -726,8 +730,9 @@ _BAD_CONFIGS = {
          "the trajectory and a K/V cache would both be written to"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "layers-0:99", "method-warp", "steps-0",
-         "guidance-nan", "config-missing", "config-headless", "config-run-step", "config-shedule",
-         "config-attn-scale", "config-prompts-empty", "config-samp-guidances-empty",
+         "guidance-nan", "config-missing", "config-directory", "config-headless",
+         "config-run-step", "config-shedule", "config-attn-scale", "config-prompts-empty",
+         "config-samp-guidances-empty",
          "config-methods-empty", "config-schedule-kind", "config-heads-3",
          "config-heads-0", "config-precision-16", "config-data-kind", "config-latent-shape",
          "config-prompts-blank-entry", "config-methods-trailing-semicolon", "config-dim-0",
@@ -766,7 +771,7 @@ def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_pa
         ["edit", "--inv-guidance", "1"],
         ["sweep", "--edit-prompt", "a dog"],
         ["check-batch", "--out", "x.txt"],
-        ["timing", "--layers", "0:1"],
+        ["timing", "--method", "direct"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -781,6 +786,94 @@ def test_cli_refuses_a_flag_its_command_ignores(argv, capsys, monkeypatch):
     assert err[0].startswith(f"usage: fecdiff {argv[0]} [-h] [--config CONFIG]")
     assert err[-1] == f"fecdiff {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}"
     assert calls == []
+
+
+# The flags each command takes, in the order its usage lists them.
+_RECONSTRUCT_FLAGS = "--method --guidance --inv-guidance --steps --seed --prompt --layers --out"
+_COMMAND_FLAGS = {
+    "invert": "--guidance --inv-guidance --steps --seed --prompt --precision --out --kv-out",
+    "reconstruct": _RECONSTRUCT_FLAGS,
+    "edit": "--method --guidance --steps --seed --prompt --edit-prompt --blend-word --mask"
+            " --layers --out",
+    "sweep": _RECONSTRUCT_FLAGS,
+    "check-batch": "--guidance --steps --seed --prompt",
+    "timing": "--guidance --steps --seed --prompt --edit-prompt --blend-word --layers --out",
+}
+
+
+def _parser_flags() -> dict[str, list[str]]:
+    """Each command's flags as ``build_parser`` registers them, without
+    ``--help`` and ``--config``."""
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return {name: [flag for action in p._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help", "--config")]
+            for name, p in sub.choices.items()}
+
+
+def test_cli_commands_take_exactly_their_flags():
+    assert _parser_flags() == {name: flags.split() for name, flags in _COMMAND_FLAGS.items()}
+
+
+def test_readme_lists_each_commands_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listing = readme.split("Each command takes only the flags")[1].split("\n\n")[1]
+    listed = {}
+    for bullet in " ".join(listing.split()).split("- ")[1:]:
+        names, flags = bullet.split(": ", 1)
+        for name in re.findall(r"`([\w-]+)`", names):
+            listed[name] = re.findall(r"--[\w-]+", flags.split("`")[1])
+    assert listed == _parser_flags()
+
+
+# A value for each [run] key that a command reading that key alone accepts.
+_RUN_VALUES = {
+    "steps": "2", "methods": "fec-ref", "inv_guidances": "1", "samp_guidances": "3",
+    "seeds": "1", "embed_seed": "7", "data_kind": "blocks", "prompts": "a dog",
+    "edit_prompts": "a bird", "blend_word": "bird", "layer_start": "0", "layer_end": "2",
+    "precision": "32", "out": "r.out",
+}
+# The [run] keys each command reads; every command also reads the keys that
+# only a file sets (embed_seed, data_kind) and steps, seeds and prompts.
+_RECONSTRUCT_READS = "methods inv_guidances samp_guidances layer_start layer_end out"
+_COMMAND_READS = {
+    "invert": "inv_guidances precision out",
+    "reconstruct": _RECONSTRUCT_READS,
+    "edit": "methods samp_guidances edit_prompts blend_word layer_start layer_end out",
+    "sweep": _RECONSTRUCT_READS,
+    "check-batch": "samp_guidances",
+    "timing": "samp_guidances edit_prompts blend_word layer_start layer_end out",
+}
+
+
+class _Ran(BaseException):
+    """Raised by the first network call, past every refusal."""
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c in _COMMAND_READS for k in _RUN_VALUES],
+    ids=[f"{c}-{k}" for c in _COMMAND_READS for k in _RUN_VALUES],
+)
+def test_cli_refuses_a_file_key_its_command_does_not_read(command, key, tmp_path, capsys,
+                                                          monkeypatch):
+    assert [k for section, k, _, _ in CONFIG_KEYS if section == "run"] == list(_RUN_VALUES)
+    (tmp_path / "f.cfg").write_text(f"[run]\n{key} = {_RUN_VALUES[key]}\n")
+    monkeypatch.chdir(tmp_path)
+
+    def ran(*args, **kwargs):
+        raise _Ran
+
+    monkeypatch.setattr(ToyDenoiser, "predict", ran)
+    try:
+        rc = main([command, "--config", "f.cfg"])
+    except _Ran:
+        rc = None
+    err = capsys.readouterr().err
+    reads = f"embed_seed data_kind steps seeds prompts {_COMMAND_READS[command]}".split()
+    if key in reads:  # it runs, or another rule refuses the value
+        assert "reads no" not in err
+    else:
+        assert rc == 2
+        assert err == f"fecdiff {command}: error: [run] {key}: {command} reads no {key}\n"
 
 
 def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
@@ -805,6 +898,7 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
          "[run] layer_start, [run] layer_end: invalid layer range [3, 1)"),
         (["sweep", "--steps", "0"], "--steps: steps must be in [1, total_train_steps=1000]"),
         (["reconstruct", "--layers", "0:99"], "--layers: layer_end 99 exceeds layer_count 4"),
+        (["timing", "--layers", "0:99"], "--layers: layer_end 99 exceeds layer_count 4"),
         (["sweep", "--config", "{tmp}/inv-guidances-nan.cfg", "--inv-guidance", "inf"],
          "--inv-guidance: guidance scales must be finite, got inf"),
         (["sweep", "--method", "direct", "--method", "direct", "--steps", "2",
@@ -857,18 +951,15 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
         # A command without --inv-guidance inverts at its sampling guidance.
         (["edit", "--method", "fec-ref", "--steps", "2", "--prompt", "a cat",
           "--edit-prompt", "a dog", "--config", "{tmp}/inv-guidances-1.cfg"],
-         "[run] inv_guidances: edit inverts at its sampling guidance and reads no"
-         " inv_guidances"),
+         "[run] inv_guidances: edit reads no inv_guidances"),
         (["check-batch", "--steps", "2", "--config", "{tmp}/inv-guidances-1.cfg"],
-         "[run] inv_guidances: check-batch inverts at its sampling guidance and reads no"
-         " inv_guidances"),
+         "[run] inv_guidances: check-batch reads no inv_guidances"),
         (["timing", "--steps", "2", "--config", "{tmp}/inv-guidances-1.cfg"],
-         "[run] inv_guidances: timing inverts at its sampling guidance and reads no"
-         " inv_guidances"),
+         "[run] inv_guidances: timing reads no inv_guidances"),
     ],
     ids=["config-methods-warp", "config-schedule-kind", "config-inv-guidances-nan",
-         "config-layers-3-1", "flag-steps-0", "flag-layers-0:99", "flag-over-file",
-         "flag-method-repeated", "flag-seed-repeated", "config-seeds-repeated",
+         "config-layers-3-1", "flag-steps-0", "flag-layers-0:99", "timing-flag-layers-0:99",
+         "flag-over-file", "flag-method-repeated", "flag-seed-repeated", "config-seeds-repeated",
          "reconstruct-two-seeds", "edit-config-two-edit-prompts", "edit-config-method-direct",
          "config-layer-end-direct", "flag-layers-fec-ref", "edit-config-layer-start-fec-noise",
          "edit-config-layer-end-fec-ref", "edit-flag-layers-fec-noise",

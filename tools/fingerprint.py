@@ -26,10 +26,10 @@ are the same bytes. The areas:
   ``check-batch`` and ``timing`` print and write, without the ``time_s``
   entries; of ``timing`` only the call counts;
 - ``refusals``: for each request of a fixed list that the toolkit must
-  refuse (one or more per kind of exit-2 refusal, and an ``--out`` under
-  a missing directory for every command that writes one), the argv, the
-  exit code and the last stderr line, or the type name of an exception
-  that escaped ``main``.
+  refuse (one or more per kind of exit-2 refusal, a file key that each
+  command does not read, and an ``--out`` under a missing directory for
+  every command that writes one), the argv, the exit code and the last
+  stderr line, or the type name of an exception that escaped ``main``.
 
 Standard library and numpy only. It calls only names that older trees of
 the toolkit also have, so it fingerprints them too.
@@ -228,6 +228,7 @@ _REFUSED = (
     "reconstruct --mask {tmp}/box.fecmask",
     "invert --precision 16",
     "sweep --config {tmp}/missing.cfg",
+    "sweep --config {tmp}",
     "sweep --config {tmp}/headless.cfg",
     "sweep --config {tmp}/undecodable.cfg",
     "sweep --config {tmp}/shedule.cfg",
@@ -282,6 +283,13 @@ _REFUSED = (
     " --config {tmp}/inv-guidances-1.cfg",
     "check-batch --steps 2 --config {tmp}/inv-guidances-1.cfg",
     "timing --steps 2 --config {tmp}/inv-guidances-1.cfg",
+    "invert --steps 2 --config {tmp}/methods-two.cfg",
+    "reconstruct --steps 2 --method direct --config {tmp}/precision-32.cfg",
+    "edit --steps 2 --method fec-ref --prompt cat --edit-prompt dog"
+    " --config {tmp}/precision-32.cfg",
+    "sweep --steps 2 --method direct --config {tmp}/blend-word-dog.cfg",
+    "check-batch --steps 2 --config {tmp}/methods-two.cfg",
+    "timing --steps 2 --config {tmp}/methods-direct.cfg",
     "reconstruct --steps 2 --method direct --out {tmp}/missing/r.txt",
     "invert --steps 2 --out {tmp}/missing/t.fectraj",
     "edit --steps 2 --method fec-ref --prompt cat --edit-prompt dog --out {tmp}/missing/e.npy",
@@ -308,6 +316,8 @@ _REFUSAL_FILES = {
     "total-steps-0.cfg": b"[schedule]\ntotal_steps = 0\n",
     "edit-prompts-two.cfg": b"[run]\nedit_prompts = a; b\n",
     "methods-direct.cfg": b"[run]\nmethods = direct\n",
+    "methods-two.cfg": b"[run]\nmethods = direct; fec-ref\n",
+    "precision-32.cfg": b"[run]\nprecision = 32\n",
     "blend-word-dog.cfg": b"[run]\nblend_word = dog\n",
     "layer-start-0.cfg": b"[run]\nlayer_start = 0\n",
     "inv-guidances-1.cfg": b"[run]\ninv_guidances = 1\n",

@@ -177,9 +177,16 @@ MUTANTS = [
      "        edit_ctx.cond.word_index(req.blend_word)  # raises past the token slots\n", "",
      "run_edit inverts before it finds a blend word past the edit prompt's token slots"),
     ("config-file-inv-guidances-accepted", "src/fecdiff/cli.py",
-     'if not hasattr(args, "inv_guidance") and sources.get("inv_guidances", "").startswith("["):',
-     "if False:",
-     "edit, check-batch and timing silently ignore a file's inv_guidances"),
+     'if source.startswith("[") and name not in reads:', "if False:",
+     "a command silently ignores a file key it does not read, such as edit's inv_guidances"),
+    ("cli-unread-rule-covers-flags", "src/fecdiff/cli.py",
+     'if source.startswith("[") and name not in reads:', "if name not in reads:",
+     "the reading rule also refuses a flag's field, so edit --guidance refuses the"
+     " inv_guidances it sets"),
+    ("cli-flag-from-first-field", "src/fecdiff/cli.py",
+     "{field for field, _ in fields} & reads", "{field for field, _ in fields[:1]} & reads",
+     "a command takes a flag only when it reads the flag's first field, so invert loses"
+     " --guidance"),
     ("cli-os-error-uncaught", "src/fecdiff/cli.py",
      "except (ConfigError, FormatError, OSError) as exc:",
      "except (ConfigError, FormatError) as exc:",
