@@ -5,7 +5,8 @@ an optional hook on its self-attention K/V and one on its cross-attention
 maps, and an analytic Gaussian denoiser used as an oracle. Both are pure
 functions of their inputs; repeated calls are bit-identical. Each takes
 one latent or a stack of them along a leading batch axis, and every row of
-a stacked call is bit-identical to the single-latent call.
+a stacked call is bit-identical to the single-latent call. The toy network
+computes in float32; its inputs, outputs and recorded K/V are float64.
 """
 
 from __future__ import annotations
@@ -103,13 +104,17 @@ class LayerRange:
 @dataclass
 class KVCache:
     """Self-attention Keys/Values recorded per (timestep, layer). The cache
-    is the capture hook: ``cache(t, layer, k, v)`` stores copies of K and V
-    and returns them unchanged, so capturing never alters the output."""
+    is the capture hook: ``cache(t, layer, k, v)`` stores float64 copies of
+    K and V and returns them unchanged, so capturing never alters the
+    output."""
 
     entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def __call__(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
-        self.store(t, layer, k.copy(), v.copy())
+        # One block per entry, K and V its two rows: two separate widened
+        # copies left a heap that reading the caches back regrew on every
+        # other read (about 8,800 page faults per io benchmark job).
+        self.store(t, layer, *np.array((k, v), dtype=np.float64))
         return k, v
 
     def store(self, t: int, layer: int, k: np.ndarray, v: np.ndarray):
@@ -132,7 +137,8 @@ class KVCache:
 
 class KVInject:
     """K/V hook that swaps in the cached K and V (or only V, keeping K
-    live) of each layer inside ``layers`` at the evaluated timestep."""
+    live) of each layer inside ``layers`` at the evaluated timestep, cast
+    to the layer's dtype."""
 
     def __init__(self, cache: KVCache, layers: LayerRange, v_only: bool = False):
         self.cache = cache
@@ -143,7 +149,7 @@ class KVInject:
         if layer not in self.layers:
             return k, v
         k_cached, v_cached = self.cache.fetch(t, layer)
-        return (k if self.v_only else k_cached), v_cached
+        return (k if self.v_only else k_cached.astype(k.dtype)), v_cached.astype(v.dtype)
 
 
 @dataclass
@@ -222,7 +228,8 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     y *= x
     y *= 0.044715
     y += x
-    y *= np.sqrt(2.0 / np.pi)
+    # A Python float: a float64 scalar would put a float32 ``y`` in a float64 loop.
+    y *= float(np.sqrt(2.0 / np.pi))
     np.tanh(y, out=y)
     y += 1.0
     y *= 0.5 * x
@@ -243,8 +250,8 @@ class ToyDenoiser:
 
     Input projection -> L pre-norm blocks (self-attention, cross-attention
     over prompt tokens, 2-layer MLP, residuals) -> output projection, with
-    a sinusoidal time embedding added at the input. Weights derive
-    deterministically from ``config.init_seed`` and are never trained.
+    a sinusoidal time embedding added at the input. Weights are drawn from
+    ``config.init_seed`` in float64, stored as float32 and never trained.
     """
 
     def __init__(self, config: DenoiserConfig = DenoiserConfig()):
@@ -255,12 +262,12 @@ class ToyDenoiser:
         rng = np.random.default_rng(config.init_seed)
 
         def lin(n_in, n_out):
-            return rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)
+            return (rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)).astype(np.float32)
 
         self.grid_shape = (h // p, w // p)
         self.w_in = lin(c * p * p, d)
         self.w_time = lin(d, d)
-        self.pos = _sinusoidal(np.arange(self.grid_shape[0] * self.grid_shape[1]), d)
+        self.pos = _sinusoidal(np.arange((h // p) * (w // p)), d).astype(np.float32)
         self.blocks = []
         for _ in range(config.layer_count):
             self.blocks.append(
@@ -307,15 +314,16 @@ class ToyDenoiser:
         trace_to: AttentionTrace | None = None,
         route: str = "other",
     ) -> np.ndarray:
-        """Predicted noise eps(z, t, cond), same shape as z.
+        """Predicted noise eps(z, t, cond), same shape as z, as float64; the
+        network between computes in float32.
 
         ``z`` is one latent of shape ``latent_shape`` or a stack of shape
         ``(B, *latent_shape)``; a stack is one call, and its rows share
         ``t`` and ``cond``. Each hook is a callable that ``predict`` hands
         its arrays to and sets nothing on: ``kv(t, layer, k, v)`` sees every
-        self-attention layer's K and V and returns the pair the layer
-        attends with, and ``trace_to(t, layer, maps)`` gets every layer's
-        head-averaged cross-attention maps on the patch grid, of shape
+        self-attention layer's float32 K and V and returns the pair the
+        layer attends with, and ``trace_to(t, layer, maps)`` gets every
+        layer's head-averaged cross-attention maps on the patch grid, of shape
         ``(*batch, grid_h, grid_w, n_tokens)``. Neither changes the output
         unless ``kv`` swaps K or V.
         """
@@ -339,11 +347,12 @@ class ToyDenoiser:
         gh, gw = self.grid_shape
         lead = z.shape[:-3]
         x = np.moveaxis(z.reshape(*lead, c, gh, p, gw, p), (-4, -2), (-5, -4))
-        x = x.reshape(*lead, gh * gw, c * p * p)
+        x = x.reshape(*lead, gh * gw, c * p * p).astype(np.float32)
+        tokens = cond.tokens.astype(np.float32)
         # ``hdd`` is a fresh array from here on, so the residual adds below
         # run in place, each keeping its expression's association.
         hdd = x @ self.w_in
-        hdd += _sinusoidal(float(t), cfg.model_dim) @ self.w_time
+        hdd += _sinusoidal(float(t), cfg.model_dim).astype(np.float32) @ self.w_time
         hdd += self.pos
 
         for layer, blk in enumerate(self.blocks):
@@ -358,8 +367,8 @@ class ToyDenoiser:
 
             a = _layer_norm(hdd)
             q = a @ blk["cq"]
-            ck = cond.tokens @ blk["ck"]
-            cv = cond.tokens @ blk["cv"]
+            ck = tokens @ blk["ck"]
+            cv = tokens @ blk["cv"]
             out, weights = self._attend(
                 self._heads(q),
                 self._heads(ck),
@@ -374,7 +383,7 @@ class ToyDenoiser:
 
         out = _layer_norm(hdd) @ self.w_out
         out = np.moveaxis(out.reshape(*lead, gh, gw, c, p, p), (-5, -4), (-4, -2))
-        return np.ascontiguousarray(out.reshape(*lead, c, h, w))
+        return np.ascontiguousarray(out.reshape(*lead, c, h, w), dtype=np.float64)
 
 
 class GaussianDenoiser:

@@ -138,9 +138,9 @@ def run_edit(
     zero. ``ConfigError`` is raised before inverting for a user mask on
     another method, with identical prompts or off the latent grid, a layer
     range past the network, a fec-noise edit of a changed prompt with no
-    mask source, and a blend word beyond the edit prompt's token slots
-    (naming ``blend_word``). A user mask that is empty or holds a value
-    outside [0, 1] raises ``as_mask``'s ``ValueError``."""
+    mask source (naming ``edit_prompts``), and a blend word beyond the edit
+    prompt's token slots (naming ``blend_word``). A user mask that is empty
+    or holds a value outside [0, 1] raises ``as_mask``'s ``ValueError``."""
     grid = tuple(net.config.latent_shape[1:])
     layers = req.layer_range
     if layers is not None and layers.end > net.config.layer_count:
@@ -156,7 +156,8 @@ def run_edit(
             raise ConfigError(f"user mask {user_mask.shape} does not match the latent grid {grid}")
     unmasked = user_mask is None and req.blend_word is None
     if req.method == "fec-noise" and not reconstruct and unmasked:
-        raise ConfigError("a fec-noise edit needs a mask or a blend word, or it returns the source")
+        raise ConfigError("a fec-noise edit needs a mask or a blend word, or it returns the source",
+                          "edit_prompts")
     ctx, edit_ctx = guidance_contexts(
         net, (req.source_prompt, req.edit_prompt), req.guidance, embed_seed
     )

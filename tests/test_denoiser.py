@@ -247,7 +247,8 @@ def _ref_layer_norm(x):
 
 
 def _ref_gelu(x):
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+    c = float(np.sqrt(2.0 / np.pi))  # a Python float keeps float32 in float32
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
 
 
 def _ref_softmax(x):
@@ -259,7 +260,8 @@ def _ref_softmax(x):
 def _reference_predict(net, z, t, cond, kv=None, trace_to=None):
     """The forward pass written out of place, one expression per step:
     ``predict`` runs the same operations in the same order in place, so it
-    must give the same bytes."""
+    must give the same bytes. The network computes in float32: the patches,
+    the time embedding and the prompt tokens are cast in, the noise out."""
     cfg = net.config
     c, h, w = cfg.latent_shape
     p = cfg.patch_size
@@ -277,8 +279,9 @@ def _reference_predict(net, z, t, cond, kv=None, trace_to=None):
         return out.transpose(1, 0, 2).reshape(out.shape[1], nh * dh), weights
 
     x = z.reshape(c, gh, p, gw, p).transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * p * p)
-    hdd = x @ net.w_in
-    hdd = hdd + _sinusoidal(float(t), cfg.model_dim) @ net.w_time
+    tokens = cond.tokens.astype(np.float32)
+    hdd = x.astype(np.float32) @ net.w_in
+    hdd = hdd + _sinusoidal(float(t), cfg.model_dim).astype(np.float32) @ net.w_time
     hdd = hdd + net.pos
     for layer, blk in enumerate(net.blocks):
         a = _ref_layer_norm(hdd)
@@ -288,14 +291,14 @@ def _reference_predict(net, z, t, cond, kv=None, trace_to=None):
         out, _ = attend(q, k, v)
         hdd = hdd + out @ blk["wo"]
         a = _ref_layer_norm(hdd)
-        out, weights = attend(a @ blk["cq"], cond.tokens @ blk["ck"], cond.tokens @ blk["cv"])
+        out, weights = attend(a @ blk["cq"], tokens @ blk["ck"], tokens @ blk["cv"])
         if trace_to is not None:
             trace_to(t, layer, weights.mean(axis=0).reshape(gh, gw, -1))
         hdd = hdd + out @ blk["co"]
         a = _ref_layer_norm(hdd)
         hdd = hdd + _ref_gelu(a @ blk["w1"]) @ blk["w2"]
     out = _ref_layer_norm(hdd) @ net.w_out
-    return out.reshape(gh, gw, c, p, p).transpose(2, 0, 3, 1, 4).reshape(c, h, w)
+    return out.reshape(gh, gw, c, p, p).transpose(2, 0, 3, 1, 4).reshape(c, h, w).astype(np.float64)
 
 
 def _entries(cache):
@@ -321,8 +324,17 @@ def test_predict_matches_the_reference_forward(config):
         z = rng.standard_normal(config.latent_shape) * (1.0 + t / 100)
 
         got, ref = KVCache(), KVCache()
-        out = net.predict(z_src, t, cond, kv=got)
+        seen = []
+
+        def capture(t, layer, k, v):
+            seen.append((k.dtype, v.dtype))
+            return got(t, layer, k, v)
+
+        out = net.predict(z_src, t, cond, kv=capture)
+        assert out.dtype == np.float64
         assert out.tobytes() == _reference_predict(net, z_src, t, cond, ref).tobytes()
+        assert seen == [(np.float32, np.float32)] * L
+        assert all(a.dtype == np.float64 for pair in got.entries.values() for a in pair)
         assert _entries(got) == _entries(ref)
 
         trace, ref_trace = AttentionTrace(), AttentionTrace()

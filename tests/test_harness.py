@@ -948,6 +948,10 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
           "--blend-word", "dog"], "--blend-word: word 'dog' falls beyond the 8 token slots"),
         (["timing", "--prompt", "a cat", "--edit-prompt", "a b c d e f g h dog",
           "--blend-word", "dog"], "--blend-word: word 'dog' falls beyond the 8 token slots"),
+        (["edit", "--config", "{tmp}/edit-prompts-dog.cfg"],
+         "[run] edit_prompts: a fec-noise edit needs a mask or a blend word"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a dog"],
+         "--edit-prompt: a fec-noise edit needs a mask or a blend word"),
         # A command without --inv-guidance inverts at its sampling guidance.
         (["edit", "--method", "fec-ref", "--steps", "2", "--prompt", "a cat",
           "--edit-prompt", "a dog", "--config", "{tmp}/inv-guidances-1.cfg"],
@@ -967,7 +971,8 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
          "edit-config-blend-word-same-prompt", "edit-flag-blend-word-same-prompt",
          "edit-config-blend-word-absent", "edit-flag-blend-word-absent",
          "timing-flag-blend-word-absent", "edit-flag-blend-word-past-token-slots",
-         "timing-flag-blend-word-past-token-slots", "edit-config-inv-guidances",
+         "timing-flag-blend-word-past-token-slots", "edit-config-no-mask-source",
+         "edit-flag-no-mask-source", "edit-config-inv-guidances",
          "check-batch-config-inv-guidances", "timing-config-inv-guidances"],
 )
 def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fecdiff import io_formats
 from fecdiff.denoiser import KVCache
+from fecdiff.harness import generate_synthetic_latent
 from fecdiff.io_formats import (
     KV_MAGIC,
     MASK_MAGIC,
@@ -20,7 +21,14 @@ from fecdiff.io_formats import (
     write_mask,
     write_trajectory,
 )
-from fecdiff.sampling import Trajectory
+from fecdiff.sampling import (
+    CaptureOptions,
+    Trajectory,
+    guidance_contexts,
+    invert,
+    sample_fec_kv_reuse,
+)
+from fecdiff.schedule import timestep_plan
 
 
 def _traj(seed=0):
@@ -92,6 +100,28 @@ def test_kv_cache_roundtrip(tmp_path):
         assert v0.tobytes() == v1.tobytes()
     with open(path, "rb") as f:
         assert f.read(len(KV_MAGIC)) == KV_MAGIC
+
+
+def test_captured_kv_cache_is_lossless_at_width_32(tmp_path, net, sched):
+    # The network computes K and V in float32, so width 32 stores them exactly.
+    plan = timestep_plan(4, 1000)
+    ctx, edit_ctx = guidance_contexts(net, ("a cat on a mat", "a dog on a mat"), 7.5)
+    res = invert(net, generate_synthetic_latent(3), ctx, plan, sched, CaptureOptions(kv=True))
+    caches = (res.kv_cache, res.kv_cache_uncond)
+    back = []
+    for i, cache in enumerate(caches):
+        write_kv_cache(tmp_path / f"c{i}.feckv", cache, 32)
+        back.append(read_kv_cache(tmp_path / f"c{i}.feckv"))
+        assert back[-1].entries.keys() == cache.entries.keys()
+        for key, (k, v) in cache.entries.items():
+            k1, v1 = back[-1].fetch(*key)
+            assert (k1.dtype, k1.tobytes(), v1.tobytes()) == (k.dtype, k.tobytes(), v.tobytes())
+    z_T = res.trajectory[plan.timesteps[0]]
+    descents = [
+        sample_fec_kv_reuse(net, z_T, c, edit_ctx, plan, sched, cache_uncond=c_u)
+        for c, c_u in (caches, back)
+    ]
+    assert descents[0].tobytes() == descents[1].tobytes()
 
 
 def test_empty_kv_cache_rejected(tmp_path):

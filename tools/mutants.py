@@ -35,8 +35,8 @@ MUTANTS = [
      '"passed": forward_identical and run_identical,', '"passed": True,',
      "check_batch_invariance reports a pass whatever it measured"),
     ("batch-rows-perturbed", "src/fecdiff/denoiser.py",
-     "return np.ascontiguousarray(out.reshape(*lead, c, h, w))",
-     "out = np.ascontiguousarray(out.reshape(*lead, c, h, w))\n"
+     "return np.ascontiguousarray(out.reshape(*lead, c, h, w), dtype=np.float64)",
+     "out = np.ascontiguousarray(out.reshape(*lead, c, h, w), dtype=np.float64)\n"
      "        if lead:\n            out[1:] += 1e-12\n        return out",
      "a stacked predict call perturbs every row after the first"),
     ("timing-paired-reconstruction-dropped", "src/fecdiff/harness.py",
@@ -68,7 +68,8 @@ MUTANTS = [
      "peak**2 / mse", "peak / mse",
      "psnr divides the peak, not its square, by the MSE"),
     ("v-only-ignored", "src/fecdiff/denoiser.py",
-     "return (k if self.v_only else k_cached), v_cached", "return k_cached, v_cached",
+     "return (k if self.v_only else k_cached.astype(k.dtype)), v_cached.astype(v.dtype)",
+     "return k_cached.astype(k.dtype), v_cached.astype(v.dtype)",
      "KVInject swaps K in even for the V-only ablation"),
     ("degenerate-mask-unflagged", "src/fecdiff/editing.py",
      "& live).astype", "| ~live).astype",
@@ -194,6 +195,18 @@ MUTANTS = [
     ("edit-method-field-dropped", "src/fecdiff/editing.py",
      'f" got {self.method!r}", "methods")', 'f" got {self.method!r}")',
      "EditRequest's method refusal names no field, so the CLI cannot name its flag or key"),
+    ("edit-no-mask-source-field-dropped", "src/fecdiff/editing.py",
+     'or it returns the source",\n                          "edit_prompts")',
+     'or it returns the source")',
+     "run_edit's no-mask-source refusal names no field, so the CLI cannot name the edit prompt's"
+     " flag or key"),
+    ("predict-runs-float64", "src/fecdiff/denoiser.py",
+     "return (rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)).astype(np.float32)",
+     "return rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)",
+     "the weights stay float64, so the network computes in float64, not float32"),
+    ("kv-cache-float32", "src/fecdiff/denoiser.py",
+     "*np.array((k, v), dtype=np.float64)", "*np.array((k, v))",
+     "KVCache stores the layer's float32 K and V, not float64 copies"),
 ]
 
 def _test_args(root: Path) -> list[str]:
