@@ -76,8 +76,6 @@ FLAGS = {
     "--layers": (dict(help="self-attention layer range start:end"),
                  (("layer_start", lambda text: _layer_bounds(text)[0]),
                   ("layer_end", lambda text: _layer_bounds(text)[1]))),
-    "--precision": (dict(type=int, choices=(32, 64), help="serialization float width"),
-                    (("precision", int),)),
     "--out": (dict(help="output path"), (("out", str),)),
     "--kv-out": (dict(help="also capture and write a FECKV1 cache"), ()),
 }
@@ -127,21 +125,25 @@ def _cmd_invert(args) -> int:
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     (ctx,) = guidance_contexts(net, (cfg.prompts[0],), cfg.inv_guidances[0], cfg.embed_seed)
-    out = cfg.out or "trajectory.fectraj"
-    if args.kv_out:
+    out = "trajectory.fectraj" if cfg.out is None else cfg.out
+    capture = args.kv_out is not None
+    if capture:
+        if not args.kv_out:
+            raise ConfigError("--kv-out is empty, so it names no file")
         root, ext = os.path.splitext(args.kv_out)
         uncond_path = f"{root}.uncond{ext}"
         for kv_path in (args.kv_out, uncond_path):
             if os.path.realpath(kv_path) == os.path.realpath(out):
                 raise ConfigError(f"the trajectory and a K/V cache would both be written to {out}")
-    res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=bool(args.kv_out)),
-                 seed=cfg.seeds[0])
-    write_trajectory(out, res.trajectory, cfg.precision)
+    res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=capture), seed=cfg.seeds[0])
+    # The path is float64 and fec-ref from it must stay exact; the network
+    # computes K/V in float32, which width 32 holds exactly.
+    write_trajectory(out, res.trajectory, 64)
     print(f"wrote trajectory ({plan.steps} steps, guidance {ctx.scale}) to {out}")
-    if args.kv_out:
-        write_kv_cache(args.kv_out, res.kv_cache, cfg.precision)
+    if capture:
+        write_kv_cache(args.kv_out, res.kv_cache, 32)
         print(f"wrote KV cache ({len(res.kv_cache)} entries) to {args.kv_out}")
-        write_kv_cache(uncond_path, res.kv_cache_uncond, cfg.precision)
+        write_kv_cache(uncond_path, res.kv_cache_uncond, 32)
         print(f"wrote unconditional KV cache to {uncond_path}")
     return 0
 
@@ -152,7 +154,7 @@ def _cmd_reconstruct(args) -> int:
     method = cfg.methods[0]
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     # Only the --out file's step losses read the descent's latents.
-    record = {} if cfg.out else None
+    record = None if cfg.out is None else {}
     out, traj = reconstruct_once(
         net, sched, plan, z0, method, cfg.prompts[0],
         cfg.inv_guidances[0], cfg.samp_guidances[0], cfg.embed_seed, cfg.layer_range(), record,
@@ -160,7 +162,7 @@ def _cmd_reconstruct(args) -> int:
     metrics = measure_reconstruction(z0, out)
     for key, value in metrics.items():
         print(f"{key} = {_csv_value(value)}")
-    if cfg.out:
+    if cfg.out is not None:
         curve = trajectory_loss_curve(record, traj)
         lines = [*metrics.items(), *((f"step_loss[{t}]", loss) for t, loss in curve)]
         with open(cfg.out, "w") as f:
@@ -183,7 +185,7 @@ def _cmd_edit(args) -> int:
     )
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
-    user_mask = read_mask(args.mask) if args.mask else None
+    user_mask = None if args.mask is None else read_mask(args.mask)
     out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)
     print(f"method = {req.method}")
     print(f"reconstructed = {report.reconstructed}")
@@ -192,7 +194,7 @@ def _cmd_edit(args) -> int:
     if report.locality:
         for key, value in report.locality.items():
             print(f"locality.{key} = {value!r}")
-    if cfg.out:
+    if cfg.out is not None:
         with open(cfg.out, "wb") as f:  # np.save given a name would append ".npy"
             np.save(f, out)
         print(f"wrote edited latent to {cfg.out}")
@@ -211,7 +213,7 @@ def _cmd_sweep(args) -> int:
     errors = [r for r in report.rows if r.get("error")]
     if errors:
         print(f"{len(errors)} cell(s) failed; see report for details", file=sys.stderr)
-    if cfg.out:
+    if cfg.out is not None:
         write_report_csv(report, cfg.out)
         write_report_json(report, cfg.out + ".json")
         print(f"wrote {cfg.out} and {cfg.out}.json")
@@ -230,7 +232,7 @@ def _cmd_timing(args) -> int:
     cfg = _config_from_args(args)
     result = report_timing(cfg)
     print(json.dumps(result, indent=2))
-    if cfg.out:
+    if cfg.out is not None:
         with open(cfg.out, "w") as f:
             json.dump(result, f, indent=2)
     return 0
@@ -243,7 +245,7 @@ def _cmd_timing(args) -> int:
 _READ_BY_ALL = {name for section, _, _, name in CONFIG_KEYS if section != "run"} | {
     "embed_seed", "data_kind", "steps", "seeds", "prompts"}
 COMMANDS = {name: (fn, _READ_BY_ALL | set(reads.split())) for name, fn, reads in (
-    ("invert", _cmd_invert, "inv_guidances precision out kv_out"),
+    ("invert", _cmd_invert, "inv_guidances out kv_out"),
     ("reconstruct", _cmd_reconstruct,
      "methods inv_guidances samp_guidances layer_start layer_end out"),
     ("edit", _cmd_edit,

@@ -79,7 +79,6 @@ class ExperimentConfig:
     layer_start: int | None = None
     layer_end: int | None = None
     denoiser: DenoiserConfig = field(default_factory=DenoiserConfig)
-    precision: int = 64
     out: str | None = None
 
     def __post_init__(self):
@@ -110,8 +109,6 @@ class ExperimentConfig:
             for g in getattr(self, name):
                 if not math.isfinite(g):
                     raise ConfigError(f"guidance scales must be finite, got {g!r}", name)
-        if self.precision not in (32, 64):
-            raise ConfigError(f"precision must be 32 or 64, got {self.precision}", "precision")
         for name, value in (("seeds", min(self.seeds)), ("embed_seed", self.embed_seed)):
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}", name)
@@ -421,7 +418,6 @@ CONFIG_KEYS = (
     ("run", "blend_word", str, "blend_word"),
     ("run", "layer_start", int, "layer_start"),
     ("run", "layer_end", int, "layer_end"),
-    ("run", "precision", int, "precision"),
     ("run", "out", str, "out"),
 )
 
@@ -442,7 +438,7 @@ def load_config_file(path) -> dict:
       [denoiser] layers, heads, dim, seed
       [run] steps, methods, inv_guidances, samp_guidances, seeds,
         embed_seed, data_kind, prompts, edit_prompts, blend_word,
-        layer_start, layer_end, precision, out
+        layer_start, layer_end, out
     """
     parser = configparser.ConfigParser(interpolation=None)
     with open(path) as f:

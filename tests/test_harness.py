@@ -71,7 +71,7 @@ def test_experiment_config_validation():
     for bad in (dict(steps=0), dict(steps=1001), dict(layer_start=2, layer_end=1),
                 dict(layer_start=-1), dict(samp_guidances=(float("nan"),)),
                 dict(inv_guidances=(7.5, float("inf"))), dict(data_kind="checkerboard"),
-                dict(schedule_kind="cosine"), dict(precision=16), dict(methods=()),
+                dict(schedule_kind="cosine"), dict(methods=()),
                 dict(prompts=()), dict(inv_guidances=()), dict(samp_guidances=()),
                 dict(prompts="a cat"), dict(seeds=(0, -1)), dict(embed_seed=-1),
                 dict(total_train_steps=0), dict(layer_end=5),
@@ -372,7 +372,7 @@ def test_load_config_file(tmp_path):
         "[denoiser]\nlayers = 2\nseed = 5\n"
         "[run]\nsteps = 4\nmethods = direct; fec-ref\n"
         "inv_guidances = 1 5\nsamp_guidances = 7.5\nseeds = 0, 1\n"
-        "prompts = a cat; a dog\nprecision = 32\n"
+        "prompts = a cat; a dog\n"
     )
     cfg = ExperimentConfig.from_fields(load_config_file(path))
     assert cfg.schedule_kind == "constant-beta"
@@ -384,7 +384,6 @@ def test_load_config_file(tmp_path):
     assert cfg.inv_guidances == (1.0, 5.0)
     assert cfg.seeds == (0, 1)
     assert cfg.prompts == ("a cat", "a dog")
-    assert cfg.precision == 32
     path.write_text("[run]\nprompts = a 100% cat\n")
     assert load_config_file(path) == {"prompts": ("a 100% cat",)}
     # A path the OS refuses raises the OS's own error.
@@ -419,7 +418,6 @@ _KEY_SAMPLES = {
     ("run", "blend_word"): ("bird", "bird"),
     ("run", "layer_start"): ("1", 1),
     ("run", "layer_end"): ("2", 2),
-    ("run", "precision"): ("32", 32),
     ("run", "out"): ("r.csv", "r.csv"),
 }
 
@@ -512,18 +510,31 @@ def test_cli_reconstruct_records_latents_only_for_the_report_file(tmp_path, caps
 
 
 def test_cli_invert_roundtrip(tmp_path):
-    from fecdiff.io_formats import read_kv_cache, read_trajectory
+    from fecdiff.io_formats import KV_MAGIC, read_kv_cache, read_trajectory
 
-    traj_path = tmp_path / "t.fectraj"
-    kv_path = tmp_path / "c.feckv"
-    rc = main(["invert", "--steps", "5", "--prompt", "a cat",
-               "--out", str(traj_path), "--kv-out", str(kv_path)])
-    assert rc == 0
-    traj = read_trajectory(traj_path)
-    assert len(traj.timesteps) == 5
-    cache = read_kv_cache(kv_path)
-    uncond = read_kv_cache(tmp_path / "c.uncond.feckv")
-    assert len(cache) == len(uncond) == 5 * 4
+    assert main(["invert", "--steps", "4", "--out", str(tmp_path / "t"),
+                 "--kv-out", str(tmp_path / "k")]) == 0
+    cfg = ExperimentConfig(steps=4)
+    net, sched, plan = cfg.components()
+    z0 = generate_synthetic_latent(0, cfg.data_kind, net.config.latent_shape)
+    (ctx,) = sampling.guidance_contexts(net, cfg.prompts, cfg.inv_guidances[0])
+    res = sampling.invert(net, z0, ctx, plan, sched, sampling.CaptureOptions(kv=True), seed=0)
+    # The path at width 64: every latent byte-equal, so fec-ref from it is exact.
+    traj = read_trajectory(tmp_path / "t")
+    assert (traj.timesteps, traj.guidance, traj.seed) == (plan.timesteps, 7.5, 0)
+    for t in (*plan.timesteps, 0):
+        assert traj[t].tobytes() == res.trajectory[t].tobytes(), t
+    assert sampling.sample_fec_ref(traj, plan).tobytes() == z0.tobytes()
+    # The float32 K/V at width 32: byte-equal, at 4 bytes a value.
+    for name, cache in (("k", res.kv_cache), ("k.uncond", res.kv_cache_uncond)):
+        back = read_kv_cache(tmp_path / name)
+        assert back.entries.keys() == cache.entries.keys()
+        for key, (k, v) in cache.entries.items():
+            assert [a.tobytes() for a in back.fetch(*key)] == [k.tobytes(), v.tobytes()]
+        k, v = cache.fetch(plan.timesteps[0], 0)
+        header = len(KV_MAGIC) + 4 * (4 + 1 + k.ndim + 1 + v.ndim + plan.steps)
+        values = sum(k.size + v.size for k, v in cache.entries.values())
+        assert (tmp_path / name).stat().st_size == header + 4 * values
 
 
 def test_cli_check_batch_exit_code():
@@ -664,7 +675,7 @@ _BAD_CONFIGS = {
         (["reconstruct", "--config", "{tmp}/heads-0.cfg"],
          "[denoiser] heads: model_dim 64 must be divisible by head_count 0"),
         (["invert", "--config", "{tmp}/precision-16.cfg", "--out", "{tmp}/t.fectraj"],
-         "precision must be 32 or 64, got 16"),
+         "unknown key 'precision' in [run]"),
         (["sweep", "--config", "{tmp}/data-kind.cfg"], "unknown data_kind 'checkerboard'"),
         (["sweep", "--config", "{tmp}/latent-shape.cfg"],
          "unknown key 'latent_shape' in [denoiser]"),
@@ -728,6 +739,10 @@ _BAD_CONFIGS = {
          "the trajectory and a K/V cache would both be written to"),
         (["invert", "--out", "{tmp}/a.uncond.bin", "--kv-out", "{tmp}/a.bin"],
          "the trajectory and a K/V cache would both be written to"),
+        (["invert", "--steps", "2", "--out", "{tmp}/t.fectraj", "--kv-out", ""],
+         "--kv-out is empty, so it names no file"),
+        (["edit", "--steps", "2", "--prompt", "a cat", "--edit-prompt", "a dog",
+          "--blend-word", "dog", "--mask", ""], "[Errno 2] No such file or directory: ''"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "layers-0:99", "method-warp", "steps-0",
          "guidance-nan", "config-missing", "config-directory", "config-headless",
@@ -748,7 +763,7 @@ _BAD_CONFIGS = {
          "reconstruct-default-method-layers", "sweep-no-kv-method-layers",
          "edit-blend-word-past-token-slots", "timing-blend-word-past-token-slots",
          "invert-kv-out-is-out",
-         "invert-uncond-kv-out-is-out"],
+         "invert-uncond-kv-out-is-out", "invert-kv-out-empty", "edit-mask-empty"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():
@@ -791,7 +806,7 @@ def test_cli_refuses_a_flag_its_command_ignores(argv, capsys, monkeypatch):
 # The flags each command takes, in the order its usage lists them.
 _RECONSTRUCT_FLAGS = "--method --guidance --inv-guidance --steps --seed --prompt --layers --out"
 _COMMAND_FLAGS = {
-    "invert": "--guidance --inv-guidance --steps --seed --prompt --precision --out --kv-out",
+    "invert": "--guidance --inv-guidance --steps --seed --prompt --out --kv-out",
     "reconstruct": _RECONSTRUCT_FLAGS,
     "edit": "--method --guidance --steps --seed --prompt --edit-prompt --blend-word --mask"
             " --layers --out",
@@ -830,13 +845,13 @@ _RUN_VALUES = {
     "steps": "2", "methods": "fec-ref", "inv_guidances": "1", "samp_guidances": "3",
     "seeds": "1", "embed_seed": "7", "data_kind": "blocks", "prompts": "a dog",
     "edit_prompts": "a bird", "blend_word": "bird", "layer_start": "0", "layer_end": "2",
-    "precision": "32", "out": "r.out",
+    "out": "r.out",
 }
 # The [run] keys each command reads; every command also reads the keys that
 # only a file sets (embed_seed, data_kind) and steps, seeds and prompts.
 _RECONSTRUCT_READS = "methods inv_guidances samp_guidances layer_start layer_end out"
 _COMMAND_READS = {
-    "invert": "inv_guidances precision out",
+    "invert": "inv_guidances out",
     "reconstruct": _RECONSTRUCT_READS,
     "edit": "methods samp_guidances edit_prompts blend_word layer_start layer_end out",
     "sweep": _RECONSTRUCT_READS,
@@ -996,19 +1011,29 @@ def test_cli_guidance_overrides_a_file_inv_guidances(tmp_path, capsys):
     assert capsys.readouterr().out == with_file
 
 
+# Every command that writes an --out file.
+_WRITERS = (["reconstruct", "--method", "direct"], ["invert"],
+            ["edit", "--method", "fec-ref", "--prompt", "a cat", "--edit-prompt", "a dog"],
+            ["sweep", "--method", "direct", "--prompt", "a cat"], ["timing"])
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["reconstruct", "--method", "direct"], ["invert"],
-     ["edit", "--method", "fec-ref", "--prompt", "a cat", "--edit-prompt", "a dog"],
-     ["sweep", "--method", "direct", "--prompt", "a cat"], ["timing"]],
-    ids=lambda argv: argv[0],
+    "argv, out",
+    [*(([*argv, "--out", out], out) for out in ("{tmp}/missing/out", "") for argv in _WRITERS),
+     (["invert", "--config", "{tmp}/out-empty.cfg"], "")],
+    ids=[*(argv[0] for argv in _WRITERS), *(f"{argv[0]}-out-empty" for argv in _WRITERS),
+         "invert-config-out-empty"],
 )
-def test_cli_reports_an_out_path_the_os_refuses(argv, tmp_path, capsys):
-    # Found when the write runs, after the computation.
-    out = tmp_path / "missing" / "out"
-    assert main([*argv, "--steps", "2", "--out", str(out)]) == 2
+def test_cli_reports_an_out_path_the_os_refuses(argv, out, tmp_path, capsys, monkeypatch):
+    # Found when the write runs, after the computation. An empty path names
+    # no file, so no default file is written in its place.
+    (tmp_path / "out-empty.cfg").write_text("[run]\nout =\n")
+    monkeypatch.chdir(tmp_path)
+    out = out.replace("{tmp}", str(tmp_path))
+    assert main([*(a.replace("{tmp}", str(tmp_path)) for a in argv), "--steps", "2"]) == 2
     (err,) = capsys.readouterr().err.splitlines()
-    assert err == f"fecdiff {argv[0]}: error: [Errno 2] No such file or directory: {str(out)!r}"
+    assert err == f"fecdiff {argv[0]}: error: [Errno 2] No such file or directory: {out!r}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out-empty.cfg"]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fecdiff.denoiser import KVCache, KVInject, LayerRange, embed_prompt
+from fecdiff.denoiser import GaussianDenoiser, KVCache, KVInject, LayerRange, embed_prompt
 from fecdiff.sampling import (
     CaptureOptions,
     GuidanceContext,
@@ -106,6 +106,23 @@ def test_invert_covers_plan(net, sched, plan10):
     assert res.kv_cache is None and res.kv_cache_uncond is None
     with pytest.raises(KeyError):
         traj[123]
+
+
+def test_invert_steps_match_the_gaussian_oracle(sched, plan10):
+    # For data N(m, s^2 I) the noise is affine in the latent,
+    # eps(z, t) = c_t (z - sqrt(ab_t) m) with c_t = sqrt(1 - ab_t) / (ab_t s^2 + 1 - ab_t),
+    # and each inversion step evaluates it at (z_prev, t), then moves z_prev
+    # from t_prev up to t.
+    m, s = 0.5, 1.0
+    traj = invert(GaussianDenoiser(sched, mean=m, std=s), _latent(0), _ctx(1.0), plan10,
+                  sched).trajectory
+    for t_prev, t in plan10.inversion_pairs():
+        ab_p, ab_t = sched.ab(t_prev), sched.ab(t)
+        z_prev = traj[t_prev]
+        eps = np.sqrt(1 - ab_t) / (ab_t * s**2 + 1 - ab_t) * (z_prev - np.sqrt(ab_t) * m)
+        z0_pred = (z_prev - np.sqrt(1 - ab_p) * eps) / np.sqrt(ab_p)
+        z_t = np.sqrt(ab_t) * z0_pred + np.sqrt(1 - ab_t) * eps
+        assert np.linalg.norm(traj[t] - z_t) <= 1e-12 * np.linalg.norm(z_t), t
 
 
 def test_invert_capture_fills_both_branch_caches(net, sched, plan10):

@@ -5,7 +5,10 @@ results, to check that a change leaves every output byte-identical.
     PYTHONPATH=other/src python tools/fingerprint.py   # another tree
 
 Two trees give the same line for an area exactly when that area's outputs
-are the same bytes. The areas:
+are the same bytes. The digests depend on the BLAS kernel that runs the
+network's products, so a first line, ``blas <version> core <name>``, names
+it (``unknown`` where numpy's bundled OpenBLAS does not say); compare
+digests only under the same kernel. The areas:
 
 - ``sweep``: the rows of a sweep over every method, guidances {1, 7.5} for
   inversion and sampling, prompts "a cat" and "", and two seeds at 10
@@ -14,7 +17,7 @@ are the same bytes. The areas:
   (box-mask and blend-word fec-noise, kv-reuse, fec-ref, and kv-reuse
   with identical prompts, at guidance 1 and 7.5, over two seeds);
 - ``cli``: what ``fecdiff reconstruct`` (every method) and ``fecdiff
-  invert`` print and the files they write;
+  invert --kv-out`` print and the files they write;
 - ``files``: the FECTRAJ1, FECKV1 and FECMASK1 bytes written at widths 64
   and 32 from inversions under a non-empty and the empty prompt;
 - ``calls``: the network's call counts by route, per ``run_edit`` call,
@@ -28,8 +31,10 @@ are the same bytes. The areas:
 - ``refusals``: for each request of a fixed list that the toolkit must
   refuse (one or more per kind of exit-2 refusal, a file key that each
   command does not read, and an ``--out`` under a missing directory for
-  every command that writes one), the argv, the exit code and the last
-  stderr line, or the type name of an exception that escaped ``main``.
+  every command that writes one, and an empty path for each path flag
+  and for ``[run] out``), the argv, the exit code and the last stderr
+  line, or the type name of an exception that escaped ``main``. They run
+  in the scratch directory, so a tree that accepts a request writes there.
 
 Standard library and numpy only. It calls only names that older trees of
 the toolkit also have, so it fingerprints them too.
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -48,6 +54,7 @@ import os
 import shlex
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -143,8 +150,8 @@ def cli(digest, tmp):
     run(["reconstruct", "--method", "fec-kv-reuse", "--layers", "1:3", *common, "--out", out],
         [out])
     traj, kv = os.path.join(tmp, "cli.fectraj"), os.path.join(tmp, "cli.feckv")
-    run(["invert", "--inv-guidance", "7.5", *common, "--precision", "32",
-         "--out", traj, "--kv-out", kv], [traj, kv, os.path.join(tmp, "cli.uncond.feckv")])
+    run(["invert", "--inv-guidance", "7.5", *common, "--out", traj, "--kv-out", kv],
+        [traj, kv, os.path.join(tmp, "cli.uncond.feckv")])
 
 
 def _hash_read(digest, value):
@@ -295,6 +302,15 @@ _REFUSED = (
     "edit --steps 2 --method fec-ref --prompt cat --edit-prompt dog --out {tmp}/missing/e.npy",
     "sweep --steps 2 --method direct --out {tmp}/missing/s.csv",
     "timing --steps 2 --out {tmp}/missing/t.json",
+    "invert --steps 2 --out '' --kv-out ''",
+    "invert --steps 2 --out {tmp}/t.fectraj --kv-out ''",
+    "edit --steps 2 --prompt cat --edit-prompt dog --blend-word dog --mask ''",
+    "reconstruct --steps 2 --method direct --out ''",
+    "invert --steps 2 --out ''",
+    "invert --steps 2 --config {tmp}/out-empty.cfg",
+    "edit --steps 2 --method fec-ref --prompt cat --edit-prompt dog --out ''",
+    "sweep --steps 2 --method direct --out ''",
+    "timing --steps 2 --out ''",
 )
 
 _REFUSAL_FILES = {
@@ -321,6 +337,7 @@ _REFUSAL_FILES = {
     "blend-word-dog.cfg": b"[run]\nblend_word = dog\n",
     "layer-start-0.cfg": b"[run]\nlayer_start = 0\n",
     "inv-guidances-1.cfg": b"[run]\ninv_guidances = 1\n",
+    "out-empty.cfg": b"[run]\nout =\n",
     "bad-magic.fecmask": bytes(20),
 }
 
@@ -341,18 +358,23 @@ def refusals(digest, tmp):
     for name, data in files.items():
         with open(os.path.join(tmp, name), "wb") as f:
             f.write(data)
-    for request in _REFUSED:
-        argv = shlex.split(request.replace("{tmp}", tmp))
-        err = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                outcome = cli_main(argv)
-        except SystemExit as exc:  # argparse's own refusals
-            outcome = exc.code
-        except Exception as exc:  # noqa: BLE001 - what escaped is the result
-            outcome = type(exc).__name__
-        lines = err.getvalue().replace(tmp, "<dir>").splitlines()
-        digest.update(_json([request, outcome, lines[-1] if lines else ""]))
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        for request in _REFUSED:
+            argv = shlex.split(request.replace("{tmp}", tmp))
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    outcome = cli_main(argv)
+            except SystemExit as exc:  # argparse's own refusals
+                outcome = exc.code
+            except Exception as exc:  # noqa: BLE001 - what escaped is the result
+                outcome = type(exc).__name__
+            lines = err.getvalue().replace(tmp, "<dir>").splitlines()
+            digest.update(_json([request, outcome, lines[-1] if lines else ""]))
+    finally:
+        os.chdir(cwd)
 
 
 def timing_calls(calls):
@@ -361,7 +383,21 @@ def timing_calls(calls):
         calls.update(_json([name, entry["calls"]]))
 
 
+def blas_line() -> str:
+    """``blas <version> core <name>``: the BLAS numpy was built against and
+    the kernel its bundled OpenBLAS picked for this CPU."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    core = "unknown"
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = (), ctypes.c_char_p
+            core = corename().decode()
+    return f"blas {blas.get('version', 'unknown')} core {core}"
+
+
 def main() -> int:
+    print(blas_line(), flush=True)
     areas = ("sweep", "edit", "cli", "files", "calls", "reads", "commands", "refusals")
     digests = {area: hashlib.sha256() for area in areas}
     with tempfile.TemporaryDirectory(prefix="fecdiff-fingerprint-") as tmp:

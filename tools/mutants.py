@@ -207,6 +207,17 @@ MUTANTS = [
     ("kv-cache-float32", "src/fecdiff/denoiser.py",
      "*np.array((k, v), dtype=np.float64)", "*np.array((k, v))",
      "KVCache stores the layer's float32 K and V, not float64 copies"),
+    ("invert-trajectory-width-32", "src/fecdiff/cli.py",
+     "write_trajectory(out, res.trajectory, 64)", "write_trajectory(out, res.trajectory, 32)",
+     "fecdiff invert rounds the float64 path to width 32, so fec-ref from the file is not exact"),
+    ("invert-cache-width-64", "src/fecdiff/cli.py",
+     "write_kv_cache(args.kv_out, res.kv_cache, 32)",
+     "write_kv_cache(args.kv_out, res.kv_cache, 64)",
+     "fecdiff invert writes the float32 K/V at width 64, twice the bytes they need"),
+    ("inversion-noise-at-t-prev", "src/fecdiff/sampling.py",
+     'return guided_noise(net, z, t, ctx, route="inversion")',
+     'return guided_noise(net, z, t_prev, ctx, route="inversion")',
+     "each inversion step evaluates the noise at t_prev instead of t"),
 ]
 
 def _test_args(root: Path) -> list[str]:
