@@ -98,6 +98,8 @@ def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
         if given is not None:
             for name, parse in fields:
                 values[name], sources[name] = parse(given), flag
+    if getattr(args, "mask", None) is not None:
+        sources["mask"] = "--mask"  # names run_edit's user-mask refusals
     reads = COMMANDS[args.command][1]
     for name, source in sources.items():
         if source.startswith("[") and name not in reads:

@@ -95,7 +95,8 @@ class LayerRange:
 
     def __post_init__(self):
         if not 0 <= self.start <= self.end:
-            raise ValueError(f"invalid layer range [{self.start}, {self.end})")
+            raise ConfigError(f"invalid layer range [{self.start}, {self.end})",
+                              "layer_start", "layer_end")
 
     def __contains__(self, layer: int) -> bool:
         return self.start <= layer < self.end

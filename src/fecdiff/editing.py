@@ -136,11 +136,12 @@ def run_edit(
     trajectory, for fec-noise edits locality against the method's own
     reconstruction, and the ascending steps whose blend-word mask was all
     zero. ``ConfigError`` is raised before inverting for a user mask on
-    another method, with identical prompts or off the latent grid, a layer
-    range past the network, a fec-noise edit of a changed prompt with no
-    mask source (naming ``edit_prompts``), and a blend word beyond the edit
-    prompt's token slots (naming ``blend_word``). A user mask that is empty
-    or holds a value outside [0, 1] raises ``as_mask``'s ``ValueError``."""
+    another method, with identical prompts or off the latent grid (naming
+    ``mask``), a layer range past the network, a fec-noise edit of a
+    changed prompt with no mask source (naming ``edit_prompts``), and a
+    blend word beyond the edit prompt's token slots (naming
+    ``blend_word``). A user mask that is empty or holds a value outside
+    [0, 1] raises ``as_mask``'s ``ValueError``."""
     grid = tuple(net.config.latent_shape[1:])
     layers = req.layer_range
     if layers is not None and layers.end > net.config.layer_count:
@@ -148,12 +149,15 @@ def run_edit(
     reconstruct = req.edit_prompt == req.source_prompt
     if user_mask is not None:
         if req.method != "fec-noise":
-            raise ConfigError(f"a user mask applies to fec-noise edits only, not {req.method}")
+            raise ConfigError(f"a user mask applies to fec-noise edits only, not {req.method}",
+                              "mask")
         if reconstruct:
-            raise ConfigError("a user mask needs an edit prompt that differs from the source")
+            raise ConfigError("a user mask needs an edit prompt that differs from the source",
+                              "mask")
         user_mask = as_mask(user_mask)
         if user_mask.shape != grid:
-            raise ConfigError(f"user mask {user_mask.shape} does not match the latent grid {grid}")
+            raise ConfigError(f"user mask {user_mask.shape} does not match the latent grid"
+                              f" {grid}", "mask")
     unmasked = user_mask is None and req.blend_word is None
     if req.method == "fec-noise" and not reconstruct and unmasked:
         raise ConfigError("a fec-noise edit needs a mask or a blend word, or it returns the source",

@@ -112,14 +112,9 @@ class ExperimentConfig:
         for name, value in (("seeds", min(self.seeds)), ("embed_seed", self.embed_seed)):
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}", name)
-        # Checked before LayerRange is built, so that the error names its fields.
-        count = self.denoiser.layer_count
-        start = self.layer_start or 0
-        end = count if self.layer_end is None else self.layer_end
-        if not 0 <= start <= end:
-            raise ConfigError(f"invalid layer range [{start}, {end})", "layer_start", "layer_end")
-        if end > count:
-            raise ConfigError(f"layer_end {end} exceeds layer_count {count}",
+        layers, count = self.layer_range(), self.denoiser.layer_count
+        if layers is not None and layers.end > count:
+            raise ConfigError(f"layer_end {layers.end} exceeds layer_count {count}",
                               "layer_end", "layer_count")
 
     @classmethod
@@ -271,7 +266,8 @@ def _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, rows
         key = (method, None if _uncond_known(ctx) else ctx.scale)
         if key not in descents:
             try:
-                out = sample_method(net, res, method, ctx, plan, sched, layers)
+                out = sample_method(net, res, method, ctx, plan, sched,
+                                    layers if method in KV_METHODS else None)
                 descents[key] = measure_reconstruction(z0, out)
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                 descents[key] = {"error": f"{type(exc).__name__}: {exc}"}

@@ -36,10 +36,6 @@ def _dtype(width: int):
     raise ValueError(f"float width must be 32 or 64, got {width}")
 
 
-def _write_u32s(f, *values: int):
-    f.write(struct.pack("<" + "I" * len(values), *values))
-
-
 def _check_shape(arr: np.ndarray, shape: tuple[int, ...], what: str):
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, not the header's {shape}")
@@ -50,20 +46,39 @@ def _plan_order(timesteps) -> bool:
     return all(a > b for a, b in zip(timesteps, (*timesteps[1:], 0)))
 
 
-def _write_array(f, arr: np.ndarray, width: int):
-    # The array's own buffer: no bytes copy when it is already stored at
-    # ``width`` and contiguous.
-    f.write(np.ascontiguousarray(arr, dtype=_dtype(width)).data)
+def _u32s(*values: int) -> bytes:
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def _write(path, magic: bytes, header: bytes, arrays, width: int):
+    """The frame all three formats share: magic, u32 version, the format's
+    header, then each array's payload at ``width``. The width is resolved
+    before ``path`` is opened, so a refused width changes no file."""
+    dtype = _dtype(width)
+    with open(path, "wb") as f:
+        f.write(magic + _u32s(_VERSION) + header)
+        for arr in arrays:
+            # The array's own buffer: no bytes copy when it is already
+            # stored at ``width`` and contiguous.
+            f.write(np.ascontiguousarray(arr, dtype=dtype).data)
 
 
 class _Reader:
     """Reads a binary file against its size, taken once up front: no read
     asks for more bytes than the file has left, and the payload must end
-    exactly at the end of the file."""
+    exactly at the end of the file. The magic and version are checked on
+    construction, so each reader starts at its format's own header."""
 
-    def __init__(self, f, path):
+    def __init__(self, f, path, magic: bytes, what: str):
         self.f, self.path = f, path
         self.left = os.fstat(f.fileno()).st_size
+        got = f.read(len(magic))
+        self.left -= len(got)
+        if got != magic:
+            self.fail(f"bad magic {got!r}, expected {magic!r}")
+        (version,) = self.u32s(1)
+        if version != _VERSION:
+            self.fail(f"unsupported {what} version {version}")
 
     def fail(self, what: str):
         raise FormatError(f"{self.path}: {what}")
@@ -83,16 +98,6 @@ class _Reader:
         if len(set(timesteps)) != n:
             self.fail(f"timestep list repeats a timestep: {timesteps}")
         return timesteps
-
-    def magic(self, magic: bytes):
-        got = self.f.read(len(magic))
-        self.left -= len(got)
-        if got != magic:
-            self.fail(f"bad magic {got!r}, expected {magic!r}")
-
-    def version(self, version: int, what: str):
-        if version != _VERSION:
-            self.fail(f"unsupported {what} version {version}")
 
     def width(self, width: int) -> int:
         if width not in (32, 64):
@@ -128,22 +133,16 @@ def write_trajectory(path, traj: Trajectory, float_width: int = 64):
     dims = latents[-1].shape
     for t, latent in zip(order, latents):
         _check_shape(latent, dims, f"latent at t={t}")
-    with open(path, "wb") as f:
-        f.write(TRAJ_MAGIC)
-        _write_u32s(f, _VERSION, len(traj.timesteps), float_width, len(dims), *dims)
-        f.write(struct.pack("<d", traj.guidance))
-        f.write(struct.pack("<q", -1 if traj.seed is None else traj.seed))
-        _write_u32s(f, *traj.timesteps)
-        for latent in latents:
-            _write_array(f, latent, float_width)
+    header = (_u32s(len(traj.timesteps), float_width, len(dims), *dims)
+              + struct.pack("<dq", traj.guidance, -1 if traj.seed is None else traj.seed)
+              + _u32s(*traj.timesteps))
+    _write(path, TRAJ_MAGIC, header, latents, float_width)
 
 
 def read_trajectory(path) -> Trajectory:
     with open(path, "rb") as f:
-        r = _Reader(f, path)
-        r.magic(TRAJ_MAGIC)
-        version, steps, width, rank = r.u32s(4)
-        r.version(version, "trajectory")
+        r = _Reader(f, path, TRAJ_MAGIC, "trajectory")
+        steps, width, rank = r.u32s(3)
         nbytes = r.width(width)
         dims = r.u32s(rank)
         (guidance,) = struct.unpack("<d", r.take(8))
@@ -177,24 +176,16 @@ def write_kv_cache(path, cache: KVCache, float_width: int = 64):
     for (t, layer), (k, v) in zip(keys, entries):
         _check_shape(k, k0.shape, f"K at (t={t}, layer={layer})")
         _check_shape(v, v0.shape, f"V at (t={t}, layer={layer})")
-    with open(path, "wb") as f:
-        f.write(KV_MAGIC)
-        _write_u32s(f, _VERSION, len(timesteps), layer_count, float_width)
-        _write_u32s(f, len(k0.shape), *k0.shape)
-        _write_u32s(f, len(v0.shape), *v0.shape)
-        _write_u32s(f, *timesteps)
-        for k, v in entries:
-            _write_array(f, k, float_width)
-            _write_array(f, v, float_width)
+    header = _u32s(len(timesteps), layer_count, float_width, len(k0.shape), *k0.shape,
+                   len(v0.shape), *v0.shape, *timesteps)
+    _write(path, KV_MAGIC, header, (arr for kv in entries for arr in kv), float_width)
 
 
 def read_kv_cache(path) -> KVCache:
     cache = KVCache()
     with open(path, "rb") as f:
-        r = _Reader(f, path)
-        r.magic(KV_MAGIC)
-        version, steps, layer_count, width = r.u32s(4)
-        r.version(version, "KV cache")
+        r = _Reader(f, path, KV_MAGIC, "KV cache")
+        steps, layer_count, width = r.u32s(3)
         nbytes = r.width(width)
         if steps == 0 or layer_count == 0:
             # write_kv_cache refuses an empty cache, so no file holds one.
@@ -223,18 +214,13 @@ def write_mask(path, mask: np.ndarray, float_width: int = 64):
     mask = as_mask(mask)
     if mask.ndim != 2:
         raise ValueError("mask must be a 2-D spatial grid")
-    with open(path, "wb") as f:
-        f.write(MASK_MAGIC)
-        _write_u32s(f, _VERSION, float_width, *mask.shape)
-        _write_array(f, mask, float_width)
+    _write(path, MASK_MAGIC, _u32s(float_width, *mask.shape), (mask,), float_width)
 
 
 def read_mask(path) -> np.ndarray:
     with open(path, "rb") as f:
-        r = _Reader(f, path)
-        r.magic(MASK_MAGIC)
-        version, width, h, w = r.u32s(4)
-        r.version(version, "mask")
+        r = _Reader(f, path, MASK_MAGIC, "mask")
+        width, h, w = r.u32s(3)
         if h == 0 or w == 0:
             r.fail(f"mask is empty: shape ({h}, {w})")
         r.payload(h * w * r.width(width))

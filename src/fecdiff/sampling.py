@@ -14,6 +14,7 @@ import numpy as np
 
 from .denoiser import (
     AttentionTrace,
+    ConfigError,
     KVCache,
     KVInject,
     LayerRange,
@@ -403,8 +404,16 @@ def sample_method(
     ``resolve_method`` maps neg-prompt to direct descent. ``mask`` is
     fec-noise's, as ``sample_fec_noise`` takes it (``None``: the zero
     mask); ``layers`` is the kv methods' range, for which ``res`` must
-    hold K/V.
+    hold K/V. A mask or a range given to a method that does not read it
+    raises ``ConfigError`` naming its fields.
     """
+    if method not in RECON_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {RECON_METHODS}")
+    if mask is not None and method != "fec-noise":
+        raise ConfigError(f"a mask applies to fec-noise only, not {method}", "mask")
+    if layers is not None and method not in KV_METHODS:
+        raise ConfigError(f"a layer range applies to {' and '.join(KV_METHODS)} only,"
+                          f" not {method}", "layer_start", "layer_end")
     method, ctx = resolve_method(method, ctx)
     traj = res.trajectory
     z_start = traj[plan.timesteps[0]]
@@ -414,10 +423,8 @@ def sample_method(
         return sample_fec_ref(traj, plan, record=record)
     if method == "fec-noise":
         return sample_fec_noise(net, traj, ctx, plan, sched, mask, record=record, route=route)
-    if method in KV_METHODS:
-        return sample_fec_kv_reuse(
-            net, z_start, res.kv_cache, ctx, plan, sched, layers,
-            cache_uncond=res.kv_cache_uncond, v_only=method == "fec-v-reuse",
-            record=record, route=route,
-        )
-    raise ValueError(f"unknown method {method!r}; expected one of {RECON_METHODS}")
+    return sample_fec_kv_reuse(
+        net, z_start, res.kv_cache, ctx, plan, sched, layers,
+        cache_uncond=res.kv_cache_uncond, v_only=method == "fec-v-reuse",
+        record=record, route=route,
+    )

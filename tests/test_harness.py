@@ -341,6 +341,15 @@ def test_report_timing_call_accounting():
     assert paired["edit"] == 2 * cfg.steps
 
 
+def test_sweep_hands_the_layer_range_to_the_kv_rows_only():
+    rows = run_sweep(_small_cfg(methods=("direct", "fec-kv-reuse"), steps=2, layer_start=1,
+                                layer_end=2)).rows
+    whole = run_sweep(_small_cfg(methods=("direct", "fec-kv-reuse"), steps=2)).rows
+    assert [row["error"] for row in rows] == ["", ""]
+    assert rows[0]["latent_loss"] == whole[0]["latent_loss"]
+    assert rows[1]["latent_loss"] != whole[1]["latent_loss"]
+
+
 def test_report_timing_injects_over_the_configured_layer_range(monkeypatch):
     requests = []
     monkeypatch.setattr(harness, "run_edit", lambda net, sched, plan, z0, req, seed:
@@ -967,6 +976,15 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
          "[run] edit_prompts: a fec-noise edit needs a mask or a blend word"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a dog"],
          "--edit-prompt: a fec-noise edit needs a mask or a blend word"),
+        # run_edit's user-mask refusals, named by the flag that read the mask.
+        (["edit", "--method", "fec-ref", "--prompt", "a cat", "--edit-prompt", "a dog",
+          "--mask", "{tmp}/box.fecmask"],
+         "--mask: a user mask applies to fec-noise edits only, not fec-ref"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a cat", "--mask", "{tmp}/box.fecmask"],
+         "--mask: a user mask needs an edit prompt that differs from the source"),
+        (["edit", "--prompt", "a cat", "--edit-prompt", "a dog",
+          "--mask", "{tmp}/small.fecmask"],
+         "--mask: user mask (8, 8) does not match the latent grid (16, 16)"),
         # A command without --inv-guidance inverts at its sampling guidance.
         (["edit", "--method", "fec-ref", "--steps", "2", "--prompt", "a cat",
           "--edit-prompt", "a dog", "--config", "{tmp}/inv-guidances-1.cfg"],
@@ -987,12 +1005,17 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
          "edit-config-blend-word-absent", "edit-flag-blend-word-absent",
          "timing-flag-blend-word-absent", "edit-flag-blend-word-past-token-slots",
          "timing-flag-blend-word-past-token-slots", "edit-config-no-mask-source",
-         "edit-flag-no-mask-source", "edit-config-inv-guidances",
+         "edit-flag-no-mask-source", "edit-flag-mask-fec-ref", "edit-flag-mask-same-prompt",
+         "edit-flag-mask-off-grid", "edit-config-inv-guidances",
          "check-batch-config-inv-guidances", "timing-config-inv-guidances"],
 )
 def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tmp_path):
+    from fecdiff.io_formats import write_mask
+
     for name, text in _BAD_CONFIGS.items():
         (tmp_path / f"{name}.cfg").write_text(text)
+    write_mask(tmp_path / "box.fecmask", np.ones((16, 16)))
+    write_mask(tmp_path / "small.fecmask", np.ones((8, 8)))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     (err,) = capsys.readouterr().err.splitlines()

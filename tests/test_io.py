@@ -145,8 +145,10 @@ def test_kv_cache_missing_an_entry_is_rejected_on_write(tmp_path):
      ("traj", "latent", r"latent at t=10 has shape \(2, 4, 5\), not the header's \(2, 4, 4\)"),
      ("kv", "missing", "no KV cached at \\(t=20, layer=1\\)"),
      ("kv", "K", r"K at \(t=20, layer=1\) has shape \(8, 15\)"),
-     ("kv", "V", r"V at \(t=20, layer=1\) has shape \(8, 15\)")],
-    ids=["traj-missing", "traj-latent-shape", "kv-missing", "kv-k-shape", "kv-v-shape"],
+     ("kv", "V", r"V at \(t=20, layer=1\) has shape \(8, 15\)"),
+     *((kind, "width", "float width must be 32 or 64, got 16") for kind in ("traj", "kv", "mask"))],
+    ids=["traj-missing", "traj-latent-shape", "kv-missing", "kv-k-shape", "kv-v-shape",
+         "traj-width", "kv-width", "mask-width"],
 )
 def test_a_failed_write_leaves_the_file_it_would_replace_unchanged(tmp_path, kind, fault, error):
     rng = np.random.default_rng(0)
@@ -158,6 +160,7 @@ def test_a_failed_write_leaves_the_file_it_would_replace_unchanged(tmp_path, kin
     write, value, store, key = {
         "traj": (write_trajectory, traj, traj.latents, 10),
         "kv": (write_kv_cache, cache, cache.entries, (20, 1)),
+        "mask": (write_mask, np.eye(4), None, None),
     }[kind]
     path = tmp_path / "f"
     write(path, value)
@@ -166,11 +169,11 @@ def test_a_failed_write_leaves_the_file_it_would_replace_unchanged(tmp_path, kin
         del store[key]
     elif fault == "latent":
         store[key] = np.zeros((2, 4, 5))
-    else:
+    elif fault in ("K", "V"):
         k, v = store[key]
         store[key] = (np.zeros((8, 15)), v) if fault == "K" else (k, np.zeros((8, 15)))
     with pytest.raises(KeyError if fault == "missing" else ValueError, match=error):
-        write(path, value)
+        write(path, value, 16 if fault == "width" else 64)
     assert path.read_bytes() == good
 
 
@@ -190,11 +193,6 @@ def test_mask_roundtrip(tmp_path):
         with pytest.raises(ValueError, match=message):
             write_mask(tmp_path / "m2.fecmask", np.full((16, 16), value))
     assert not (tmp_path / "m2.fecmask").exists()
-
-
-def test_invalid_width_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_mask(tmp_path / "m.fecmask", np.zeros((4, 4)), float_width=16)
 
 
 # ------------------------------------------------ malformed files

@@ -3,7 +3,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fecdiff.denoiser import GaussianDenoiser, KVCache, KVInject, LayerRange, embed_prompt
+from fecdiff.denoiser import (
+    ConfigError,
+    GaussianDenoiser,
+    KVCache,
+    KVInject,
+    LayerRange,
+    embed_prompt,
+)
 from fecdiff.sampling import (
     CaptureOptions,
     GuidanceContext,
@@ -22,6 +29,7 @@ from fecdiff.sampling import (
     sample_fec_ref,
     sample_method,
 )
+from fecdiff.schedule import timestep_plan
 
 
 def _latent(seed=0, shape=(4, 16, 16)):
@@ -125,6 +133,33 @@ def test_invert_steps_match_the_gaussian_oracle(sched, plan10):
         assert np.linalg.norm(traj[t] - z_t) <= 1e-12 * np.linalg.norm(z_t), t
 
 
+def _flow(sched, m, s, x0, t):
+    """The exact probability-flow map for data N(m, s^2 I), taking x0 at
+    t = 0 to t: z_t = sqrt(ab_t) m + (sigma_t / s)(x0 - m), with
+    sigma_t^2 = ab_t s^2 + 1 - ab_t."""
+    ab = sched.ab(t)
+    return np.sqrt(ab) * m + np.sqrt(ab * s**2 + 1 - ab) / s * (x0 - m)
+
+
+def test_inversion_and_sampling_are_first_order_against_the_exact_flow(sched):
+    # DDIM integrates the probability-flow ODE to first order, so each
+    # doubling of the step count halves both errors.
+    m, s = 0.5, 1.0
+    net, ctx, x0 = GaussianDenoiser(sched, mean=m, std=s), _ctx(1.0), _latent(0)
+    errors = []
+    for steps in (25, 50, 100, 200):
+        plan = timestep_plan(steps, 1000)
+        top = plan.timesteps[0]
+        exact = _flow(sched, m, s, x0, top)
+        z_top = invert(net, x0, ctx, plan, sched).trajectory[top]
+        out = sample_direct(net, exact, ctx, plan, sched)
+        errors.append((np.linalg.norm(z_top - exact) / np.linalg.norm(exact),
+                       np.linalg.norm(out - x0) / np.linalg.norm(x0)))
+    for coarse, fine in zip(errors, errors[1:]):
+        for a, b in zip(coarse, fine):
+            assert 1.8 <= a / b <= 2.2, errors
+
+
 def test_invert_capture_fills_both_branch_caches(net, sched, plan10):
     res = invert(net, _latent(0), _ctx(7.5), plan10, sched, CaptureOptions(kv=True))
     for cache in (res.kv_cache, res.kv_cache_uncond):
@@ -209,6 +244,19 @@ def test_neg_prompt_at_any_scale_is_direct_at_scale_one(net, sched, plan10):
     direct_75 = sample_direct(net, z_start, _ctx(7.5, "a cat"), plan10, sched)
     assert neg.tobytes() == direct_1.tobytes()
     assert neg.tobytes() != direct_75.tobytes()
+
+
+def test_sample_method_refuses_an_input_its_method_does_not_read(net, sched, plan10):
+    res = invert(net, _latent(0), _ctx(7.5), plan10, sched)
+    box = np.zeros((16, 16))
+    box[4:12, 4:12] = 1.0
+    for method in ("direct", "neg-prompt", "fec-ref", "fec-kv-reuse", "fec-v-reuse"):
+        with pytest.raises(ConfigError, match=f"a mask applies to fec-noise only, not {method}$"):
+            sample_method(net, res, method, _ctx(7.5), plan10, sched, mask=box)
+    for method in ("direct", "neg-prompt", "fec-ref", "fec-noise"):
+        with pytest.raises(ConfigError, match=f"fec-v-reuse only, not {method}$") as exc:
+            sample_method(net, res, method, _ctx(7.5), plan10, sched, LayerRange(0, 2))
+        assert exc.value.fields == ("layer_start", "layer_end")
 
 
 def test_kv_reuse_requires_cache_coverage(net, sched, plan10):

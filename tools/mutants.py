@@ -142,7 +142,8 @@ MUTANTS = [
      "guided_noise(net, latents[next((s for s in sorted(latents) if s > t), t)], t, ctx,",
      "capture records each step's K/V at the next saved latent up (z_T's own at T)"),
     ("edit-same-prompt-mask-accepted", "src/fecdiff/editing.py",
-     'raise ConfigError("a user mask needs an edit prompt that differs from the source")',
+     'raise ConfigError("a user mask needs an edit prompt that differs from the source",\n'
+     '                              "mask")',
      "pass",
      "run_edit ignores a user mask when the edit prompt equals the source"),
     ("edit-same-prompt-blend-word-accepted", "src/fecdiff/editing.py",
@@ -214,6 +215,10 @@ MUTANTS = [
      "write_kv_cache(args.kv_out, res.kv_cache, 32)",
      "write_kv_cache(args.kv_out, res.kv_cache, 64)",
      "fecdiff invert writes the float32 K/V at width 64, twice the bytes they need"),
+    ("writer-width-after-open", "src/fecdiff/io_formats.py",
+     '    dtype = _dtype(width)\n    with open(path, "wb") as f:\n',
+     '    with open(path, "wb") as f:\n        dtype = _dtype(width)\n',
+     "the writers open the path before they refuse a width, so a refused write empties the file"),
     ("inversion-noise-at-t-prev", "src/fecdiff/sampling.py",
      'return guided_noise(net, z, t, ctx, route="inversion")',
      'return guided_noise(net, z, t_prev, ctx, route="inversion")',
