@@ -39,7 +39,7 @@ from .harness import (
 )
 from .io_formats import FormatError, read_mask, write_kv_cache, write_trajectory
 from .metrics import trajectory_loss_curve
-from .sampling import KV_METHODS, CaptureOptions, guidance_contexts, invert
+from .sampling import CaptureOptions, guidance_contexts, invert
 
 
 def _one(value) -> tuple:
@@ -112,13 +112,6 @@ def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
         if len(got) > 1:
             raise ConfigError(f"{args.command} runs one entry of {name}, not {len(got)}:"
                               f" {', '.join(map(repr, got))}", name)
-    # reconstruct runs the first method and sweep every one; only a kv
-    # method reads a layer range. EditRequest refuses one for edit.
-    runs = cfg.methods if args.command == "sweep" else cfg.methods[:1]
-    if (args.command in ("reconstruct", "sweep") and cfg.layer_range() is not None
-            and not set(runs) & set(KV_METHODS)):
-        raise ConfigError(f"a layer range applies to {' and '.join(KV_METHODS)} only,"
-                          f" not {', '.join(runs)}", "layer_start", "layer_end")
     return cfg
 
 

@@ -101,6 +101,13 @@ class LayerRange:
     def __contains__(self, layer: int) -> bool:
         return self.start <= layer < self.end
 
+    def fits(self, layer_count: int) -> LayerRange:
+        """This range, after checking that it ends within ``layer_count`` layers."""
+        if self.end > layer_count:
+            raise ConfigError(f"layer_end {self.end} exceeds layer_count {layer_count}",
+                              "layer_end", "layer_count")
+        return self
+
 
 @dataclass
 class KVCache:
@@ -339,8 +346,8 @@ class ToyDenoiser:
             raise NonFiniteError(f"non-finite latent passed to denoiser at t={t}")
         if cond.tokens.shape != (cfg.n_tokens, cfg.token_dim):
             raise ValueError("prompt embedding shape does not match denoiser config")
-        if isinstance(kv, KVInject) and kv.layers.end > cfg.layer_count:
-            raise ValueError(f"layer range end {kv.layers.end} exceeds L={cfg.layer_count}")
+        if isinstance(kv, KVInject):
+            kv.layers.fits(cfg.layer_count)
         self.call_counts[route] += 1
 
         c, h, w = cfg.latent_shape

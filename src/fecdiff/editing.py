@@ -15,6 +15,7 @@ from .sampling import (
     as_mask,
     guidance_contexts,
     invert,
+    refuse_unread,
     sample_fec_noise,
     sample_method,
 )
@@ -29,7 +30,7 @@ EDIT_METHODS = ("fec-noise", "fec-ref", "fec-kv-reuse")
 @dataclass(frozen=True)
 class EditRequest:
     """One edit; a method other than ``EDIT_METHODS``, or an input the
-    method cannot use, raises a ``ConfigError`` naming its field."""
+    method does not read (``refuse_unread``), raises ``ConfigError``."""
 
     source_prompt: str
     edit_prompt: str
@@ -42,21 +43,7 @@ class EditRequest:
         if self.method not in EDIT_METHODS:
             raise ConfigError(f"edit runs one method of {', '.join(EDIT_METHODS)};"
                               f" got {self.method!r}", "methods")
-        # Each input applies to one method, which alone would read it, and
-        # a blend word to a changed prompt only: identical prompts reconstruct.
-        for value, what, method, fields in (
-            (self.blend_word, "a blend word", "fec-noise", ("blend_word",)),
-            (self.layer_range, "a layer range", "fec-kv-reuse", ("layer_start", "layer_end")),
-        ):
-            if value is not None and self.method != method:
-                raise ConfigError(f"{what} applies to {method} edits only, not {self.method}",
-                                  *fields)
-        if self.blend_word is not None and self.edit_prompt == self.source_prompt:
-            raise ConfigError("a blend word needs an edit prompt that differs from the source",
-                              "blend_word")
-        if self.blend_word is not None and self.blend_word not in self.edit_prompt.split():
-            raise ConfigError(f"blend word {self.blend_word!r} does not occur in the edit prompt",
-                              "blend_word")
+        refuse_unread((self.method,), mask=self.blend_word, layers=self.layer_range)
 
 
 def _nearest_resize(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -135,30 +122,30 @@ def run_edit(
     mask. The report carries per-step losses against the reference
     trajectory, for fec-noise edits locality against the method's own
     reconstruction, and the ascending steps whose blend-word mask was all
-    zero. ``ConfigError`` is raised before inverting for a user mask on
-    another method, with identical prompts or off the latent grid (naming
-    ``mask``), a layer range past the network, a fec-noise edit of a
-    changed prompt with no mask source (naming ``edit_prompts``), and a
-    blend word beyond the edit prompt's token slots (naming
-    ``blend_word``). A user mask that is empty or holds a value outside
-    [0, 1] raises ``as_mask``'s ``ValueError``."""
+    zero. Before inverting it raises ``ConfigError``, naming the fields at
+    fault, for a layer range past the network, a user mask on another
+    method, a user mask and a blend word together, either with identical
+    prompts, a user mask off the latent grid, a fec-noise edit of a
+    changed prompt with neither, and a blend word outside the edit
+    prompt's token slots. A user mask that is empty or holds a value
+    outside [0, 1] raises ``as_mask``'s ``ValueError``."""
     grid = tuple(net.config.latent_shape[1:])
-    layers = req.layer_range
-    if layers is not None and layers.end > net.config.layer_count:
-        raise ConfigError(f"layer range end {layers.end} exceeds L={net.config.layer_count}")
+    if req.layer_range is not None:
+        req.layer_range.fits(net.config.layer_count)
+    refuse_unread((req.method,), mask=user_mask)
+    if user_mask is not None and req.blend_word is not None:
+        raise ConfigError("a user mask and a blend word are two mask sources; give one",
+                          "blend_word", "mask")
     reconstruct = req.edit_prompt == req.source_prompt
+    unmasked = user_mask is None and req.blend_word is None
+    if reconstruct and not unmasked:
+        raise ConfigError("a mask or a blend word needs an edit prompt that differs from the"
+                          " source", "mask", "blend_word")
     if user_mask is not None:
-        if req.method != "fec-noise":
-            raise ConfigError(f"a user mask applies to fec-noise edits only, not {req.method}",
-                              "mask")
-        if reconstruct:
-            raise ConfigError("a user mask needs an edit prompt that differs from the source",
-                              "mask")
         user_mask = as_mask(user_mask)
         if user_mask.shape != grid:
             raise ConfigError(f"user mask {user_mask.shape} does not match the latent grid"
                               f" {grid}", "mask")
-    unmasked = user_mask is None and req.blend_word is None
     if req.method == "fec-noise" and not reconstruct and unmasked:
         raise ConfigError("a fec-noise edit needs a mask or a blend word, or it returns the source",
                           "edit_prompts")
@@ -166,26 +153,24 @@ def run_edit(
         net, (req.source_prompt, req.edit_prompt), req.guidance, embed_seed
     )
     if req.blend_word is not None:
-        edit_ctx.cond.word_index(req.blend_word)  # raises past the token slots
+        edit_ctx.cond.word_index(req.blend_word)  # raises when absent or past the slots
     res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=req.method in KV_METHODS))
     traj = res.trajectory
     record: dict[int, np.ndarray] = {}
     report = EditReport(method=req.method, reconstructed=reconstruct)
 
-    method, mask = req.method, None
+    # The checks above leave a mask source on a fec-noise edit alone.
+    method, mask = req.method, user_mask
     if method == "fec-ref" and not reconstruct:
         # fec-ref has no edit sampler of its own: its edit is plain direct descent.
         method = "direct"
-    elif method == "fec-noise" and not reconstruct:
-        if user_mask is not None:
-            mask = user_mask
-        else:
+    elif req.blend_word is not None:
 
-            def mask(t, trace):
-                m = derive_mask(trace, req.blend_word, edit_ctx.cond, t, grid)
-                if not m.any():
-                    report.mask_degenerate_steps.append(t)
-                return m
+        def mask(t, trace):
+            m = derive_mask(trace, req.blend_word, edit_ctx.cond, t, grid)
+            if not m.any():
+                report.mask_degenerate_steps.append(t)
+            return m
 
     out = sample_method(
         net, res, method, edit_ctx, plan, sched, req.layer_range,

@@ -25,6 +25,8 @@ from .sampling import (
     _uncond_known,
     guidance_contexts,
     invert,
+    reads,
+    refuse_unread,
     resolve_method,
     sample_method,
 )
@@ -112,10 +114,7 @@ class ExperimentConfig:
         for name, value in (("seeds", min(self.seeds)), ("embed_seed", self.embed_seed)):
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}", name)
-        layers, count = self.layer_range(), self.denoiser.layer_count
-        if layers is not None and layers.end > count:
-            raise ConfigError(f"layer_end {layers.end} exceeds layer_count {count}",
-                              "layer_end", "layer_count")
+        self.layer_range()  # raises for a range that is invalid or past the network
 
     @classmethod
     def from_fields(cls, values: dict) -> ExperimentConfig:
@@ -134,7 +133,7 @@ class ExperimentConfig:
         if self.layer_start is None and self.layer_end is None:
             return None
         end = self.denoiser.layer_count if self.layer_end is None else self.layer_end
-        return LayerRange(self.layer_start or 0, end)
+        return LayerRange(self.layer_start or 0, end).fits(self.denoiser.layer_count)
 
     def components(self):
         """The (network, schedule, plan) triple this configuration describes."""
@@ -178,8 +177,9 @@ def reconstruct_once(
     layers: LayerRange | None = None,
     record: dict | None = None,
 ):
-    """Invert ``z0`` and reconstruct it with one method; returns
-    (reconstruction, trajectory)."""
+    """Invert ``z0`` and reconstruct it with one method, after refusing a
+    range it does not read; returns (reconstruction, trajectory)."""
+    refuse_unread((method,), layers=layers)
     (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)
     res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=method in KV_METHODS))
     samp_ctx = replace(inv_ctx, scale=samp_scale)
@@ -210,8 +210,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     sampling and metrics, or for a row that shares them its lookup alone,
     not the shared inversion. Failures are recorded in the row, not
     raised; a failed inversion fails, and times, every row of its key.
-    A latent grid too small for the SSIM window fails every row alike, so
-    it raises ``ValueError`` before any inversion instead."""
+    An unread layer range (``refuse_unread``), or a latent grid too small
+    for the SSIM window, which fails every row alike, raises first."""
+    refuse_unread(cfg.methods, layers=cfg.layer_range())
     h, w = cfg.denoiser.latent_shape[1:]
     if min(h, w) < SSIM_WINDOW:
         raise ValueError(
@@ -219,7 +220,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
             " that scores every sweep row"
         )
     net, sched, plan = cfg.components()
-    layers = cfg.layer_range()
     capture = CaptureOptions(kv=any(m in KV_METHODS for m in cfg.methods))
     cells = itertools.product(
         cfg.methods, cfg.inv_guidances, cfg.samp_guidances, cfg.prompts, cfg.seeds
@@ -241,11 +241,11 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         keys.setdefault((row["inv_guidance"], row["prompt"], row["seed"]), []).append(row)
     # One key at a time, so one inversion and its K/V caches are alive at once.
     for (inv_g, prompt, seed), key_rows in keys.items():
-        _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, key_rows)
+        _sweep_key(net, sched, plan, cfg, capture, inv_g, prompt, seed, key_rows)
     return SweepReport(rows=rows)
 
 
-def _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, rows):
+def _sweep_key(net, sched, plan, cfg, capture, inv_g, prompt, seed, rows):
     """Invert one key and fill in its rows."""
     t0 = time.perf_counter()
     try:
@@ -267,7 +267,7 @@ def _sweep_key(net, sched, plan, cfg, layers, capture, inv_g, prompt, seed, rows
         if key not in descents:
             try:
                 out = sample_method(net, res, method, ctx, plan, sched,
-                                    layers if method in KV_METHODS else None)
+                                    cfg.layer_range() if reads(method, "layers") else None)
                 descents[key] = measure_reconstruction(z0, out)
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                 descents[key] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -331,8 +331,8 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     runs = {
         method: functools.partial(
             run_edit, net, sched, plan, z0,
-            EditRequest(source, edit, method, blend if method == "fec-noise" else None,
-                        cfg.layer_range() if method == "fec-kv-reuse" else None, guidance),
+            EditRequest(source, edit, method, blend if reads(method, "mask") else None,
+                        cfg.layer_range() if reads(method, "layers") else None, guidance),
             cfg.embed_seed,
         )
         for method in EDIT_METHODS

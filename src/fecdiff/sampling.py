@@ -374,6 +374,25 @@ def sample_fec_kv_reuse(
 RECON_METHODS = ("direct", "neg-prompt", "fec-ref", "fec-noise", "fec-kv-reuse", "fec-v-reuse")
 # The methods that sample from the K/V an inversion captures.
 KV_METHODS = ("fec-kv-reuse", "fec-v-reuse")
+# Each input a method may read, by keyword: (what it is, the fields that set it, its readers).
+METHOD_INPUTS = {
+    "mask": ("a mask or a blend word", ("mask", "blend_word"), ("fec-noise",)),
+    "layers": ("a layer range", ("layer_start", "layer_end"), KV_METHODS),
+}
+
+
+def reads(method: str, key: str) -> bool:
+    """Whether ``method`` reads the ``METHOD_INPUTS`` input ``key``."""
+    return method in METHOD_INPUTS[key][2]
+
+
+def refuse_unread(methods, **inputs) -> None:
+    """Raise ``ConfigError`` for an input set (not None) that no method of ``methods`` reads."""
+    for key, value in inputs.items():
+        what, fields, readers = METHOD_INPUTS[key]
+        if value is not None and not any(reads(m, key) for m in methods):
+            raise ConfigError(f"{what} applies to {' and '.join(readers)} only,"
+                              f" not {', '.join(methods)}", *fields)
 
 
 def resolve_method(method: str, ctx: GuidanceContext) -> tuple[str, GuidanceContext]:
@@ -404,16 +423,11 @@ def sample_method(
     ``resolve_method`` maps neg-prompt to direct descent. ``mask`` is
     fec-noise's, as ``sample_fec_noise`` takes it (``None``: the zero
     mask); ``layers`` is the kv methods' range, for which ``res`` must
-    hold K/V. A mask or a range given to a method that does not read it
-    raises ``ConfigError`` naming its fields.
+    hold K/V. ``refuse_unread`` refuses either for another method.
     """
     if method not in RECON_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {RECON_METHODS}")
-    if mask is not None and method != "fec-noise":
-        raise ConfigError(f"a mask applies to fec-noise only, not {method}", "mask")
-    if layers is not None and method not in KV_METHODS:
-        raise ConfigError(f"a layer range applies to {' and '.join(KV_METHODS)} only,"
-                          f" not {method}", "layer_start", "layer_end")
+    refuse_unread((method,), mask=mask, layers=layers)
     method, ctx = resolve_method(method, ctx)
     traj = res.trajectory
     z_start = traj[plan.timesteps[0]]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fecdiff import editing
-from fecdiff.denoiser import AttentionTrace, DenoiserConfig, LayerRange, ToyDenoiser, embed_prompt
+from fecdiff.denoiser import (
+    AttentionTrace,
+    ConfigError,
+    DenoiserConfig,
+    LayerRange,
+    ToyDenoiser,
+    embed_prompt,
+)
 from fecdiff.editing import (
     EditRequest,
     _locality,
@@ -21,20 +30,20 @@ from fecdiff.schedule import timestep_plan
 def test_edit_request_validation():
     with pytest.raises(ValueError):
         EditRequest("a cat", "a dog", method="direct")
-    with pytest.raises(ValueError):
-        EditRequest("a cat", "a dog", method="fec-noise", blend_word="bird")
     EditRequest("a cat", "a dog", method="fec-noise", blend_word="dog")
-    # Identical prompts reconstruct, so a blend word would be ignored.
-    with pytest.raises(ValueError, match="a blend word needs an edit prompt that differs"):
-        EditRequest("a cat", "a cat", method="fec-noise", blend_word="cat")
-    # An input the method would ignore is refused, not dropped.
-    fault = "{} applies to {} edits only, not {}"
+    # An input the method would ignore is refused, not dropped; run_edit
+    # checks the blend word against the prompts.
+    fault = "^{} applies to {} only, not {}$"
     for method in ("fec-ref", "fec-kv-reuse"):
-        with pytest.raises(ValueError, match=fault.format("a blend word", "fec-noise", method)):
+        with pytest.raises(ConfigError, match=fault.format(
+                "a mask or a blend word", "fec-noise", method)) as exc:
             EditRequest("a cat", "a dog", method=method, blend_word="dog")
+        assert exc.value.fields == ("mask", "blend_word")
     for method in ("fec-noise", "fec-ref"):
-        with pytest.raises(ValueError, match=fault.format("a layer range", "fec-kv-reuse", method)):
+        with pytest.raises(ConfigError, match=fault.format(
+                "a layer range", "fec-kv-reuse and fec-v-reuse", method)) as exc:
             EditRequest("a cat", "a dog", method=method, layer_range=LayerRange(1, 2))
+        assert exc.value.fields == ("layer_start", "layer_end")
     EditRequest("a cat", "a dog", method="fec-kv-reuse", layer_range=LayerRange(1, 2))
 
 
@@ -257,32 +266,46 @@ def test_non_finite_masks_are_rejected_as_masks(net, sched, bad):
 
 
 @pytest.mark.parametrize(
-    "method, edit, mask, layers, blend_word, fault",
+    "method, edit, mask, layers, blend_word, fault, fields",
     [
         ("fec-kv-reuse", "a dog on a mat", np.ones((16, 16)), None, None,
-         "fec-noise edits only"),
-        ("fec-ref", "a dog on a mat", np.ones((16, 16)), None, None, "fec-noise edits only"),
+         "a mask or a blend word applies to fec-noise only, not fec-kv-reuse",
+         ("mask", "blend_word")),
+        ("fec-ref", "a dog on a mat", np.ones((16, 16)), None, None,
+         "a mask or a blend word applies to fec-noise only, not fec-ref", ("mask", "blend_word")),
         ("fec-noise", "a dog on a mat", np.ones((8, 8)), None, None,
-         r"mask \(8, 8\) does not match the latent grid"),
+         "user mask (8, 8) does not match the latent grid (16, 16)", ("mask",)),
         ("fec-kv-reuse", "a dog on a mat", None, LayerRange(0, 99), None,
-         "layer range end 99 exceeds L=4"),
+         "layer_end 99 exceeds layer_count 4", ("layer_end", "layer_count")),
         ("fec-noise", "a dog on a mat", None, None, None,
-         "a fec-noise edit needs a mask or a blend word"),
+         "a fec-noise edit needs a mask or a blend word, or it returns the source",
+         ("edit_prompts",)),
         ("fec-noise", "a cat on a mat", np.ones((16, 16)), None, None,
-         "a user mask needs an edit prompt that differs"),
+         "a mask or a blend word needs an edit prompt that differs from the source",
+         ("mask", "blend_word")),
+        ("fec-noise", "a cat on a mat", None, None, "cat",
+         "a mask or a blend word needs an edit prompt that differs from the source",
+         ("mask", "blend_word")),
+        ("fec-noise", "a dog on a mat", np.ones((16, 16)), None, "dog",
+         "a user mask and a blend word are two mask sources; give one", ("blend_word", "mask")),
+        ("fec-noise", "a bird on a mat", None, None, "dog",
+         "word 'dog' not in prompt 'a bird on a mat'", ("blend_word",)),
         ("fec-noise", "a b c d e f g h dog", None, None, "dog",
-         "word 'dog' falls beyond the 8 token slots"),
+         "word 'dog' falls beyond the 8 token slots", ("blend_word",)),
     ],
     ids=["kv-reuse", "fec-ref", "fec-noise-8x8", "kv-reuse-layers-0:99", "fec-noise-no-mask",
-         "fec-noise-same-prompt", "fec-noise-blend-word-past-token-slots"],
+         "fec-noise-same-prompt", "fec-noise-blend-word-same-prompt",
+         "fec-noise-mask-and-blend-word", "fec-noise-blend-word-absent",
+         "fec-noise-blend-word-past-token-slots"],
 )
 def test_unusable_user_mask_is_rejected_before_inverting(
-    sched, plan10, method, edit, mask, layers, blend_word, fault
+    sched, plan10, method, edit, mask, layers, blend_word, fault, fields
 ):
     net = ToyDenoiser(DenoiserConfig())
     req = EditRequest("a cat on a mat", edit, method, blend_word, layers)
-    with pytest.raises(ValueError, match=fault):
+    with pytest.raises(ConfigError, match=f"^{re.escape(fault)}$") as exc:
         run_edit(net, sched, plan10, generate_synthetic_latent(1), req, user_mask=mask)
+    assert exc.value.fields == fields
     assert not net.call_counts
 
 

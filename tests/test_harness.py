@@ -568,7 +568,8 @@ def test_cli_edit_with_mask(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "method, size, fault",
-    [("fec-kv-reuse", 16, "fec-noise edits only"), ("fec-noise", 8, "latent grid (16, 16)"),
+    [("fec-kv-reuse", 16, "--mask: a mask or a blend word applies to fec-noise only,"
+      " not fec-kv-reuse"), ("fec-noise", 8, "latent grid (16, 16)"),
      ("fec-noise", "missing", "No such file"), ("fec-noise", "zeros", "bad magic"),
      ("fec-noise", "empty", "mask is empty: shape (0, 0)")],
     ids=["kv-reuse", "fec-noise-8x8", "missing-file", "malformed-file", "empty-file"],
@@ -720,20 +721,22 @@ _BAD_CONFIGS = {
         (["edit", "--method", "fec-noise", "--config", "{tmp}/edit-prompts-dog.cfg"],
          "a fec-noise edit needs a mask or a blend word"),
         (["timing", "--blend-word", "dog"],
-         "blend word 'dog' does not occur in the edit prompt"),
+         "word 'dog' not in prompt 'a cat sitting on a mat edited'"),
         (["edit", "--prompt", "a cat on a mat", "--blend-word", "cat"],
-         "a blend word needs an edit prompt that differs from the source"),
+         "a mask or a blend word needs an edit prompt that differs from the source"),
         (["timing", "--prompt", "a cat on a mat", "--edit-prompt", "a mat on a cat"],
          "a fec-noise edit needs a mask or a blend word"),
         (["edit", "--method", "fec-kv-reuse", "--prompt", "a cat", "--edit-prompt", "a dog",
-          "--blend-word", "dog"], "a blend word applies to fec-noise edits only, not fec-kv-reuse"),
+          "--blend-word", "dog"],
+         "a mask or a blend word applies to fec-noise only, not fec-kv-reuse"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a dog", "--blend-word", "dog",
-          "--layers", "1:2"], "a layer range applies to fec-kv-reuse edits only, not fec-noise"),
+          "--layers", "1:2"],
+         "a layer range applies to fec-kv-reuse and fec-v-reuse only, not fec-noise"),
         (["edit", "--method", "fec-ref", "--layers", "0:4"],
-         "a layer range applies to fec-kv-reuse edits only, not fec-ref"),
+         "a layer range applies to fec-kv-reuse and fec-v-reuse only, not fec-ref"),
         (["edit", "--method", "fec-noise", "--prompt", "a cat", "--edit-prompt", "a dog",
           "--blend-word", "dog", "--config", "{tmp}/layer-start-0.cfg"],
-         "a layer range applies to fec-kv-reuse edits only, not fec-noise"),
+         "a layer range applies to fec-kv-reuse and fec-v-reuse only, not fec-noise"),
         (["reconstruct", "--method", "direct", "--layers", "1:3"],
          "a layer range applies to fec-kv-reuse and fec-v-reuse only, not direct"),
         (["reconstruct", "--layers", "1:3"],
@@ -939,35 +942,39 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
          "[run] methods: edit runs one method of fec-noise, fec-ref, fec-kv-reuse;"
          " got 'direct'"),
         (["sweep", "--config", "{tmp}/layer-end-direct.cfg"],
-         "[run] layer_end: a layer range applies to fec-kv-reuse and fec-v-reuse only"),
+         "[run] layer_end: a layer range applies to fec-kv-reuse and fec-v-reuse only, not direct"),
         (["reconstruct", "--method", "fec-ref", "--layers", "0:2"],
-         "--layers: a layer range applies to fec-kv-reuse and fec-v-reuse only"),
-        # EditRequest's refusals, each set once from a file and once by a flag.
+         "--layers: a layer range applies to fec-kv-reuse and fec-v-reuse only, not fec-ref"),
+        # The edit refusals, each set once from a file and once by a flag.
         (["edit", "--prompt", "a cat", "--edit-prompt", "a dog", "--blend-word", "dog",
           "--config", "{tmp}/layer-start-0.cfg"],
-         "[run] layer_start: a layer range applies to fec-kv-reuse edits only, not fec-noise"),
+         "[run] layer_start: a layer range applies to fec-kv-reuse and fec-v-reuse only,"
+         " not fec-noise"),
         (["edit", "--method", "fec-ref", "--config", "{tmp}/layer-end-2.cfg"],
-         "[run] layer_end: a layer range applies to fec-kv-reuse edits only, not fec-ref"),
+         "[run] layer_end: a layer range applies to fec-kv-reuse and fec-v-reuse only,"
+         " not fec-ref"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a dog", "--blend-word", "dog",
           "--layers", "1:2"],
-         "--layers: a layer range applies to fec-kv-reuse edits only, not fec-noise"),
+         "--layers: a layer range applies to fec-kv-reuse and fec-v-reuse only, not fec-noise"),
         (["edit", "--method", "fec-ref", "--prompt", "a cat", "--edit-prompt", "a dog",
           "--config", "{tmp}/blend-word-dog.cfg"],
-         "[run] blend_word: a blend word applies to fec-noise edits only, not fec-ref"),
+         "[run] blend_word: a mask or a blend word applies to fec-noise only, not fec-ref"),
         (["edit", "--method", "fec-kv-reuse", "--prompt", "a cat", "--edit-prompt", "a dog",
           "--blend-word", "dog"],
-         "--blend-word: a blend word applies to fec-noise edits only, not fec-kv-reuse"),
+         "--blend-word: a mask or a blend word applies to fec-noise only, not fec-kv-reuse"),
         (["edit", "--prompt", "a dog", "--config", "{tmp}/blend-word-dog.cfg"],
-         "[run] blend_word: a blend word needs an edit prompt that differs from the source"),
+         "[run] blend_word: a mask or a blend word needs an edit prompt that differs from the"
+         " source"),
         (["edit", "--prompt", "a cat on a mat", "--blend-word", "cat"],
-         "--blend-word: a blend word needs an edit prompt that differs from the source"),
+         "--blend-word: a mask or a blend word needs an edit prompt that differs from the"
+         " source"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a bird",
           "--config", "{tmp}/blend-word-dog.cfg"],
-         "[run] blend_word: blend word 'dog' does not occur in the edit prompt"),
+         "[run] blend_word: word 'dog' not in prompt 'a bird'"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a bird", "--blend-word", "dog"],
-         "--blend-word: blend word 'dog' does not occur in the edit prompt"),
+         "--blend-word: word 'dog' not in prompt 'a bird'"),
         (["timing", "--blend-word", "dog"],
-         "--blend-word: blend word 'dog' does not occur in the edit prompt"),
+         "--blend-word: word 'dog' not in prompt 'a cat sitting on a mat edited'"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a b c d e f g h dog",
           "--blend-word", "dog"], "--blend-word: word 'dog' falls beyond the 8 token slots"),
         (["timing", "--prompt", "a cat", "--edit-prompt", "a b c d e f g h dog",
@@ -979,9 +986,12 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
         # run_edit's user-mask refusals, named by the flag that read the mask.
         (["edit", "--method", "fec-ref", "--prompt", "a cat", "--edit-prompt", "a dog",
           "--mask", "{tmp}/box.fecmask"],
-         "--mask: a user mask applies to fec-noise edits only, not fec-ref"),
+         "--mask: a mask or a blend word applies to fec-noise only, not fec-ref"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a cat", "--mask", "{tmp}/box.fecmask"],
-         "--mask: a user mask needs an edit prompt that differs from the source"),
+         "--mask: a mask or a blend word needs an edit prompt that differs from the source"),
+        (["edit", "--steps", "2", "--prompt", "a cat", "--edit-prompt", "a dog",
+          "--blend-word", "dog", "--mask", "{tmp}/box.fecmask"],
+         "--blend-word, --mask: a user mask and a blend word are two mask sources; give one"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a dog",
           "--mask", "{tmp}/small.fecmask"],
          "--mask: user mask (8, 8) does not match the latent grid (16, 16)"),
@@ -1006,7 +1016,7 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
          "timing-flag-blend-word-absent", "edit-flag-blend-word-past-token-slots",
          "timing-flag-blend-word-past-token-slots", "edit-config-no-mask-source",
          "edit-flag-no-mask-source", "edit-flag-mask-fec-ref", "edit-flag-mask-same-prompt",
-         "edit-flag-mask-off-grid", "edit-config-inv-guidances",
+         "edit-flag-mask-and-blend-word", "edit-flag-mask-off-grid", "edit-config-inv-guidances",
          "check-batch-config-inv-guidances", "timing-config-inv-guidances"],
 )
 def test_cli_rejection_names_the_key_or_flag_that_set_it(argv, start, capsys, tmp_path):

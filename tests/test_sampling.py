@@ -5,12 +5,15 @@ import pytest
 
 from fecdiff.denoiser import (
     ConfigError,
+    DenoiserConfig,
     GaussianDenoiser,
     KVCache,
     KVInject,
     LayerRange,
+    ToyDenoiser,
     embed_prompt,
 )
+from fecdiff.harness import ExperimentConfig, reconstruct_once, run_sweep
 from fecdiff.sampling import (
     CaptureOptions,
     GuidanceContext,
@@ -251,12 +254,26 @@ def test_sample_method_refuses_an_input_its_method_does_not_read(net, sched, pla
     box = np.zeros((16, 16))
     box[4:12, 4:12] = 1.0
     for method in ("direct", "neg-prompt", "fec-ref", "fec-kv-reuse", "fec-v-reuse"):
-        with pytest.raises(ConfigError, match=f"a mask applies to fec-noise only, not {method}$"):
+        with pytest.raises(ConfigError, match="^a mask or a blend word applies to fec-noise"
+                           f" only, not {method}$") as exc:
             sample_method(net, res, method, _ctx(7.5), plan10, sched, mask=box)
+        assert exc.value.fields == ("mask", "blend_word")
+    layers = "^a layer range applies to fec-kv-reuse and fec-v-reuse only, not {}$"
     for method in ("direct", "neg-prompt", "fec-ref", "fec-noise"):
-        with pytest.raises(ConfigError, match=f"fec-v-reuse only, not {method}$") as exc:
+        with pytest.raises(ConfigError, match=layers.format(method)) as exc:
             sample_method(net, res, method, _ctx(7.5), plan10, sched, LayerRange(0, 2))
         assert exc.value.fields == ("layer_start", "layer_end")
+    # The entry points that invert first refuse before they invert.
+    fresh = ToyDenoiser(DenoiserConfig())
+    with pytest.raises(ConfigError, match=layers.format("direct")) as exc:
+        reconstruct_once(fresh, sched, plan10, _latent(0), "direct", "a cat", 7.5, 7.5, 0,
+                         LayerRange(1, 3))
+    assert exc.value.fields == ("layer_start", "layer_end")
+    assert not fresh.call_counts
+    cfg = ExperimentConfig(methods=("direct", "fec-noise"), steps=2, layer_start=1, layer_end=3)
+    with pytest.raises(ConfigError, match=layers.format("direct, fec-noise")) as exc:
+        run_sweep(cfg)
+    assert exc.value.fields == ("layer_start", "layer_end")
 
 
 def test_kv_reuse_requires_cache_coverage(net, sched, plan10):

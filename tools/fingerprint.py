@@ -275,6 +275,7 @@ _REFUSED = (
     "edit --prompt cat --edit-prompt dog --mask {tmp}/small.fecmask",
     "edit --method fec-ref --prompt cat --edit-prompt dog --mask {tmp}/box.fecmask",
     "edit --prompt cat --edit-prompt cat --mask {tmp}/box.fecmask",
+    "edit --steps 2 --prompt cat --edit-prompt dog --blend-word dog --mask {tmp}/box.fecmask",
     "edit --method fec-kv-reuse --prompt cat --edit-prompt dog --blend-word dog",
     "edit --method fec-ref --prompt cat --edit-prompt dog --config {tmp}/blend-word-dog.cfg",
     "edit --prompt cat --edit-prompt cat --blend-word cat",

@@ -2,12 +2,13 @@
 
 The ``io`` workload's throughput depends on the heap its set-up leaves
 behind: a heap that reading the caches back has to regrow shows up as
-thousands of minor page faults per job. For each seed this runs the
-workload's set-up the way perfbench does (repeated until both of its
-minimums are met), then its jobs back to back, each checked as perfbench
-checks it, and counts this process's minor faults (``ru_minflt``) across
-every ``Io.run`` call. It prints, per seed, the median, min and max count
-per job and the median job time.
+thousands of minor page faults per job. For each seed a fresh child
+interpreter, one seed at a time, runs the workload's set-up the way
+perfbench does (repeated until both of its minimums are met), then its
+jobs back to back, each checked as perfbench checks it, and counts its
+minor faults (``ru_minflt``) across every ``Io.run`` call, so no seed
+inherits the heap an earlier one left. It prints, per seed, the median,
+min and max count per job and the median job time.
 
     python tools/iofaults.py 1 2 3 4                       # the tree on PYTHONPATH
     PYTHONPATH=other/src python tools/iofaults.py 1 2 3 4  # another tree
@@ -23,6 +24,7 @@ import argparse
 import os
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -59,6 +61,17 @@ def count_faults(workloads, seed: int, jobs: int, steps: int | None):
     return faults, seconds
 
 
+def report_seed(seed: int, jobs: int, steps: int | None):
+    """Print one seed's line; run in a child interpreter of its own."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    faults, seconds = count_faults(workloads, seed, jobs, steps)
+    print(f"seed {seed}: {len(faults)} jobs, minor faults per job median"
+          f" {statistics.median(faults):g} min {min(faults)} max {max(faults)},"
+          f" job p50 {statistics.median(seconds):.4f} s", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", nargs="+", type=int, help="workload seeds")
@@ -67,16 +80,13 @@ def main(argv=None) -> int:
                         help="inversion steps of the set-up (default: the workload's)")
     args = parser.parse_args(argv)
     # As perfbench does: one BLAS thread unless asked otherwise, set before numpy loads.
+    env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
+        env.setdefault(var, "1")
     for seed in args.seeds:
-        faults, seconds = count_faults(workloads, seed, args.jobs, args.steps)
-        print(f"seed {seed}: {len(faults)} jobs, minor faults per job median"
-              f" {statistics.median(faults):g} min {min(faults)} max {max(faults)},"
-              f" job p50 {statistics.median(seconds):.4f} s", flush=True)
+        code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import iofaults;"
+                f" iofaults.report_seed({seed}, {args.jobs}, {args.steps})")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
     return 0
 
 

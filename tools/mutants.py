@@ -141,23 +141,26 @@ MUTANTS = [
      "guided_noise(net, latents[t], t, ctx,",
      "guided_noise(net, latents[next((s for s in sorted(latents) if s > t), t)], t, ctx,",
      "capture records each step's K/V at the next saved latent up (z_T's own at T)"),
-    ("edit-same-prompt-mask-accepted", "src/fecdiff/editing.py",
-     'raise ConfigError("a user mask needs an edit prompt that differs from the source",\n'
-     '                              "mask")',
-     "pass",
-     "run_edit ignores a user mask when the edit prompt equals the source"),
-    ("edit-same-prompt-blend-word-accepted", "src/fecdiff/editing.py",
-     'raise ConfigError("a blend word needs an edit prompt that differs from the source",\n'
-     '                              "blend_word")',
-     "pass",
-     "EditRequest takes a blend word that an identical-prompt edit ignores"),
+    ("edit-same-prompt-mask-source-accepted", "src/fecdiff/editing.py",
+     "if reconstruct and not unmasked:", "if False:",
+     "run_edit takes a user mask or a blend word that an identical-prompt edit ignores"),
+    ("edit-mask-and-blend-word-accepted", "src/fecdiff/editing.py",
+     "if user_mask is not None and req.blend_word is not None:", "if False:",
+     "run_edit takes a user mask and a blend word together and edits under the blend word"),
     ("fec-noise-guidance-dropped", "src/fecdiff/sampling.py",
      "guided_noise(net, z, t, ctx, route=route, trace_to=trace)",
      "net.predict(z, t, ctx.cond, trace_to=trace, route=route)",
      "fec-noise blends the conditional prediction alone, unguided, with the desired noise"),
-    ("cli-unread-layer-range-accepted", "src/fecdiff/cli.py",
-     'if (args.command in ("reconstruct", "sweep")', "if (False",
-     "reconstruct and sweep run with a layer range that none of their methods reads"),
+    ("unread-input-accepted", "src/fecdiff/sampling.py",
+     "if value is not None and not any(reads(m, key) for m in methods):", "if False:",
+     "refuse_unread refuses nothing, so every entry point drops an input its method ignores"),
+    ("sweep-unread-layer-range-accepted", "src/fecdiff/harness.py",
+     "    refuse_unread(cfg.methods, layers=cfg.layer_range())\n", "",
+     "run_sweep runs a layer range that none of its methods reads, which it then drops"),
+    ("reconstruct-refuses-after-inverting", "src/fecdiff/harness.py",
+     "    refuse_unread((method,), layers=layers)\n    (inv_ctx,)",
+     "    (inv_ctx,)",
+     "reconstruct_once inverts before sample_method refuses a range its method does not read"),
     ("kv-empty-header-accepted", "src/fecdiff/io_formats.py",
      "if steps == 0 or layer_count == 0:", "if False:",
      "read_kv_cache reads a header of 0 timesteps or 0 layers as an empty cache"),
@@ -168,7 +171,7 @@ MUTANTS = [
      "            return as_mask(mask)\n", "            return mask\n",
      "read_mask returns values outside [0, 1], NaN or infinity"),
     ("timing-layer-range-dropped", "src/fecdiff/harness.py",
-     'cfg.layer_range() if method == "fec-kv-reuse" else None', "None",
+     'cfg.layer_range() if reads(method, "layers") else None, guidance', "None, guidance",
      "report_timing's kv-reuse edit injects over every layer whatever the configured range"),
     ("layer-start-zero-unset", "src/fecdiff/harness.py",
      "if self.layer_start is None and self.layer_end is None:",
@@ -176,8 +179,10 @@ MUTANTS = [
      "a range set only by layer_start = 0 counts as unset, so fecdiff edit ignores it"),
     ("edit-blend-word-slot-unchecked", "src/fecdiff/editing.py",
      "    if req.blend_word is not None:\n"
-     "        edit_ctx.cond.word_index(req.blend_word)  # raises past the token slots\n", "",
-     "run_edit inverts before it finds a blend word past the edit prompt's token slots"),
+     "        edit_ctx.cond.word_index(req.blend_word)  # raises when absent or past the slots\n",
+     "",
+     "run_edit inverts before it finds a blend word absent from or past the edit prompt's"
+     " token slots"),
     ("config-file-inv-guidances-accepted", "src/fecdiff/cli.py",
      'if source.startswith("[") and name not in reads:', "if False:",
      "a command silently ignores a file key it does not read, such as edit's inv_guidances"),
@@ -219,6 +224,9 @@ MUTANTS = [
      '    dtype = _dtype(width)\n    with open(path, "wb") as f:\n',
      '    with open(path, "wb") as f:\n        dtype = _dtype(width)\n',
      "the writers open the path before they refuse a width, so a refused write empties the file"),
+    ("kernel-test-same-kernel", "tests/test_blas_kernel.py",
+     "OPENBLAS_CORETYPE=other)", "OPENBLAS_CORETYPE=running)",
+     "the second-kernel test runs its child under the kernel it already runs"),
     ("inversion-noise-at-t-prev", "src/fecdiff/sampling.py",
      'return guided_noise(net, z, t, ctx, route="inversion")',
      'return guided_noise(net, z, t_prev, ctx, route="inversion")',
