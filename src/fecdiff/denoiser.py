@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedule import NoiseSchedule
+from .schedule import ConfigError, NoiseSchedule
 
 DEFAULT_LATENT_SHAPE = (4, 16, 16)
 DEFAULT_N_TOKENS = 8
@@ -28,15 +28,6 @@ _PAD_WORD = "\x00pad"
 
 class NonFiniteError(RuntimeError):
     """A latent or prediction stopped being finite."""
-
-
-class ConfigError(ValueError):
-    """A configuration value a config class rejects; ``fields`` names the
-    fields whose values the message is about."""
-
-    def __init__(self, message: str, *fields: str):
-        super().__init__(message)
-        self.fields = fields
 
 
 def _word_rng(seed: int, word: str) -> np.random.Generator:

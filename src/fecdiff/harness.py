@@ -30,7 +30,7 @@ from .sampling import (
     resolve_method,
     sample_method,
 )
-from .schedule import DEFAULT_TRAIN_STEPS, SCHEDULE_KINDS, build_schedule, timestep_plan
+from .schedule import DEFAULT_TRAIN_STEPS, build_schedule, timestep_plan
 
 SYNTH_KINDS = ("gaussian", "blocks", "gradient")
 
@@ -92,16 +92,9 @@ class ExperimentConfig:
             repeated = [x for i, x in enumerate(value) if x in value[:i]]
             if repeated:
                 raise ConfigError(f"{name} lists {repeated[0]!r} more than once", name)
-        if self.total_train_steps < 1:
-            raise ConfigError(f"total_train_steps must be >= 1, got {self.total_train_steps}",
-                              "total_train_steps")
-        if not 1 <= self.steps <= self.total_train_steps:
-            raise ConfigError(
-                f"steps must be in [1, total_train_steps={self.total_train_steps}],"
-                f" got {self.steps}", "steps", "total_train_steps"
-            )
+        build_schedule(self.schedule_kind, self.total_train_steps)
+        timestep_plan(self.steps, self.total_train_steps)
         for name, label, value, known in (
-            ("schedule_kind", "schedule kind", self.schedule_kind, SCHEDULE_KINDS),
             ("data_kind", "data_kind", self.data_kind, SYNTH_KINDS),
             *(("methods", "method", m, RECON_METHODS) for m in self.methods),
         ):
@@ -178,8 +171,11 @@ def reconstruct_once(
     record: dict | None = None,
 ):
     """Invert ``z0`` and reconstruct it with one method, after refusing a
-    range it does not read; returns (reconstruction, trajectory)."""
+    range it does not read or that ends past the network; returns
+    (reconstruction, trajectory)."""
     refuse_unread((method,), layers=layers)
+    if layers is not None:
+        layers.fits(net.config.layer_count)
     (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)
     res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=method in KV_METHODS))
     samp_ctx = replace(inv_ctx, scale=samp_scale)
@@ -310,7 +306,8 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     """``{"time_s", "calls"}`` per editing strategy, ``calls`` counting
     network evaluations by route: one ``run_edit`` per edit method, then
     ``direct-paired``, a direct reconstruction and a direct edit from one
-    inversion. The fec-noise edit blends under the mask of
+    inversion. An unset edit prompt is the source, so each entry
+    reconstructs. The fec-noise edit blends under the mask of
     ``cfg.blend_word``, else of the first edit-prompt word the source
     prompt lacks; with neither, ``run_edit`` refuses it (``ConfigError``).
     The kv-reuse edit injects over ``cfg.layer_range()`` and makes no
@@ -318,7 +315,7 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
     source = cfg.prompts[0]
-    edit = cfg.edit_prompts[0] if cfg.edit_prompts else source + " edited"
+    edit = cfg.edit_prompts[0] if cfg.edit_prompts else source
     guidance = cfg.samp_guidances[0]
     blend = cfg.blend_word or next((w for w in edit.split() if w not in source.split()), None)
 

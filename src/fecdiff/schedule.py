@@ -6,6 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
+class ConfigError(ValueError):
+    """A configuration value the toolkit rejects; ``fields`` names the
+    fields whose values the message is about."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 SCHEDULE_KINDS = ("linear-beta", "scaled-linear-beta", "constant-beta")
 
 DEFAULT_TRAIN_STEPS = 1000
@@ -83,9 +93,10 @@ class TimestepPlan:
 
 
 def build_schedule(kind: str, T: int = DEFAULT_TRAIN_STEPS) -> NoiseSchedule:
-    """Construct a noise schedule of the given kind with T train steps."""
+    """Construct a noise schedule of the given kind with T train steps;
+    ``ConfigError`` for T < 1 or a kind outside ``SCHEDULE_KINDS``."""
     if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+        raise ConfigError(f"total_train_steps must be >= 1, got {T}", "total_train_steps")
     if kind == "linear-beta":
         betas = np.linspace(LINEAR_BETA_START, LINEAR_BETA_END, T, dtype=np.float64)
     elif kind == "scaled-linear-beta":
@@ -94,7 +105,8 @@ def build_schedule(kind: str, T: int = DEFAULT_TRAIN_STEPS) -> NoiseSchedule:
     elif kind == "constant-beta":
         betas = np.full(T, CONSTANT_BETA, dtype=np.float64)
     else:
-        raise ValueError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}")
+        raise ConfigError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}",
+                          "schedule_kind")
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     return NoiseSchedule(total_train_steps=T, alpha_bar=alpha_bar)
 
@@ -104,12 +116,12 @@ def timestep_plan(steps: int, T: int = DEFAULT_TRAIN_STEPS) -> TimestepPlan:
 
     The stride is ``T // steps``; when T is not divisible by steps the
     residue is absorbed at the low-t end (the last planned timestep sits
-    above t = 0 by more than one stride).
+    above t = 0 by more than one stride). Raises ``ConfigError`` (``steps``
+    and ``total_train_steps``) unless ``1 <= steps <= T``.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if steps > T:
-        raise ValueError(f"steps ({steps}) must not exceed T ({T})")
+    if not 1 <= steps <= T:
+        raise ConfigError(f"steps must be in [1, total_train_steps={T}], got {steps}",
+                          "steps", "total_train_steps")
     stride = T // steps
     ts = tuple(T - i * stride for i in range(steps))
     return TimestepPlan(ts)

@@ -339,6 +339,9 @@ def test_report_timing_call_accounting():
     assert kv["edit"] == 2 * cfg.steps
     assert paired["reconstruction"] == 2 * cfg.steps
     assert paired["edit"] == 2 * cfg.steps
+    # An unset edit prompt is the source, so fec-noise reconstructs under
+    # the zero mask, which evaluates no edit step.
+    assert "edit" not in report_timing(_small_cfg())["fec-noise"]["calls"]
 
 
 def test_sweep_hands_the_layer_range_to_the_kv_rows_only():
@@ -721,7 +724,7 @@ _BAD_CONFIGS = {
         (["edit", "--method", "fec-noise", "--config", "{tmp}/edit-prompts-dog.cfg"],
          "a fec-noise edit needs a mask or a blend word"),
         (["timing", "--blend-word", "dog"],
-         "word 'dog' not in prompt 'a cat sitting on a mat edited'"),
+         "a mask or a blend word needs an edit prompt that differs from the source"),
         (["edit", "--prompt", "a cat on a mat", "--blend-word", "cat"],
          "a mask or a blend word needs an edit prompt that differs from the source"),
         (["timing", "--prompt", "a cat on a mat", "--edit-prompt", "a mat on a cat"],
@@ -974,7 +977,8 @@ def test_cli_edit_writes_exactly_the_out_path(tmp_path, capsys):
         (["edit", "--prompt", "a cat", "--edit-prompt", "a bird", "--blend-word", "dog"],
          "--blend-word: word 'dog' not in prompt 'a bird'"),
         (["timing", "--blend-word", "dog"],
-         "--blend-word: word 'dog' not in prompt 'a cat sitting on a mat edited'"),
+         "--blend-word: a mask or a blend word needs an edit prompt that differs from the"
+         " source"),
         (["edit", "--prompt", "a cat", "--edit-prompt", "a b c d e f g h dog",
           "--blend-word", "dog"], "--blend-word: word 'dog' falls beyond the 8 token slots"),
         (["timing", "--prompt", "a cat", "--edit-prompt", "a b c d e f g h dog",

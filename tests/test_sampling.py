@@ -270,6 +270,11 @@ def test_sample_method_refuses_an_input_its_method_does_not_read(net, sched, pla
                          LayerRange(1, 3))
     assert exc.value.fields == ("layer_start", "layer_end")
     assert not fresh.call_counts
+    with pytest.raises(ConfigError, match="^layer_end 99 exceeds layer_count 4$") as exc:
+        reconstruct_once(fresh, sched, plan10, _latent(0), "fec-kv-reuse", "a cat", 7.5, 7.5,
+                         0, LayerRange(0, 99))
+    assert exc.value.fields == ("layer_end", "layer_count")
+    assert not fresh.call_counts
     cfg = ExperimentConfig(methods=("direct", "fec-noise"), steps=2, layer_start=1, layer_end=3)
     with pytest.raises(ConfigError, match=layers.format("direct, fec-noise")) as exc:
         run_sweep(cfg)

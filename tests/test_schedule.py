@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from fecdiff.schedule import (
+    ConfigError,
     NoiseSchedule,
     build_schedule,
     timestep_plan,
@@ -38,8 +41,13 @@ def test_schedule_kinds_and_ranges():
         sched = build_schedule(kind, 1000)
         assert sched.ab(0) == 1.0
         assert 0.0 < sched.ab(1000) < sched.ab(500) < 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^unknown schedule kind 'cosine'") as exc:
         build_schedule("cosine", 1000)
+    assert exc.value.fields == ("schedule_kind",)
+    for T in (0, -1):  # checked before the betas are drawn, so numpy never sees it
+        with pytest.raises(ConfigError, match=f"^total_train_steps must be >= 1, got {T}$") as exc:
+            build_schedule("linear-beta", T)
+        assert exc.value.fields == ("total_train_steps",)
 
 
 def test_ab_bounds():
@@ -61,10 +69,11 @@ def test_timestep_plan_extremes():
     assert timestep_plan(1, 1000).timesteps == (1000,)
     full = timestep_plan(10, 10)
     assert full.timesteps == tuple(range(10, 0, -1))
-    with pytest.raises(ValueError):
-        timestep_plan(0, 1000)
-    with pytest.raises(ValueError):
-        timestep_plan(1001, 1000)
+    for steps in (0, 1001):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"steps must be in [1, total_train_steps=1000], got {steps}")) as exc:
+            timestep_plan(steps, 1000)
+        assert exc.value.fields == ("steps", "total_train_steps")
 
 
 def test_plan_pairs_consistency():

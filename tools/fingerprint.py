@@ -259,6 +259,8 @@ _REFUSED = (
     "reconstruct --layers 2:1",
     "sweep --config {tmp}/total-steps-0.cfg",
     "sweep --steps 0",
+    "sweep --steps 1001",
+    "sweep --config {tmp}/total-steps-negative.cfg",
     "reconstruct --method fec-kv-reuse --layers 0:99",
     "reconstruct --method direct --layers 1:3",
     "sweep --method direct --method fec-noise --layers 1:3",
@@ -331,6 +333,7 @@ _REFUSAL_FILES = {
     "layers-negative.cfg": b"[denoiser]\nlayers = -1\n",
     "denoiser-seed-negative.cfg": b"[denoiser]\nseed = -1\n",
     "total-steps-0.cfg": b"[schedule]\ntotal_steps = 0\n",
+    "total-steps-negative.cfg": b"[schedule]\ntotal_steps = -1\n",
     "edit-prompts-two.cfg": b"[run]\nedit_prompts = a; b\n",
     "methods-direct.cfg": b"[run]\nmethods = direct\n",
     "methods-two.cfg": b"[run]\nmethods = direct; fec-ref\n",

@@ -158,9 +158,26 @@ MUTANTS = [
      "    refuse_unread(cfg.methods, layers=cfg.layer_range())\n", "",
      "run_sweep runs a layer range that none of its methods reads, which it then drops"),
     ("reconstruct-refuses-after-inverting", "src/fecdiff/harness.py",
-     "    refuse_unread((method,), layers=layers)\n    (inv_ctx,)",
-     "    (inv_ctx,)",
+     "    refuse_unread((method,), layers=layers)\n    if layers",
+     "    if layers",
      "reconstruct_once inverts before sample_method refuses a range its method does not read"),
+    ("reconstruct-fits-after-inverting", "src/fecdiff/harness.py",
+     "    if layers is not None:\n        layers.fits(net.config.layer_count)\n"
+     "    (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)\n"
+     "    res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=method in KV_METHODS))\n",
+     "    (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)\n"
+     "    res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=method in KV_METHODS))\n"
+     "    if layers is not None:\n        layers.fits(net.config.layer_count)\n",
+     "reconstruct_once inverts and captures before it finds a range that ends past the network"),
+    ("config-schedule-unchecked", "src/fecdiff/harness.py",
+     "        build_schedule(self.schedule_kind, self.total_train_steps)\n", "",
+     "ExperimentConfig accepts any schedule_kind and total_train_steps that the plan accepts"),
+    ("config-plan-unchecked", "src/fecdiff/harness.py",
+     "        timestep_plan(self.steps, self.total_train_steps)\n", "",
+     "ExperimentConfig accepts a step count outside [1, total_train_steps]"),
+    ("plan-steps-unchecked", "src/fecdiff/schedule.py",
+     "if not 1 <= steps <= T:", "if False:",
+     "timestep_plan takes a step count outside [1, T]"),
     ("kv-empty-header-accepted", "src/fecdiff/io_formats.py",
      "if steps == 0 or layer_count == 0:", "if False:",
      "read_kv_cache reads a header of 0 timesteps or 0 layers as an empty cache"),
