@@ -3,7 +3,7 @@
 DDIM inversion plus four samplers (direct descent and the reference-path,
 desired-noise and K/V-injection corrections), each under the one guidance
 context it is given; inversion and every descent step through one walk,
-and K/V capture is a guided evaluation with recording hooks.
+and K/V capture hooks the inversion's own guided evaluations.
 ``sample_method`` maps every method name, the negative-prompt baseline
 included, to a sampler.
 A toy attention denoiser with callable hooks on its self-attention K/V

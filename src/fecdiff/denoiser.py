@@ -194,9 +194,10 @@ class DenoiserConfig:
         if h % p or w % p:
             raise ConfigError(f"latent spatial dims {(h, w)} not divisible by patch size {p}",
                               "latent_shape", "patch_size")
-        for name in ("layer_count", "init_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}", name)
+        # A network with no attention layer has nothing to capture, inject or trace.
+        for name, low in (("layer_count", 1), ("init_seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}", name)
 
 
 def _sinusoidal(x: float | np.ndarray, dim: int) -> np.ndarray:

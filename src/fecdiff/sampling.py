@@ -96,7 +96,8 @@ class InvertResult:
     sampler evaluates the network separately under the conditional and the
     unconditional embedding and each evaluation produces its own K/V.
     Injecting one branch's cache into the other corrupts the cond/uncond
-    difference that guidance amplifies.
+    difference that guidance amplifies. The entry at ``(t, layer)`` is what
+    the inversion step from ``t_prev`` up to ``t`` saw, at ``(z_{t_prev}, t)``.
     """
 
     trajectory: Trajectory
@@ -219,27 +220,24 @@ def invert(
 ) -> InvertResult:
     """Run DDIM inversion up the plan, recording every latent.
 
-    With KV capture on, a guided evaluation at each (z_t, t), in ascending
-    t, records each branch's K/V through ``guided_noise``'s hooks into that
-    branch's cache; its noise is unused. Under shared branches
+    With KV capture on, each step's guided evaluation at (z_{t_prev}, t)
+    also records each branch's K/V into that branch's cache, under route
+    ``capture``; the path is unchanged. Under shared branches
     ``kv_cache_uncond`` is ``kv_cache`` itself, so one evaluation fills it.
     """
     capture = capture or CaptureOptions()
     z0 = _finite(np.asarray(z0, dtype=np.float64), 0, "inversion")
     latents: dict[int, np.ndarray] = {}
-
-    def noise(z, t_prev, t):
-        return guided_noise(net, z, t, ctx, route="inversion")
-
-    _walk(z0, plan.inversion_pairs(), ddim_invert_step, sched, noise, latents, "inversion")
     cache = cache_u = None
     if capture.kv:
         cache = KVCache()
         cache_u = cache if ctx.shared else KVCache()
-        # At (z_t, t) the cached entries match exactly what the sampler
-        # presents when its latent equals z_t.
-        for t in reversed(plan.timesteps):
-            guided_noise(net, latents[t], t, ctx, route="capture", kv=cache, kv_uncond=cache_u)
+    route = "capture" if capture.kv else "inversion"
+
+    def noise(z, t_prev, t):
+        return guided_noise(net, z, t, ctx, route=route, kv=cache, kv_uncond=cache_u)
+
+    _walk(z0, plan.inversion_pairs(), ddim_invert_step, sched, noise, latents, "inversion")
     traj = Trajectory(
         latents=latents, timesteps=tuple(plan.timesteps), guidance=ctx.scale, seed=seed
     )

@@ -180,10 +180,11 @@ def test_sweep_inverts_once_per_key_and_matches_single_cells(monkeypatch):
     nets = _sweep_nets(monkeypatch)
     report = run_sweep(cfg)
     (net,) = nets
-    # Per seed and step, inversion evaluates both branches only at
-    # (7.5, "a cat"): 2 + 1 + 1 + 1 calls over the four (guidance, prompt)
-    # keys. Capture evaluates both only for "a cat": 2 + 1 per guidance.
-    assert net.call_counts["inversion"] == 100
+    # Every key's inversion records K/V for the kv methods, so all of its
+    # calls are capture calls. Per seed and step it evaluates both branches
+    # for "a cat" (at guidance 1 the recorder forces the unconditional one)
+    # and one for "": 2 + 1 per guidance.
+    assert net.call_counts["inversion"] == 0
     assert net.call_counts["capture"] == 120
     # Rows with the same descent sample once. Per seed, inversion guidance
     # and step, "a cat" makes 9 calls: direct, kv and v-reuse 1 + 2 each,
@@ -638,6 +639,7 @@ _BAD_CONFIGS = {
     "dim-5-heads-5": "[denoiser]\ndim = 5\nheads = 5\n",
     "dim-negative": "[denoiser]\ndim = -4\n",
     "layers-negative": "[denoiser]\nlayers = -1\n",
+    "layers-0": "[denoiser]\nlayers = 0\n",
     "denoiser-seed-negative": "[denoiser]\nseed = -1\n",
     "total-steps-0": "[schedule]\ntotal_steps = 0\n",
     "embed-seed-negative": "[run]\nembed_seed = -1\n",
@@ -703,7 +705,7 @@ _BAD_CONFIGS = {
         (["reconstruct", "--config", "{tmp}/dim-negative.cfg"],
          "[denoiser] dim: model_dim must be positive and even, got -4"),
         (["reconstruct", "--config", "{tmp}/layers-negative.cfg"],
-         "[denoiser] layers: layer_count must be >= 0, got -1"),
+         "[denoiser] layers: layer_count must be >= 1, got -1"),
         (["reconstruct", "--config", "{tmp}/denoiser-seed-negative.cfg"],
          "[denoiser] seed: init_seed must be >= 0, got -1"),
         (["sweep", "--config", "{tmp}/total-steps-0.cfg"],
@@ -758,6 +760,12 @@ _BAD_CONFIGS = {
          "--kv-out is empty, so it names no file"),
         (["edit", "--steps", "2", "--prompt", "a cat", "--edit-prompt", "a dog",
           "--blend-word", "dog", "--mask", ""], "[Errno 2] No such file or directory: ''"),
+        (["edit", "--config", "{tmp}/layers-0.cfg", "--method", "fec-kv-reuse", "--prompt",
+          "a cat", "--edit-prompt", "a dog"], "[denoiser] layers: layer_count must be >= 1, got 0"),
+        (["edit", "--config", "{tmp}/layers-0.cfg", "--prompt", "a cat", "--edit-prompt",
+          "a dog", "--blend-word", "dog"], "[denoiser] layers: layer_count must be >= 1, got 0"),
+        (["invert", "--config", "{tmp}/layers-0.cfg", "--out", "{tmp}/t.fectraj", "--kv-out",
+          "{tmp}/k.feckv"], "[denoiser] layers: layer_count must be >= 1, got 0"),
     ],
     ids=["layers-3", "layers-a:b", "layers-2:1", "layers-0:99", "method-warp", "steps-0",
          "guidance-nan", "config-missing", "config-directory", "config-headless",
@@ -778,7 +786,9 @@ _BAD_CONFIGS = {
          "reconstruct-default-method-layers", "sweep-no-kv-method-layers",
          "edit-blend-word-past-token-slots", "timing-blend-word-past-token-slots",
          "invert-kv-out-is-out",
-         "invert-uncond-kv-out-is-out", "invert-kv-out-empty", "edit-mask-empty"],
+         "invert-uncond-kv-out-is-out", "invert-kv-out-empty", "edit-mask-empty",
+         "edit-kv-reuse-config-layers-0", "edit-blend-word-config-layers-0",
+         "invert-kv-out-config-layers-0"],
 )
 def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_path, monkeypatch):
     for name, text in _BAD_CONFIGS.items():

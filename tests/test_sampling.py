@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -164,35 +165,57 @@ def test_inversion_and_sampling_are_first_order_against_the_exact_flow(sched):
 
 
 def test_invert_capture_fills_both_branch_caches(net, sched, plan10):
-    res = invert(net, _latent(0), _ctx(7.5), plan10, sched, CaptureOptions(kv=True))
-    for cache in (res.kv_cache, res.kv_cache_uncond):
-        assert len(cache) == plan10.steps * net.config.layer_count
-        assert cache.timesteps() == list(plan10.timesteps)
-    t0 = plan10.timesteps[0]
-    # Layer 0 self-attention sees only the latent stream, so its K/V are
-    # branch-independent; the prompt enters through cross-attention and
-    # makes the branches diverge from layer 1 on.
-    k_c0, _ = res.kv_cache.fetch(t0, 0)
-    k_u0, _ = res.kv_cache_uncond.fetch(t0, 0)
-    assert np.array_equal(k_c0, k_u0)
-    k_c1, _ = res.kv_cache.fetch(t0, 1)
-    k_u1, _ = res.kv_cache_uncond.fetch(t0, 1)
-    assert not np.array_equal(k_c1, k_u1)
+    # Capture hooks the inversion's own evaluations, so the path is the same
+    # bytes with it as without, and so are the calls, except the
+    # unconditional branch that a recorder forces at scale 1.
+    z0 = _latent(0)
+    for prompt, scale in itertools.product(("a cat", ""), (1.0, 7.5)):
+        case, ctx = (prompt, scale), _ctx(scale, prompt)
+        before = Counter(net.call_counts)
+        plain = invert(net, z0, ctx, plan10, sched)
+        between = Counter(net.call_counts)
+        res = invert(net, z0, ctx, plan10, sched, CaptureOptions(kv=True))
+        forced = plan10.steps if case == ("a cat", 1.0) else 0
+        calls = (between - before)["inversion"] + forced
+        assert Counter(net.call_counts) - between == Counter(capture=calls), case
+        assert res.trajectory.latents.keys() == plain.trajectory.latents.keys(), case
+        for t, z in plain.trajectory.latents.items():
+            assert res.trajectory[t].tobytes() == z.tobytes(), (case, t)
+        assert (res.kv_cache_uncond is res.kv_cache) == ctx.shared, case
+        for cache in (res.kv_cache, res.kv_cache_uncond):
+            assert len(cache) == plan10.steps * net.config.layer_count
+            assert cache.timesteps() == list(plan10.timesteps)
+        if ctx.shared:
+            continue
+        t0 = plan10.timesteps[0]
+        # Layer 0 self-attention sees only the latent stream, so its K/V are
+        # branch-independent; the prompt enters through cross-attention and
+        # makes the branches diverge from layer 1 on.
+        k_c0, _ = res.kv_cache.fetch(t0, 0)
+        k_u0, _ = res.kv_cache_uncond.fetch(t0, 0)
+        assert np.array_equal(k_c0, k_u0), case
+        k_c1, _ = res.kv_cache.fetch(t0, 1)
+        k_u1, _ = res.kv_cache_uncond.fetch(t0, 1)
+        assert not np.array_equal(k_c1, k_u1), case
+
+
+def _assert_cache_entries_equal(got: KVCache, ref: KVCache):
+    assert got.entries.keys() == ref.entries.keys()
+    for key, (k, v) in ref.entries.items():
+        k_got, v_got = got.fetch(*key)
+        assert (k_got.tobytes(), v_got.tobytes()) == (k.tobytes(), v.tobytes()), key
 
 
 def test_aligned_capture_matches_sampler_inputs(net, sched, plan10):
-    # At every planned step the sampler on the inversion path sees the
-    # latent the aligned capture pass recorded, so injecting either
-    # branch's cache reproduces that branch's live evaluation bit-exactly.
+    # Each branch's entry at (t, layer) is what that branch's evaluation
+    # saw in the inversion step from t_prev up to t, at (traj[t_prev], t).
     ctx = _ctx(7.5)
     res = invert(net, _latent(0), ctx, plan10, sched, CaptureOptions(kv=True))
-    layers = LayerRange(0, net.config.layer_count)
-    for t in plan10.timesteps:
-        z_t = res.trajectory[t]
-        for cache, emb in ((res.kv_cache, ctx.cond), (res.kv_cache_uncond, ctx.uncond)):
-            live = net.predict(z_t, t, emb)
-            injected = net.predict(z_t, t, emb, kv=KVInject(cache, layers))
-            assert live.tobytes() == injected.tobytes(), (t, emb is ctx.cond)
+    for cache, emb in ((res.kv_cache, ctx.cond), (res.kv_cache_uncond, ctx.uncond)):
+        ref = KVCache()
+        for t_prev, t in plan10.inversion_pairs():
+            net.predict(res.trajectory[t_prev], t, emb, kv=ref)
+        _assert_cache_entries_equal(cache, ref)
 
 
 # ------------------------------------------------------------ samplers
@@ -452,18 +475,13 @@ def test_uncond_known_pairs_hooks_with_guidance_branches():
 def test_invert_under_shared_branches_captures_once(net, sched, plan10):
     before = Counter(net.call_counts)
     res = invert(net, _latent(0), _ctx(7.5, ""), plan10, sched, CaptureOptions(kv=True))
-    assert Counter(net.call_counts) - before == Counter(
-        inversion=plan10.steps, capture=plan10.steps
-    )
+    assert Counter(net.call_counts) - before == Counter(capture=plan10.steps)
     assert res.kv_cache_uncond is res.kv_cache
     # The one cache holds what a separate unconditional capture records.
     ref = KVCache()
-    for t in plan10.timesteps:
-        net.predict(res.trajectory[t], t, embed_prompt("", 0), kv=ref)
-    assert ref.entries.keys() == res.kv_cache.entries.keys()
-    for key, (k, v) in ref.entries.items():
-        k_got, v_got = res.kv_cache.fetch(*key)
-        assert (k_got.tobytes(), v_got.tobytes()) == (k.tobytes(), v.tobytes())
+    for t_prev, t in plan10.inversion_pairs():
+        net.predict(res.trajectory[t_prev], t, embed_prompt("", 0), kv=ref)
+    _assert_cache_entries_equal(res.kv_cache, ref)
 
 
 def _assert_rejected_before_any_call(net, sched, plan, mask, match):

@@ -314,6 +314,10 @@ _REFUSED = (
     "edit --steps 2 --method fec-ref --prompt cat --edit-prompt dog --out ''",
     "sweep --steps 2 --method direct --out ''",
     "timing --steps 2 --out ''",
+    "edit --steps 2 --config {tmp}/layers-0.cfg --method fec-kv-reuse --prompt cat"
+    " --edit-prompt dog",
+    "edit --steps 2 --config {tmp}/layers-0.cfg --prompt cat --edit-prompt dog --blend-word dog",
+    "invert --steps 2 --config {tmp}/layers-0.cfg --out {tmp}/t.fectraj --kv-out {tmp}/k.feckv",
 )
 
 _REFUSAL_FILES = {
@@ -331,6 +335,7 @@ _REFUSAL_FILES = {
     "dim-5.cfg": b"[denoiser]\ndim = 5\n",
     "heads-3.cfg": b"[denoiser]\nheads = 3\n",
     "layers-negative.cfg": b"[denoiser]\nlayers = -1\n",
+    "layers-0.cfg": b"[denoiser]\nlayers = 0\n",
     "denoiser-seed-negative.cfg": b"[denoiser]\nseed = -1\n",
     "total-steps-0.cfg": b"[schedule]\ntotal_steps = 0\n",
     "total-steps-negative.cfg": b"[schedule]\ntotal_steps = -1\n",

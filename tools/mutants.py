@@ -138,9 +138,17 @@ MUTANTS = [
      "diff[..., keep]", "diff[:, keep]",
      "_locality indexes the mask on the axes after the first, so a stacked box edit fails"),
     ("capture-at-next-latent", "src/fecdiff/sampling.py",
-     "guided_noise(net, latents[t], t, ctx,",
-     "guided_noise(net, latents[next((s for s in sorted(latents) if s > t), t)], t, ctx,",
-     "capture records each step's K/V at the next saved latent up (z_T's own at T)"),
+     "        return guided_noise(net, z, t, ctx, route=route, kv=cache, kv_uncond=cache_u)\n",
+     "        eps = guided_noise(net, z, t, ctx, route=route)\n"
+     "        if cache is not None:\n"
+     "            z_t = ddim_invert_step(z, eps, t_prev, t, sched)\n"
+     "            guided_noise(net, z_t, t, ctx, route=route, kv=cache, kv_uncond=cache_u)\n"
+     "        return eps\n",
+     "capture records each step's K/V at the latent the step makes, (z_t, t), in a second"
+     " evaluation, not at the (z_{t_prev}, t) the step evaluates"),
+    ("capture-uncond-hook-dropped", "src/fecdiff/sampling.py",
+     "kv=cache, kv_uncond=cache_u)", "kv=cache)",
+     "inversion hooks only the conditional evaluation, so the unconditional cache stays empty"),
     ("edit-same-prompt-mask-source-accepted", "src/fecdiff/editing.py",
      "if reconstruct and not unmasked:", "if False:",
      "run_edit takes a user mask or a blend word that an identical-prompt edit ignores"),
@@ -245,8 +253,8 @@ MUTANTS = [
      "OPENBLAS_CORETYPE=other)", "OPENBLAS_CORETYPE=running)",
      "the second-kernel test runs its child under the kernel it already runs"),
     ("inversion-noise-at-t-prev", "src/fecdiff/sampling.py",
-     'return guided_noise(net, z, t, ctx, route="inversion")',
-     'return guided_noise(net, z, t_prev, ctx, route="inversion")',
+     "guided_noise(net, z, t, ctx, route=route, kv=cache,",
+     "guided_noise(net, z, t_prev, ctx, route=route, kv=cache,",
      "each inversion step evaluates the noise at t_prev instead of t"),
 ]
 
