@@ -7,8 +7,9 @@ a file key of any other. The file's values and the flags, which override
 them field by field, build one ``ExperimentConfig`` once. The code that
 owns a rule raises its refusal, and ``main`` alone turns one into a single
 ``fecdiff <command>: error: ...`` line and exit code 2: a ``ConfigError``
-(named by the ``[section] key`` or ``--flag`` that set it), a
-``FormatError`` or an ``OSError``. Any other exception is a bug.
+(named by the ``[section] key`` or ``--flag`` that set it), a ``FormatError``,
+a ``NonFiniteError`` (a run that diverged) or an ``OSError``. Any other
+exception is a bug.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .denoiser import ConfigError
+from .denoiser import ConfigError, NonFiniteError
 from .editing import EDIT_METHODS, EditRequest, run_edit
 from .harness import (
     CONFIG_KEYS,
@@ -152,7 +153,7 @@ def _cmd_reconstruct(args) -> int:
     record = None if cfg.out is None else {}
     out, traj = reconstruct_once(
         net, sched, plan, z0, method, cfg.prompts[0],
-        cfg.inv_guidances[0], cfg.samp_guidances[0], cfg.embed_seed, cfg.layer_range(), record,
+        cfg.inv_guidances[0], cfg.samp_guidances[0], cfg.embed_seed, cfg.layers, record,
     )
     metrics = measure_reconstruction(z0, out)
     for key, value in metrics.items():
@@ -175,7 +176,7 @@ def _cmd_edit(args) -> int:
         edit_prompt=edit,
         method=cfg.methods[0],
         blend_word=cfg.blend_word,
-        layer_range=cfg.layer_range(),
+        layer_range=cfg.layers,
         guidance=cfg.samp_guidances[0],
     )
     net, sched, plan = cfg.components()
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
         args.subparser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, OSError) as exc:
+    except (ConfigError, FormatError, NonFiniteError, OSError) as exc:
         message = " ".join(str(exc).split())  # one line, whatever raised it
         # A rejected value is reported under the key or flag that set it.
         sources = getattr(args, "sources", {})

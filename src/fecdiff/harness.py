@@ -30,7 +30,13 @@ from .sampling import (
     resolve_method,
     sample_method,
 )
-from .schedule import DEFAULT_TRAIN_STEPS, build_schedule, timestep_plan
+from .schedule import (
+    DEFAULT_TRAIN_STEPS,
+    NoiseSchedule,
+    TimestepPlan,
+    build_schedule,
+    timestep_plan,
+)
 
 SYNTH_KINDS = ("gaussian", "blocks", "gradient")
 
@@ -82,6 +88,10 @@ class ExperimentConfig:
     layer_end: int | None = None
     denoiser: DenoiserConfig = field(default_factory=DenoiserConfig)
     out: str | None = None
+    # Built by the checks and kept for the runs; ``layers`` is None if no bound is set.
+    sched: NoiseSchedule = field(init=False, repr=False, compare=False)
+    plan: TimestepPlan = field(init=False, repr=False, compare=False)
+    layers: LayerRange | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Every check raises ``ConfigError`` naming the fields it rejects."""
@@ -92,8 +102,9 @@ class ExperimentConfig:
             repeated = [x for i, x in enumerate(value) if x in value[:i]]
             if repeated:
                 raise ConfigError(f"{name} lists {repeated[0]!r} more than once", name)
-        build_schedule(self.schedule_kind, self.total_train_steps)
-        timestep_plan(self.steps, self.total_train_steps)
+        T = self.total_train_steps
+        object.__setattr__(self, "sched", build_schedule(self.schedule_kind, T))
+        object.__setattr__(self, "plan", timestep_plan(self.steps, T))
         for name, label, value, known in (
             ("data_kind", "data_kind", self.data_kind, SYNTH_KINDS),
             *(("methods", "method", m, RECON_METHODS) for m in self.methods),
@@ -107,7 +118,10 @@ class ExperimentConfig:
         for name, value in (("seeds", min(self.seeds)), ("embed_seed", self.embed_seed)):
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}", name)
-        self.layer_range()  # raises for a range that is invalid or past the network
+        n = self.denoiser.layer_count
+        if self.layer_start is not None or self.layer_end is not None:
+            end = n if self.layer_end is None else self.layer_end
+            object.__setattr__(self, "layers", LayerRange(self.layer_start or 0, end).fits(n))
 
     @classmethod
     def from_fields(cls, values: dict) -> ExperimentConfig:
@@ -120,19 +134,9 @@ class ExperimentConfig:
             denoiser=DenoiserConfig(**{k: v for k, v in values.items() if k in denoiser}),
         )
 
-    def layer_range(self) -> LayerRange | None:
-        """The injection layer range, ``None`` when neither bound is set; an
-        unset start is 0 and an unset end the last layer."""
-        if self.layer_start is None and self.layer_end is None:
-            return None
-        end = self.denoiser.layer_count if self.layer_end is None else self.layer_end
-        return LayerRange(self.layer_start or 0, end).fits(self.denoiser.layer_count)
-
     def components(self):
         """The (network, schedule, plan) triple this configuration describes."""
-        sched = build_schedule(self.schedule_kind, self.total_train_steps)
-        plan = timestep_plan(self.steps, self.total_train_steps)
-        return ToyDenoiser(self.denoiser), sched, plan
+        return ToyDenoiser(self.denoiser), self.sched, self.plan
 
 
 @dataclass
@@ -208,7 +212,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     raised; a failed inversion fails, and times, every row of its key.
     An unread layer range (``refuse_unread``), or a latent grid too small
     for the SSIM window, which fails every row alike, raises first."""
-    refuse_unread(cfg.methods, layers=cfg.layer_range())
+    refuse_unread(cfg.methods, layers=cfg.layers)
     h, w = cfg.denoiser.latent_shape[1:]
     if min(h, w) < SSIM_WINDOW:
         raise ValueError(
@@ -263,7 +267,7 @@ def _sweep_key(net, sched, plan, cfg, capture, inv_g, prompt, seed, rows):
         if key not in descents:
             try:
                 out = sample_method(net, res, method, ctx, plan, sched,
-                                    cfg.layer_range() if reads(method, "layers") else None)
+                                    cfg.layers if reads(method, "layers") else None)
                 descents[key] = measure_reconstruction(z0, out)
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                 descents[key] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -310,7 +314,7 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     reconstructs. The fec-noise edit blends under the mask of
     ``cfg.blend_word``, else of the first edit-prompt word the source
     prompt lacks; with neither, ``run_edit`` refuses it (``ConfigError``).
-    The kv-reuse edit injects over ``cfg.layer_range()`` and makes no
+    The kv-reuse edit injects over ``cfg.layers`` and makes no
     reconstruction-route calls."""
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
@@ -329,7 +333,7 @@ def report_timing(cfg: ExperimentConfig) -> dict:
         method: functools.partial(
             run_edit, net, sched, plan, z0,
             EditRequest(source, edit, method, blend if reads(method, "mask") else None,
-                        cfg.layer_range() if reads(method, "layers") else None, guidance),
+                        cfg.layers if reads(method, "layers") else None, guidance),
             cfg.embed_seed,
         )
         for method in EDIT_METHODS

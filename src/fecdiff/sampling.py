@@ -121,8 +121,6 @@ def cfg_combine(eps_c: np.ndarray, eps_u: np.ndarray, scale: float) -> np.ndarra
 def _check_step(t: int, t_prev: int):
     if t <= t_prev:
         raise ValueError(f"need t > t_prev, got t={t}, t_prev={t_prev}")
-    if t_prev < 0:
-        raise ValueError(f"t_prev must be >= 0, got {t_prev}")
 
 
 def _ddim_move(z: np.ndarray, eps: np.ndarray, t_from: int, t_to: int, sched: NoiseSchedule):

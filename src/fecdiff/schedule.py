@@ -45,7 +45,7 @@ class NoiseSchedule:
         object.__setattr__(self, "alpha_bar", ab)
         T = self.total_train_steps
         if T < 1:
-            raise ValueError(f"total_train_steps must be >= 1, got {T}")
+            raise ConfigError(f"total_train_steps must be >= 1, got {T}", "total_train_steps")
         if ab.shape != (T + 1,):
             raise ValueError(f"alpha_bar must have length T+1={T + 1}, got {ab.shape}")
         if ab[0] != 1.0:
@@ -93,17 +93,16 @@ class TimestepPlan:
 
 
 def build_schedule(kind: str, T: int = DEFAULT_TRAIN_STEPS) -> NoiseSchedule:
-    """Construct a noise schedule of the given kind with T train steps;
-    ``ConfigError`` for T < 1 or a kind outside ``SCHEDULE_KINDS``."""
-    if T < 1:
-        raise ConfigError(f"total_train_steps must be >= 1, got {T}", "total_train_steps")
+    """Construct a noise schedule of the given kind with T train steps; ``ConfigError``
+    for T < 1 (``NoiseSchedule``'s rule) or a kind outside ``SCHEDULE_KINDS``."""
+    n = max(T, 0)  # numpy never sees a negative T, so NoiseSchedule refuses every T < 1
     if kind == "linear-beta":
-        betas = np.linspace(LINEAR_BETA_START, LINEAR_BETA_END, T, dtype=np.float64)
+        betas = np.linspace(LINEAR_BETA_START, LINEAR_BETA_END, n, dtype=np.float64)
     elif kind == "scaled-linear-beta":
         start, end = np.sqrt(SCALED_BETA_START), np.sqrt(SCALED_BETA_END)
-        betas = np.linspace(start, end, T, dtype=np.float64) ** 2
+        betas = np.linspace(start, end, n, dtype=np.float64) ** 2
     elif kind == "constant-beta":
-        betas = np.full(T, CONSTANT_BETA, dtype=np.float64)
+        betas = np.full(n, CONSTANT_BETA, dtype=np.float64)
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}",
                           "schedule_kind")
@@ -112,16 +111,13 @@ def build_schedule(kind: str, T: int = DEFAULT_TRAIN_STEPS) -> NoiseSchedule:
 
 
 def timestep_plan(steps: int, T: int = DEFAULT_TRAIN_STEPS) -> TimestepPlan:
-    """Evenly spaced decreasing timesteps starting at t = T.
+    """``steps`` timesteps from t = T down, the i-th at ``T - round(i * T / steps)``.
 
-    The stride is ``T // steps``; when T is not divisible by steps the
-    residue is absorbed at the low-t end (the last planned timestep sits
-    above t = 0 by more than one stride). Raises ``ConfigError`` (``steps``
-    and ``total_train_steps``) unless ``1 <= steps <= T``.
-    """
+    Strides differ by at most one, so the last timestep is within one
+    stride of t = 0 even when steps does not divide T (t = 12 at 80 steps
+    of 1000; a fixed ``T // steps`` stride would end at 52). Raises
+    ``ConfigError`` (``steps`` and ``total_train_steps``) unless ``1 <= steps <= T``."""
     if not 1 <= steps <= T:
         raise ConfigError(f"steps must be in [1, total_train_steps={T}], got {steps}",
                           "steps", "total_train_steps")
-    stride = T // steps
-    ts = tuple(T - i * stride for i in range(steps))
-    return TimestepPlan(ts)
+    return TimestepPlan(tuple(T - round(i * T / steps) for i in range(steps)))

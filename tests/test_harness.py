@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+from collections import Counter
+from dataclasses import replace
 import json
 import re
 from pathlib import Path
@@ -142,10 +144,46 @@ def test_run_sweep_records_cell_errors(monkeypatch):
 
 
 def test_layer_range_is_none_exactly_when_no_bound_is_set():
-    assert ExperimentConfig().layer_range() is None
-    assert ExperimentConfig(layer_start=0).layer_range() == LayerRange(0, 4)
-    assert ExperimentConfig(layer_start=1).layer_range() == LayerRange(1, 4)
-    assert ExperimentConfig(layer_end=2).layer_range() == LayerRange(0, 2)
+    assert ExperimentConfig().layers is None
+    assert ExperimentConfig(layer_start=0).layers == LayerRange(0, 4)
+    assert ExperimentConfig(layer_start=1).layers == LayerRange(1, 4)
+    assert ExperimentConfig(layer_end=2).layers == LayerRange(0, 2)
+
+
+def test_a_config_builds_its_schedule_and_plan_once(monkeypatch):
+    # The checks build them and the config keeps them, however often it runs.
+    built = Counter()
+
+    def counting(name, build):
+        def counted(*args):
+            built[name] += 1
+            return build(*args)
+        return counted
+
+    for name in ("build_schedule", "timestep_plan"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    cfg = ExperimentConfig(steps=2, edit_prompts=("a dog sitting on a mat",))
+    assert built == {"build_schedule": 1, "timestep_plan": 1}
+    for _ in range(3):
+        _, sched, plan = cfg.components()
+        assert sched is cfg.sched and plan is cfg.plan
+    run_sweep(cfg)
+    check_batch_invariance(cfg)
+    report_timing(cfg)
+    assert built == {"build_schedule": 1, "timestep_plan": 1}
+
+
+def test_a_replaced_config_rebuilds_what_it_keeps_and_compares_as_before():
+    cfg = ExperimentConfig(steps=10, layer_start=1)
+    five = replace(cfg, steps=5, layer_start=None, layer_end=2)
+    assert five.plan == timestep_plan(5) and five.layers == LayerRange(0, 2)
+    assert cfg.plan == timestep_plan(10) and cfg.layers == LayerRange(1, 4)
+    # The kept parts take no part in equality, hashing or the repr.
+    assert ExperimentConfig(steps=10, layer_start=1) == cfg
+    assert hash(ExperimentConfig(steps=10, layer_start=1)) == hash(cfg)
+    init = [f.name for f in dataclasses.fields(cfg) if f.init]
+    assert [f.name for f in dataclasses.fields(cfg) if f.compare] == init
+    assert repr(cfg) == f"ExperimentConfig({', '.join(f'{n}={getattr(cfg, n)!r}' for n in init)})"
 
 
 def test_empty_layer_range_injects_nothing():
@@ -204,7 +242,7 @@ def test_sweep_inverts_once_per_key_and_matches_single_cells(monkeypatch):
         z0 = generate_synthetic_latent(row["seed"], cfg.data_kind, (4, 12, 12))
         out, _ = reconstruct_once(
             net, sched, plan, z0, row["method"], row["prompt"], row["inv_guidance"],
-            row["samp_guidance"], cfg.embed_seed, cfg.layer_range(),
+            row["samp_guidance"], cfg.embed_seed, cfg.layers,
         )
         single = measure_reconstruction(z0, out)
         assert [row[k].hex() for k in single] == [v.hex() for v in single.values()]
@@ -801,6 +839,32 @@ def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_pa
     assert len(err) == 1 and err[0].startswith(f"fecdiff {argv[0]}: error: ")
     assert fault in err[0]
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (["reconstruct", "--steps", "2", "--guidance", "1e300"], "inversion at t=1000"),
+        (["edit", "--steps", "2", "--guidance", "1e300"], "inversion at t=1000"),
+        (["invert", "--steps", "2", "--guidance", "1e300", "--out", "{tmp}/t.fectraj"],
+         "inversion at t=1000"),
+        (["check-batch", "--steps", "2", "--guidance", "1e300"], "inversion at t=1000"),
+        (["timing", "--steps", "2", "--guidance", "1e300"], "inversion at t=1000"),
+        # alpha_bar floors at 1.2e-322, so the last step back to t = 0 overflows.
+        (["edit", "--method", "fec-kv-reuse", "--config", "{tmp}/constant-beta.cfg"],
+         "fec-kv-reuse sampling at t=26400"),
+    ],
+    ids=["reconstruct", "edit", "invert", "check-batch", "timing", "edit-constant-beta"],
+)
+def test_cli_a_diverging_run_exits_2_with_one_line(argv, stage, tmp_path, capsys):
+    (tmp_path / "constant-beta.cfg").write_text(
+        "[schedule]\nkind = constant-beta\ntotal_steps = 40000\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"fecdiff {argv[0]}: error: non-finite latent during {stage}"]
+    assert not (tmp_path / "t.fectraj").exists()
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,12 @@ def test_step_argument_validation(sched):
         ddim_step(z, eps, 100, 200, sched)
     with pytest.raises(ValueError):
         ddim_step(z, eps[0], 100, 50, sched)
+    # A timestep below 0 is the schedule's to refuse, in every step function.
+    for call in (lambda: ddim_step(z, eps, 100, -1, sched),
+                 lambda: ddim_invert_step(z, eps, -1, 100, sched),
+                 lambda: desired_noise(z, eps, 100, -1, sched)):
+        with pytest.raises(ValueError, match=r"^timestep -1 out of range \[0, 1000\]$"):
+            call()
 
 
 def test_desired_noise_hits_target(sched):
@@ -162,6 +168,27 @@ def test_inversion_and_sampling_are_first_order_against_the_exact_flow(sched):
     for coarse, fine in zip(errors, errors[1:]):
         for a, b in zip(coarse, fine):
             assert 1.8 <= a / b <= 2.2, errors
+
+
+def test_step_counts_that_do_not_divide_t_beat_fifty_against_the_exact_flow(sched):
+    # A plan whose last timestep sat several strides above 0 took one long
+    # last step, so 64 and 80 steps did worse than 50 (arXiv 2305.08891 on
+    # timestep spacing). Spread strides end within one stride of 0.
+    m, s = 0.5, 1.0
+    net, ctx, x0 = GaussianDenoiser(sched, mean=m, std=s), _ctx(1.0), _latent(0)
+
+    def endpoint_errors(steps):
+        plan = timestep_plan(steps, 1000)
+        top = plan.timesteps[0]
+        exact = _flow(sched, m, s, x0, top)
+        z_top = invert(net, x0, ctx, plan, sched).trajectory[top]
+        out = sample_direct(net, exact, ctx, plan, sched)
+        return np.array([np.linalg.norm(z_top - exact) / np.linalg.norm(exact),
+                         np.linalg.norm(out - x0) / np.linalg.norm(x0)])
+
+    at_50 = endpoint_errors(50)
+    for steps in (64, 80, 160):
+        assert np.all(endpoint_errors(steps) < at_50), steps
 
 
 def test_invert_capture_fills_both_branch_caches(net, sched, plan10):

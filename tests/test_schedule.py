@@ -1,9 +1,11 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 
 from fecdiff.schedule import (
+    SCHEDULE_KINDS,
     ConfigError,
     NoiseSchedule,
     build_schedule,
@@ -44,9 +46,18 @@ def test_schedule_kinds_and_ranges():
     with pytest.raises(ConfigError, match="^unknown schedule kind 'cosine'") as exc:
         build_schedule("cosine", 1000)
     assert exc.value.fields == ("schedule_kind",)
-    for T in (0, -1):  # checked before the betas are drawn, so numpy never sees it
+    for T, kind in itertools.product((0, -1), SCHEDULE_KINDS):
+        # NoiseSchedule's refusal, not numpy's error for a negative count.
         with pytest.raises(ConfigError, match=f"^total_train_steps must be >= 1, got {T}$") as exc:
-            build_schedule("linear-beta", T)
+            build_schedule(kind, T)
+        assert exc.value.fields == ("total_train_steps",)
+
+
+def test_a_direct_schedule_refuses_t_below_one_like_build_schedule():
+    # The one T >= 1 rule: a length-1 alpha_bar passes the length check at T = 0.
+    for T, alpha_bar in ((0, [1.0]), (-1, [])):
+        with pytest.raises(ConfigError, match=f"^total_train_steps must be >= 1, got {T}$") as exc:
+            NoiseSchedule(total_train_steps=T, alpha_bar=np.array(alpha_bar))
         assert exc.value.fields == ("total_train_steps",)
 
 
@@ -63,6 +74,20 @@ def test_timestep_plan_even_stride():
     assert plan.timesteps[0] == 1000
     assert plan.timesteps[-1] == 20
     assert plan.timesteps == tuple(1000 - 20 * i for i in range(50))
+
+
+def test_timestep_plan_spreads_the_residue():
+    # 80 does not divide 1000: the strides are 12 and 13, and the last
+    # timestep sits within one stride of 0, not at 1000 - 79 * 12 = 52.
+    plan = timestep_plan(80, 1000)
+    assert plan.timesteps[:3] == (1000, 988, 975)
+    assert plan.timesteps[-1] == 12
+    assert {a - b for a, b in zip(plan.timesteps, plan.timesteps[1:])} == {12, 13}
+    assert timestep_plan(3, 1000).timesteps == (1000, 667, 333)
+    for T in range(1, 120):
+        for steps in range(1, T + 1):
+            ts = timestep_plan(steps, T).timesteps
+            assert len(ts) == steps and ts[0] == T and 0 < ts[-1] <= -(-T // steps), (T, steps)
 
 
 def test_timestep_plan_extremes():

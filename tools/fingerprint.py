@@ -318,6 +318,12 @@ _REFUSED = (
     " --edit-prompt dog",
     "edit --steps 2 --config {tmp}/layers-0.cfg --prompt cat --edit-prompt dog --blend-word dog",
     "invert --steps 2 --config {tmp}/layers-0.cfg --out {tmp}/t.fectraj --kv-out {tmp}/k.feckv",
+    "reconstruct --steps 2 --guidance 1e300",
+    "edit --steps 2 --guidance 1e300",
+    "invert --steps 2 --guidance 1e300",
+    "check-batch --steps 2 --guidance 1e300",
+    "timing --steps 2 --guidance 1e300",
+    "edit --method fec-kv-reuse --config {tmp}/constant-beta-40000.cfg",
 )
 
 _REFUSAL_FILES = {
@@ -347,6 +353,7 @@ _REFUSAL_FILES = {
     "layer-start-0.cfg": b"[run]\nlayer_start = 0\n",
     "inv-guidances-1.cfg": b"[run]\ninv_guidances = 1\n",
     "out-empty.cfg": b"[run]\nout =\n",
+    "constant-beta-40000.cfg": b"[schedule]\nkind = constant-beta\ntotal_steps = 40000\n",
     "bad-magic.fecmask": bytes(20),
 }
 
@@ -374,7 +381,9 @@ def refusals(digest, tmp):
             argv = shlex.split(request.replace("{tmp}", tmp))
             err = io.StringIO()
             try:
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                # The diverging requests overflow on purpose; numpy need not warn.
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                        np.errstate(over="ignore", invalid="ignore"):
                     outcome = cli_main(argv)
             except SystemExit as exc:  # argparse's own refusals
                 outcome = exc.code

@@ -163,7 +163,7 @@ MUTANTS = [
      "if value is not None and not any(reads(m, key) for m in methods):", "if False:",
      "refuse_unread refuses nothing, so every entry point drops an input its method ignores"),
     ("sweep-unread-layer-range-accepted", "src/fecdiff/harness.py",
-     "    refuse_unread(cfg.methods, layers=cfg.layer_range())\n", "",
+     "    refuse_unread(cfg.methods, layers=cfg.layers)\n", "",
      "run_sweep runs a layer range that none of its methods reads, which it then drops"),
     ("reconstruct-refuses-after-inverting", "src/fecdiff/harness.py",
      "    refuse_unread((method,), layers=layers)\n    if layers",
@@ -178,11 +178,49 @@ MUTANTS = [
      "    if layers is not None:\n        layers.fits(net.config.layer_count)\n",
      "reconstruct_once inverts and captures before it finds a range that ends past the network"),
     ("config-schedule-unchecked", "src/fecdiff/harness.py",
-     "        build_schedule(self.schedule_kind, self.total_train_steps)\n", "",
-     "ExperimentConfig accepts any schedule_kind and total_train_steps that the plan accepts"),
+     '        object.__setattr__(self, "sched", build_schedule(self.schedule_kind, T))\n',
+     "        try:\n"
+     '            object.__setattr__(self, "sched", build_schedule(self.schedule_kind, T))\n'
+     "        except ConfigError:\n"
+     '            object.__setattr__(self, "sched", build_schedule("scaled-linear-beta"))\n',
+     "ExperimentConfig accepts a schedule_kind or total_train_steps that build_schedule refuses"
+     " and keeps the default schedule"),
     ("config-plan-unchecked", "src/fecdiff/harness.py",
-     "        timestep_plan(self.steps, self.total_train_steps)\n", "",
-     "ExperimentConfig accepts a step count outside [1, total_train_steps]"),
+     '        object.__setattr__(self, "plan", timestep_plan(self.steps, T))\n',
+     "        try:\n"
+     '            object.__setattr__(self, "plan", timestep_plan(self.steps, T))\n'
+     "        except ConfigError:\n"
+     '            object.__setattr__(self, "plan", timestep_plan(min(max(self.steps, 1), T), T))\n',
+     "ExperimentConfig accepts a step count outside [1, total_train_steps] and clamps it"),
+    ("components-rebuild-schedule", "src/fecdiff/harness.py",
+     "return ToyDenoiser(self.denoiser), self.sched, self.plan",
+     "return (ToyDenoiser(self.denoiser),"
+     " build_schedule(self.schedule_kind, self.total_train_steps), self.plan)",
+     "components() builds the schedule again on every call"),
+    ("components-rebuild-plan", "src/fecdiff/harness.py",
+     "return ToyDenoiser(self.denoiser), self.sched, self.plan",
+     "return (ToyDenoiser(self.denoiser), self.sched,"
+     " timestep_plan(self.steps, self.total_train_steps))",
+     "components() builds the plan again on every call"),
+    ("schedule-t-unchecked", "src/fecdiff/schedule.py",
+     "        if T < 1:\n", "        if False:\n",
+     "NoiseSchedule drops its T >= 1 refusal, so T = 0 with a length-1 alpha_bar is a schedule"),
+    ("schedule-t-unnamed", "src/fecdiff/schedule.py",
+     'raise ConfigError(f"total_train_steps must be >= 1, got {T}", "total_train_steps")',
+     'raise ConfigError(f"total_train_steps must be >= 1, got {T}")',
+     "the T >= 1 refusal names no field, so the CLI cannot name the key or flag that set it"),
+    ("plan-fixed-stride", "src/fecdiff/schedule.py",
+     "TimestepPlan(tuple(T - round(i * T / steps) for i in range(steps)))",
+     "TimestepPlan(tuple(T - i * (T // steps) for i in range(steps)))",
+     "timestep_plan strides by T // steps, so the residue piles up above the last timestep"),
+    ("cli-non-finite-uncaught", "src/fecdiff/cli.py",
+     "except (ConfigError, FormatError, NonFiniteError, OSError) as exc:",
+     "except (ConfigError, FormatError, OSError) as exc:",
+     "a run that diverges ends in a NonFiniteError traceback, not one error line"),
+    ("layer-fit-bare-value-error", "src/fecdiff/denoiser.py",
+     'raise ConfigError(f"layer_end {self.end} exceeds layer_count {layer_count}",',
+     'raise ValueError(f"layer_end {self.end} exceeds layer_count {layer_count}",',
+     "LayerRange.fits raises a bare ValueError, which escapes cli.main as a traceback"),
     ("plan-steps-unchecked", "src/fecdiff/schedule.py",
      "if not 1 <= steps <= T:", "if False:",
      "timestep_plan takes a step count outside [1, T]"),
@@ -196,11 +234,11 @@ MUTANTS = [
      "            return as_mask(mask)\n", "            return mask\n",
      "read_mask returns values outside [0, 1], NaN or infinity"),
     ("timing-layer-range-dropped", "src/fecdiff/harness.py",
-     'cfg.layer_range() if reads(method, "layers") else None, guidance', "None, guidance",
+     'cfg.layers if reads(method, "layers") else None, guidance', "None, guidance",
      "report_timing's kv-reuse edit injects over every layer whatever the configured range"),
     ("layer-start-zero-unset", "src/fecdiff/harness.py",
-     "if self.layer_start is None and self.layer_end is None:",
-     "if not self.layer_start and self.layer_end is None:",
+     "if self.layer_start is not None or self.layer_end is not None:",
+     "if self.layer_start or self.layer_end is not None:",
      "a range set only by layer_start = 0 counts as unset, so fecdiff edit ignores it"),
     ("edit-blend-word-slot-unchecked", "src/fecdiff/editing.py",
      "    if req.blend_word is not None:\n"
@@ -220,8 +258,8 @@ MUTANTS = [
      "a command takes a flag only when it reads the flag's first field, so invert loses"
      " --guidance"),
     ("cli-os-error-uncaught", "src/fecdiff/cli.py",
-     "except (ConfigError, FormatError, OSError) as exc:",
-     "except (ConfigError, FormatError) as exc:",
+     "except (ConfigError, FormatError, NonFiniteError, OSError) as exc:",
+     "except (ConfigError, FormatError, NonFiniteError) as exc:",
      "a path the OS refuses escapes main as a traceback, not one error line and exit 2"),
     ("edit-method-field-dropped", "src/fecdiff/editing.py",
      'f" got {self.method!r}", "methods")', 'f" got {self.method!r}")',
