@@ -325,7 +325,8 @@ class ToyDenoiser:
         layer attends with, and ``trace_to(t, layer, maps)`` gets every
         layer's head-averaged cross-attention maps on the patch grid, of shape
         ``(*batch, grid_h, grid_w, n_tokens)``. Neither changes the output
-        unless ``kv`` swaps K or V.
+        unless ``kv`` swaps K or V. A non-finite input or float32 value raises
+        ``NonFiniteError``.
         """
         cfg = self.config
         z = np.asarray(z, dtype=np.float64)
@@ -341,7 +342,16 @@ class ToyDenoiser:
         if isinstance(kv, KVInject):
             kv.layers.fits(cfg.layer_count)
         self.call_counts[route] += 1
+        # An overflow raises where numpy would warn and run on with inf or
+        # NaN; a NaN input sets no flag, hence the float64 check above.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return self._forward(z, t, cond, kv, trace_to)
+        except FloatingPointError as exc:
+            raise NonFiniteError(f"non-finite float32 forward at t={t}: {exc}") from None
 
+    def _forward(self, z, t, cond, kv, trace_to) -> np.ndarray:
+        cfg = self.config
         c, h, w = cfg.latent_shape
         p = cfg.patch_size
         gh, gw = self.grid_shape

@@ -15,6 +15,7 @@ import numpy as np
 
 from .denoiser import KVCache
 from .sampling import Trajectory, as_mask
+from .schedule import TimestepPlan
 
 TRAJ_MAGIC = b"FECTRAJ1"
 KV_MAGIC = b"FECKV1"
@@ -24,8 +25,9 @@ _VERSION = 1
 
 
 class FormatError(ValueError):
-    """A file does not hold what its format says: bad magic, version,
-    float width or length, or a header that contradicts itself."""
+    """A file does not hold what its format says: bad magic, version or
+    length, a header that contradicts itself, or a value that the library's
+    own rule refuses (float width, timestep plan, mask)."""
 
 
 def _dtype(width: int):
@@ -39,11 +41,6 @@ def _dtype(width: int):
 def _check_shape(arr: np.ndarray, shape: tuple[int, ...], what: str):
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, not the header's {shape}")
-
-
-def _plan_order(timesteps) -> bool:
-    """Whether ``timesteps`` decrease strictly above 0, as a plan's do."""
-    return all(a > b for a, b in zip(timesteps, (*timesteps[1:], 0)))
 
 
 def _u32s(*values: int) -> bytes:
@@ -90,19 +87,15 @@ class _Reader:
         return self.f.read(n)
 
     def u32s(self, n: int) -> tuple[int, ...]:
-        raw = self.take(4 * n)
-        return struct.unpack(f"<{n}I", raw)
+        return struct.unpack(f"<{n}I", self.take(4 * n))
 
-    def timesteps(self, n: int) -> tuple[int, ...]:
-        timesteps = self.u32s(n)
-        if len(set(timesteps)) != n:
-            self.fail(f"timestep list repeats a timestep: {timesteps}")
-        return timesteps
-
-    def width(self, width: int) -> int:
-        if width not in (32, 64):
-            self.fail(f"float width must be 32 or 64, got {width}")
-        return width // 8
+    def check(self, rule, *args):
+        """``rule(*args)``: a library rule that a file obeys as memory does,
+        its ``ValueError`` reported as this file's ``FormatError``."""
+        try:
+            return rule(*args)
+        except ValueError as exc:
+            self.fail(str(exc))
 
     def payload(self, n_bytes: int):
         """Check that the payload still to read is ``n_bytes`` long."""
@@ -110,10 +103,10 @@ class _Reader:
             kind = "truncated" if n_bytes > self.left else "trailing bytes"
             self.fail(f"{kind}: the header describes {n_bytes} payload bytes, {self.left} left")
 
-    def array(self, shape: tuple[int, ...], width: int) -> np.ndarray:
+    def array(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """Decode straight into a new array; a width-32 payload is then
         widened, a width-64 one on a little-endian host is the result."""
-        out = np.empty(shape, dtype=_dtype(width))
+        out = np.empty(shape, dtype=dtype)
         got = self.f.readinto(out)
         if got != out.nbytes:
             self.fail(f"truncated: read {got} of {out.nbytes} payload bytes")
@@ -123,11 +116,10 @@ class _Reader:
 def write_trajectory(path, traj: Trajectory, float_width: int = 64):
     """Header: version, steps, float width, dims, guidance, seed, timestep
     list; payload: latents by descending t, then t = 0. The timestep list
-    must decrease strictly and stay above 0, and every latent is fetched
-    (``KeyError``) and checked against t = 0's shape (``ValueError``), all
-    before ``path`` is opened, so a failed write changes no file."""
-    if not _plan_order(traj.timesteps):
-        raise ValueError(f"timesteps {traj.timesteps} do not decrease strictly above 0")
+    must be a ``TimestepPlan``'s, and every latent is fetched (``KeyError``)
+    and checked against t = 0's shape (``ValueError``), all before ``path``
+    is opened, so a failed write changes no file."""
+    TimestepPlan(traj.timesteps)
     order = (*traj.timesteps, 0)
     latents = [traj[t] for t in order]
     dims = latents[-1].shape
@@ -143,32 +135,27 @@ def read_trajectory(path) -> Trajectory:
     with open(path, "rb") as f:
         r = _Reader(f, path, TRAJ_MAGIC, "trajectory")
         steps, width, rank = r.u32s(3)
-        nbytes = r.width(width)
+        dtype = r.check(_dtype, width)
         dims = r.u32s(rank)
         (guidance,) = struct.unpack("<d", r.take(8))
         (seed,) = struct.unpack("<q", r.take(8))
-        timesteps = r.timesteps(steps)
-        if not _plan_order(timesteps):
-            r.fail(f"timesteps {timesteps} do not decrease strictly above 0")
-        r.payload((steps + 1) * math.prod(dims) * nbytes)
-        latents = {t: r.array(dims, width) for t in timesteps}
-        latents[0] = r.array(dims, width)
-    return Trajectory(
-        latents=latents, timesteps=tuple(timesteps), guidance=guidance,
-        seed=None if seed < 0 else seed,
-    )
+        timesteps = r.check(TimestepPlan, r.u32s(steps)).timesteps
+        r.payload((steps + 1) * math.prod(dims) * dtype.itemsize)
+        latents = {t: r.array(dims, dtype) for t in timesteps}
+        latents[0] = r.array(dims, dtype)
+    return Trajectory(latents, timesteps, guidance, None if seed < 0 else seed)
 
 
 def write_kv_cache(path, cache: KVCache, float_width: int = 64):
     """Header: version, steps, layer count, float width, K/V dims, timestep
     list; entries ordered by (t descending, layer ascending), K before V.
-    The layer count is 1 + the highest cached layer. Every (t, layer) is
-    fetched (``KeyError``) and its K and V checked against the first
-    entry's (``ValueError``) before ``path`` is opened, so a failed write
-    changes no file."""
+    The layer count is 1 + the highest cached layer. The cached timesteps
+    must be a ``TimestepPlan``'s, as the reader requires, and every
+    (t, layer) is fetched (``KeyError``) and its K and V checked against
+    the first entry's (``ValueError``), all before ``path`` is opened, so
+    a failed write changes no file."""
     timesteps = cache.timesteps()
-    if not timesteps:
-        raise ValueError("cannot serialize an empty KV cache")
+    TimestepPlan(timesteps)
     layer_count = 1 + max(layer for _, layer in cache.entries)
     keys = [(t, layer) for t in timesteps for layer in range(layer_count)]
     entries = [cache.fetch(*key) for key in keys]
@@ -186,26 +173,25 @@ def read_kv_cache(path) -> KVCache:
     with open(path, "rb") as f:
         r = _Reader(f, path, KV_MAGIC, "KV cache")
         steps, layer_count, width = r.u32s(3)
-        nbytes = r.width(width)
-        if steps == 0 or layer_count == 0:
-            # write_kv_cache refuses an empty cache, so no file holds one.
-            r.fail(f"a KV cache holds at least one timestep and one layer, not {steps}"
-                   f" timesteps and {layer_count} layers")
+        dtype = r.check(_dtype, width)
+        if layer_count == 0:
+            # write_kv_cache writes 1 + the highest cached layer, so no file holds 0.
+            r.fail("a KV cache holds at least one layer, not 0")
         (k_rank,) = r.u32s(1)
         k_dims = r.u32s(k_rank)
         (v_rank,) = r.u32s(1)
         v_dims = r.u32s(v_rank)
-        timesteps = r.timesteps(steps)
+        timesteps = r.check(TimestepPlan, r.u32s(steps)).timesteps
         entry = math.prod(k_dims) + math.prod(v_dims)
         if entry == 0:
             # Empty entries would let the layer count alone set how many
             # the loop below stores, with no payload to bound it.
             r.fail(f"K/V entries of shapes {k_dims} and {v_dims} hold no values")
-        r.payload(steps * layer_count * entry * nbytes)
+        r.payload(steps * layer_count * entry * dtype.itemsize)
         for t in timesteps:
             for layer in range(layer_count):
-                k = r.array(k_dims, width)
-                v = r.array(v_dims, width)
+                k = r.array(k_dims, dtype)
+                v = r.array(v_dims, dtype)
                 cache.store(t, layer, k, v)
     return cache
 
@@ -221,9 +207,6 @@ def read_mask(path) -> np.ndarray:
     with open(path, "rb") as f:
         r = _Reader(f, path, MASK_MAGIC, "mask")
         width, h, w = r.u32s(3)
-        r.payload(h * w * r.width(width))
-        mask = r.array((h, w), width)
-        try:
-            return as_mask(mask)
-        except ValueError as exc:
-            r.fail(str(exc))
+        dtype = r.check(_dtype, width)
+        r.payload(h * w * dtype.itemsize)
+        return r.check(as_mask, r.array((h, w), dtype))

@@ -68,14 +68,20 @@ class TimestepPlan:
     """Strictly decreasing timestep subsequence used for skip sampling.
 
     ``timesteps`` is used in the given (descending) order for sampling;
-    its reverse is used for inversion.
+    its reverse is used for inversion. A plan holds at least one timestep,
+    and every one lies above 0, where the descent ends (``ValueError``).
     """
 
     timesteps: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b >= a for a, b in zip(self.timesteps, self.timesteps[1:])):
-            raise ValueError("timesteps must be strictly decreasing")
+        ts = self.timesteps
+        if not ts:
+            raise ValueError("a timestep plan needs at least one timestep")
+        for a, b in zip(ts, (*ts[1:], 0)):
+            if a <= b:  # the first bad pair only, so a long list gives a short message
+                raise ValueError(f"timesteps do not decrease strictly above 0:"
+                                 f" t={a} is not above {b}")
 
     @property
     def steps(self) -> int:

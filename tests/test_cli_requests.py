@@ -1,7 +1,8 @@
 """Random command-line requests: each exits 0; or 1 for a sweep with a failed
 row or a check-batch divergence; or 2 with exactly one ``fecdiff
 <command>: error:`` line, or argparse's usage form. No exception escapes
-``main``, so a traceback never reaches the user.
+``main`` and nothing issues a ``RuntimeWarning``, so neither a traceback
+nor a numpy warning reaches the user.
 
 Requests draw a command, then up to four configuration-file keys and up
 to three flags from pools that mix valid and invalid values: the keys the
@@ -17,6 +18,7 @@ import io
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -119,7 +121,10 @@ def _run(argv, text) -> tuple[object, str, str]:
         os.chdir(tmp)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    warnings.catch_warnings():
+                # A numpy warning escapes as an exception: the one error line
+                # must hold outside pytest too, where warnings print.
+                warnings.simplefilter("error", RuntimeWarning)
                 code = main(argv)
         except SystemExit as exc:
             code = exc.code

@@ -3,7 +3,10 @@ import itertools
 from collections import Counter
 from dataclasses import replace
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -841,30 +844,54 @@ def test_cli_config_errors_print_one_line_and_exit_2(argv, fault, capsys, tmp_pa
     assert calls == []
 
 
+_CAST = "t=1000: overflow encountered in cast"
+
+
 @pytest.mark.parametrize(
-    "argv, stage",
+    "argv, fault",
     [
-        (["reconstruct", "--steps", "2", "--guidance", "1e300"], "inversion at t=1000"),
-        (["edit", "--steps", "2", "--guidance", "1e300"], "inversion at t=1000"),
-        (["invert", "--steps", "2", "--guidance", "1e300", "--out", "{tmp}/t.fectraj"],
-         "inversion at t=1000"),
-        (["check-batch", "--steps", "2", "--guidance", "1e300"], "inversion at t=1000"),
-        (["timing", "--steps", "2", "--guidance", "1e300"], "inversion at t=1000"),
-        # alpha_bar floors at 1.2e-322, so the last step back to t = 0 overflows.
+        # A finite float64 input past float32's range.
+        (["reconstruct", "--steps", "2", "--guidance", "1e300"], _CAST),
+        (["edit", "--steps", "2", "--guidance", "1e300"], _CAST),
+        (["invert", "--steps", "2", "--guidance", "1e300", "--out", "{tmp}/t.fectraj"], _CAST),
+        (["check-batch", "--steps", "2", "--guidance", "1e300"], _CAST),
+        (["timing", "--steps", "2", "--guidance", "1e300"], _CAST),
+        # A finite float32 input whose layer-norm square overflows.
+        (["invert", "--steps", "2", "--guidance", "1e20", "--out", "{tmp}/t.fectraj"],
+         "t=1000: overflow encountered in multiply"),
+        # alpha_bar floors at 1.2e-322, so the descent's latents outgrow float32.
         (["edit", "--method", "fec-kv-reuse", "--config", "{tmp}/constant-beta.cfg"],
-         "fec-kv-reuse sampling at t=26400"),
+         "t=32000: overflow encountered in multiply"),
     ],
-    ids=["reconstruct", "edit", "invert", "check-batch", "timing", "edit-constant-beta"],
+    ids=["reconstruct", "edit", "invert", "check-batch", "timing", "invert-1e20",
+         "edit-constant-beta"],
 )
-def test_cli_a_diverging_run_exits_2_with_one_line(argv, stage, tmp_path, capsys):
+def test_cli_a_diverging_run_exits_2_with_one_line(argv, fault, tmp_path, capsys):
     (tmp_path / "constant-beta.cfg").write_text(
         "[schedule]\nkind = constant-beta\ntotal_steps = 40000\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(argv) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"fecdiff {argv[0]}: error: non-finite latent during {stage}"]
+    assert err == [f"fecdiff {argv[0]}: error: non-finite float32 forward at {fault}"]
     assert not (tmp_path / "t.fectraj").exists()
+
+
+@pytest.mark.parametrize("guidance, fault", [("1e300", _CAST),
+                                             ("1e20", "t=1000: overflow encountered in multiply")],
+                         ids=["1e300", "1e20"])
+def test_cli_a_diverging_run_prints_one_line_in_a_real_process(guidance, fault, tmp_path):
+    # A fresh interpreter keeps numpy's and Python's default warning
+    # handling, which in-process tests capture or silence.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    out = tmp_path / "X"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fecdiff.cli", "invert", "--steps", "2", "--guidance", guidance,
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"fecdiff invert: error: non-finite float32 forward at {fault}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

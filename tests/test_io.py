@@ -129,6 +129,18 @@ def test_empty_kv_cache_rejected(tmp_path):
         write_kv_cache(tmp_path / "c.feckv", KVCache())
 
 
+def test_a_kv_cache_entry_at_t_0_is_refused_before_the_file_is_opened(tmp_path):
+    # read_kv_cache refuses a timestep list that is no plan, so the file
+    # the writer would make could not be read back.
+    cache = KVCache()
+    for t in (20, 0):
+        cache.store(t, 0, np.zeros((2, 3)), np.zeros((2, 3)))
+    path = tmp_path / "c.feckv"
+    with pytest.raises(ValueError, match="t=0 is not above 0"):
+        write_kv_cache(path, cache)
+    assert not path.exists()
+
+
 def test_kv_cache_missing_an_entry_is_rejected_on_write(tmp_path):
     # The layer count comes from the highest cached layer; a gap below it
     # is no smaller cache.
@@ -314,7 +326,8 @@ def test_malformed_headers_name_the_fault(tmp_path, valid_files):
         (b"", read_mask, "bad magic"),
     ]
     # Timesteps (30, 20, 10) -> (30, 30, 10).
-    cases.append((data[:56] + data[52:56] + data[60:], read_trajectory, "repeats a timestep"))
+    cases.append((data[:56] + data[52:56] + data[60:], read_trajectory,
+                  "do not decrease strictly above 0: t=30 is not above 30"))
     kv, _ = valid_files["kv"]
     # K dims (3, 4) -> (0, 4) and V dims (3, 5) -> (0, 5): empty entries.
     header = bytearray(kv)
@@ -322,11 +335,12 @@ def test_malformed_headers_name_the_fault(tmp_path, valid_files):
     header[38:42] = (0).to_bytes(4, "little")
     cases.append((bytes(header), read_kv_cache, "hold no values"))
     # Timesteps (30, 20) -> (30, 30).
-    cases.append((kv[:50] + kv[46:50] + kv[54:], read_kv_cache, "repeats a timestep"))
+    cases.append((kv[:50] + kv[46:50] + kv[54:], read_kv_cache,
+                  "do not decrease strictly above 0: t=30 is not above 30"))
     # A cache of 0 timesteps or 0 layers, which write_kv_cache refuses to write.
     zero = (0).to_bytes(4, "little")
-    cases.append((kv[:10] + zero + kv[14:], read_kv_cache, "not 0 timesteps and 2 layers"))
-    cases.append((kv[:14] + zero + kv[18:], read_kv_cache, "not 2 timesteps and 0 layers"))
+    cases.append((kv[:10] + zero + kv[14:], read_kv_cache, "needs at least one timestep"))
+    cases.append((kv[:14] + zero + kv[18:], read_kv_cache, "at least one layer, not 0"))
     mask, _ = valid_files["mask"]
     # A 0x0 mask, which write_mask refuses to write.
     cases.append((mask[:16] + zero + zero, read_mask, r"mask is empty: shape \(0, 0\)"))

@@ -8,6 +8,7 @@ from fecdiff.schedule import (
     SCHEDULE_KINDS,
     ConfigError,
     NoiseSchedule,
+    TimestepPlan,
     build_schedule,
     timestep_plan,
 )
@@ -110,3 +111,21 @@ def test_plan_pairs_consistency():
     assert down == [(t, tp) for tp, t in reversed(up)]
     for t, t_prev in down:
         assert t > t_prev
+
+
+@pytest.mark.parametrize(
+    "timesteps, message",
+    [((), "a timestep plan needs at least one timestep"),
+     ((5, 0), "t=0 is not above 0"),
+     ((5, -1), "t=-1 is not above 0"),
+     ((30, 30, 10), "t=30 is not above 30"),
+     ((10, 20), "t=10 is not above 20"),
+     ((*range(10**5, 0, -1), 7), "t=1 is not above 7")],
+    ids=["empty", "ends-at-0", "ends-below-0", "repeats", "ascending", "long"],
+)
+def test_a_plan_decreases_strictly_above_0(timesteps, message):
+    # Each of these reached a sampler before, which died with an IndexError
+    # (empty) or a step-level message (t_prev = 0 or -1 at the last step).
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+        TimestepPlan(timesteps)
+    assert len(str(exc.value)) < 80  # the first bad pair, not the whole list

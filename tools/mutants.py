@@ -125,7 +125,9 @@ MUTANTS = [
      'if req.method == "fec-noise" and not reconstruct and unmasked:', "if False:",
      "run_edit runs a fec-noise edit of a changed prompt that has no mask source"),
     ("trajectory-order-unread", "src/fecdiff/io_formats.py",
-     "if not _plan_order(timesteps):", "if False:",
+     '(seed,) = struct.unpack("<q", r.take(8))\n'
+     "        timesteps = r.check(TimestepPlan, r.u32s(steps)).timesteps",
+     '(seed,) = struct.unpack("<q", r.take(8))\n        timesteps = r.u32s(steps)',
      "read_trajectory accepts a timestep list that is not strictly decreasing above 0"),
     ("cli-leftovers-top-level", "src/fecdiff/cli.py",
      "args.subparser.error(", "build_parser().error(",
@@ -225,13 +227,13 @@ MUTANTS = [
      "if not 1 <= steps <= T:", "if False:",
      "timestep_plan takes a step count outside [1, T]"),
     ("kv-empty-header-accepted", "src/fecdiff/io_formats.py",
-     "if steps == 0 or layer_count == 0:", "if False:",
-     "read_kv_cache reads a header of 0 timesteps or 0 layers as an empty cache"),
+     "if layer_count == 0:", "if False:",
+     "read_kv_cache reads a header of 0 layers as an empty cache"),
     ("mask-empty-accepted", "src/fecdiff/sampling.py",
      'raise ValueError(f"mask is empty: shape {mask.shape}")', "pass",
      "as_mask takes an empty mask, which then fails in numpy's reduction"),
     ("mask-read-range-unchecked", "src/fecdiff/io_formats.py",
-     "            return as_mask(mask)\n", "            return mask\n",
+     "return r.check(as_mask, r.array((h, w), dtype))", "return r.array((h, w), dtype)",
      "read_mask returns values outside [0, 1], NaN or infinity"),
     ("timing-layer-range-dropped", "src/fecdiff/harness.py",
      'cfg.layers if reads(method, "layers") else None, guidance', "None, guidance",
@@ -290,6 +292,22 @@ MUTANTS = [
     ("kernel-test-same-kernel", "tests/test_blas_kernel.py",
      "OPENBLAS_CORETYPE=other)", "OPENBLAS_CORETYPE=running)",
      "the second-kernel test runs its child under the kernel it already runs"),
+    ("plan-end-unbounded", "src/fecdiff/schedule.py",
+     "for a, b in zip(ts, (*ts[1:], 0)):", "for a, b in zip(ts, ts[1:]):",
+     "TimestepPlan drops its > 0 bound, so a plan may end at or below t = 0"),
+    ("plan-empty-accepted", "src/fecdiff/schedule.py",
+     "        if not ts:\n", "        if False:\n",
+     "TimestepPlan accepts an empty plan, which a sampler then indexes"),
+    ("reader-rule-bare-value-error", "src/fecdiff/io_formats.py",
+     "except ValueError as exc:", "except FormatError as exc:",
+     "a reader lets a library rule's bare ValueError escape, not a FormatError naming the path"),
+    ("kv-writer-plan-unchecked", "src/fecdiff/io_formats.py",
+     "    TimestepPlan(timesteps)\n", "",
+     "write_kv_cache writes a cache with an entry at t <= 0, a file its reader refuses"),
+    ("predict-errstate-dropped", "src/fecdiff/denoiser.py",
+     'with np.errstate(over="raise", invalid="raise"):', "with np.errstate():",
+     "predict warns on a float32 overflow and runs on with inf or NaN, or saturates to a"
+     " finite wrong answer"),
     ("inversion-noise-at-t-prev", "src/fecdiff/sampling.py",
      "guided_noise(net, z, t, ctx, route=route, kv=cache,",
      "guided_noise(net, z, t_prev, ctx, route=route, kv=cache,",
