@@ -82,15 +82,28 @@ FLAGS = {
 }
 
 
+def _refuse_unwritable(path: str, name: str):
+    """Refuse an output path that no write could open: an empty one, a
+    directory, or one in a directory that does not exist. Checked before
+    the run, so a refused request computes and writes nothing."""
+    if not path:
+        raise ConfigError("an empty path names no file", name)
+    if os.path.isdir(path):
+        raise ConfigError(f"{path} is a directory", name)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"{path}: its directory does not exist", name)
+
+
 def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
     """The file's values with the flags laid over them, built once. A file
     key whose field the command does not read (``COMMANDS``) is refused,
     unless a flag overrides it. Every command but ``sweep`` runs one entry
     of each list, so a list the user set must hold one; ``method`` is the
-    one a command runs when the user sets none. Every refusal, here or in
-    ``load_config_file`` and the config classes, is a ``ConfigError``,
-    which ``main`` names by the ``args.sources`` entry (``[section] key``
-    or ``--flag``) of each field."""
+    one a command runs when the user sets none. An output path, ``out`` or
+    ``--kv-out``, must be writable (``_refuse_unwritable``). Every refusal,
+    here or in ``load_config_file`` and the config classes, is a
+    ``ConfigError``, which ``main`` names by the ``args.sources`` entry
+    (``[section] key`` or ``--flag``) of each field."""
     values = load_config_file(args.config) if args.config else {}
     args.sources = sources = {name: f"[{section}] {key}"
                               for section, key, _, name in CONFIG_KEYS if name in values}
@@ -99,8 +112,10 @@ def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
         if given is not None:
             for name, parse in fields:
                 values[name], sources[name] = parse(given), flag
-    if getattr(args, "mask", None) is not None:
-        sources["mask"] = "--mask"  # names run_edit's user-mask refusals
+    for flag in ("--mask", "--kv-out"):  # flags that set no field, named in their refusals
+        name = flag[2:].replace("-", "_")
+        if getattr(args, name, None) is not None:
+            sources[name] = flag
     reads = COMMANDS[args.command][1]
     for name, source in sources.items():
         if source.startswith("[") and name not in reads:
@@ -113,19 +128,20 @@ def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
         if len(got) > 1:
             raise ConfigError(f"{args.command} runs one entry of {name}, not {len(got)}:"
                               f" {', '.join(map(repr, got))}", name)
+    for name, path in (("out", cfg.out), ("kv_out", getattr(args, "kv_out", None))):
+        if path is not None:
+            _refuse_unwritable(path, name)
     return cfg
 
 
 def _cmd_invert(args) -> int:
     cfg = _config_from_args(args)
     net, sched, plan = cfg.components()
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
-    (ctx,) = guidance_contexts(net, (cfg.prompts[0],), cfg.inv_guidances[0], cfg.embed_seed)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
+    (ctx,) = guidance_contexts((cfg.prompts[0],), cfg.inv_guidances[0], cfg.embed_seed)
     out = "trajectory.fectraj" if cfg.out is None else cfg.out
     capture = args.kv_out is not None
     if capture:
-        if not args.kv_out:
-            raise ConfigError("--kv-out is empty, so it names no file")
         root, ext = os.path.splitext(args.kv_out)
         uncond_path = f"{root}.uncond{ext}"
         for kv_path in (args.kv_out, uncond_path):
@@ -148,7 +164,7 @@ def _cmd_reconstruct(args) -> int:
     cfg = _config_from_args(args)
     net, sched, plan = cfg.components()
     method = cfg.methods[0]
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
     # Only the --out file's step losses read the descent's latents.
     record = None if cfg.out is None else {}
     out, traj = reconstruct_once(
@@ -180,7 +196,7 @@ def _cmd_edit(args) -> int:
         guidance=cfg.samp_guidances[0],
     )
     net, sched, plan = cfg.components()
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
     user_mask = None if args.mask is None else read_mask(args.mask)
     out, report = run_edit(net, sched, plan, z0, req, cfg.embed_seed, user_mask)
     print(f"method = {req.method}")

@@ -14,14 +14,18 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .schedule import ConfigError, NoiseSchedule
 
-DEFAULT_LATENT_SHAPE = (4, 16, 16)
-DEFAULT_N_TOKENS = 8
-DEFAULT_TOKEN_DIM = 64
+# The toy network's one shape: the latent (channels, height, width), the side
+# of its square patches, and a prompt's token count and token width.
+LATENT_SHAPE = (4, 16, 16)
+PATCH_SIZE = 2
+N_TOKENS = 8
+TOKEN_DIM = 64
 
 _PAD_WORD = "\x00pad"
 
@@ -40,7 +44,7 @@ def _word_rng(seed: int, word: str) -> np.random.Generator:
 class PromptEmbedding:
     """Deterministic pseudo text embedding: one seeded vector per word."""
 
-    tokens: np.ndarray  # (n_tokens, dim)
+    tokens: np.ndarray  # (N_TOKENS, TOKEN_DIM)
     source_text: str
     seed: int
 
@@ -57,22 +61,17 @@ class PromptEmbedding:
         return idx
 
 
-def embed_prompt(
-    text: str,
-    seed: int,
-    n_tokens: int = DEFAULT_N_TOKENS,
-    dim: int = DEFAULT_TOKEN_DIM,
-) -> PromptEmbedding:
+def embed_prompt(text: str, seed: int) -> PromptEmbedding:
     """Hash whitespace-split words to seeded pseudo-random token vectors.
 
     Unused slots (and the whole embedding of the empty string) carry a
     fixed pad vector, so the empty prompt is a reserved null embedding.
     """
-    words = text.split()[:n_tokens]
-    pad = _word_rng(seed, _PAD_WORD).standard_normal(dim)
-    tokens = np.tile(pad, (n_tokens, 1))
+    words = text.split()[:N_TOKENS]
+    pad = _word_rng(seed, _PAD_WORD).standard_normal(TOKEN_DIM)
+    tokens = np.tile(pad, (N_TOKENS, 1))
     for i, w in enumerate(words):
-        tokens[i] = _word_rng(seed, w).standard_normal(dim)
+        tokens[i] = _word_rng(seed, w).standard_normal(TOKEN_DIM)
     tokens.setflags(write=False)
     return PromptEmbedding(tokens=tokens, source_text=text, seed=seed)
 
@@ -155,7 +154,7 @@ class KVInject:
 class AttentionTrace:
     """Head-averaged cross-attention maps per (timestep, layer). The trace
     is the ``trace_to`` hook: ``trace(t, layer, maps)`` stores one layer's
-    maps on the patch grid, shape ``(*batch, grid_h, grid_w, n_tokens)``,
+    maps on the patch grid, shape ``(*batch, grid_h, grid_w, N_TOKENS)``,
     softmax weights that sum to 1 along the last axis."""
 
     maps: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
@@ -177,23 +176,21 @@ class DenoiserConfig:
     layer_count: int = 4
     head_count: int = 4
     model_dim: int = 64
-    latent_shape: tuple[int, int, int] = DEFAULT_LATENT_SHAPE
-    patch_size: int = 2
-    n_tokens: int = DEFAULT_N_TOKENS
-    token_dim: int = DEFAULT_TOKEN_DIM
     init_seed: int = 0
+    # The fixed shape, readable from a configuration as from the module.
+    latent_shape: ClassVar[tuple[int, int, int]] = LATENT_SHAPE
+    patch_size: ClassVar[int] = PATCH_SIZE
+    n_tokens: ClassVar[int] = N_TOKENS
+    token_dim: ClassVar[int] = TOKEN_DIM
 
     def __post_init__(self):
-        d, nh, (h, w), p = self.model_dim, self.head_count, self.latent_shape[1:], self.patch_size
+        d, nh = self.model_dim, self.head_count
         # The sinusoidal embeddings split the width into sin and cos halves.
         if d <= 0 or d % 2:
             raise ConfigError(f"model_dim must be positive and even, got {d}", "model_dim")
         if nh <= 0 or d % nh:
             raise ConfigError(f"model_dim {d} must be divisible by head_count {nh}",
                               "model_dim", "head_count")
-        if h % p or w % p:
-            raise ConfigError(f"latent spatial dims {(h, w)} not divisible by patch size {p}",
-                              "latent_shape", "patch_size")
         # A network with no attention layer has nothing to capture, inject or trace.
         for name, low in (("layer_count", 1), ("init_seed", 0)):
             if getattr(self, name) < low:
@@ -256,8 +253,8 @@ class ToyDenoiser:
 
     def __init__(self, config: DenoiserConfig = DenoiserConfig()):
         self.config = config
-        c, h, w = config.latent_shape
-        p = config.patch_size
+        c, h, w = LATENT_SHAPE
+        p = PATCH_SIZE
         d = config.model_dim
         rng = np.random.default_rng(config.init_seed)
 
@@ -277,8 +274,8 @@ class ToyDenoiser:
                     # sensitivity of the network flows mainly through the
                     # K/V path rather than the residual MLP.
                     "wq": lin(d, d), "wk": lin(d, d), "wv": 2.0 * lin(d, d), "wo": lin(d, d),
-                    "cq": lin(d, d), "ck": lin(config.token_dim, d),
-                    "cv": lin(config.token_dim, d), "co": lin(d, d),
+                    "cq": lin(d, d), "ck": lin(TOKEN_DIM, d), "cv": lin(TOKEN_DIM, d),
+                    "co": lin(d, d),
                     "w1": lin(d, 2 * d), "w2": lin(2 * d, d),
                 }
             )
@@ -317,30 +314,27 @@ class ToyDenoiser:
         """Predicted noise eps(z, t, cond), same shape as z, as float64; the
         network between computes in float32.
 
-        ``z`` is one latent of shape ``latent_shape`` or a stack of shape
-        ``(B, *latent_shape)``; a stack is one call, and its rows share
+        ``z`` is one latent of shape ``LATENT_SHAPE`` or a stack of shape
+        ``(B, *LATENT_SHAPE)``; a stack is one call, and its rows share
         ``t`` and ``cond``. Each hook is a callable that ``predict`` hands
         its arrays to and sets nothing on: ``kv(t, layer, k, v)`` sees every
         self-attention layer's float32 K and V and returns the pair the
         layer attends with, and ``trace_to(t, layer, maps)`` gets every
         layer's head-averaged cross-attention maps on the patch grid, of shape
-        ``(*batch, grid_h, grid_w, n_tokens)``. Neither changes the output
+        ``(*batch, grid_h, grid_w, N_TOKENS)``. Neither changes the output
         unless ``kv`` swaps K or V. A non-finite input or float32 value raises
         ``NonFiniteError``.
         """
-        cfg = self.config
         z = np.asarray(z, dtype=np.float64)
-        if z.ndim > 4 or z.shape[-3:] != cfg.latent_shape:
-            raise ValueError(
-                f"latent shape {z.shape} does not match config {cfg.latent_shape}"
-                " or a stack of it"
-            )
+        if z.ndim > 4 or z.shape[-3:] != LATENT_SHAPE:
+            raise ValueError(f"latent shape {z.shape} is not {LATENT_SHAPE} or a stack of it")
         if not np.all(np.isfinite(z)):
             raise NonFiniteError(f"non-finite latent passed to denoiser at t={t}")
-        if cond.tokens.shape != (cfg.n_tokens, cfg.token_dim):
-            raise ValueError("prompt embedding shape does not match denoiser config")
+        if cond.tokens.shape != (N_TOKENS, TOKEN_DIM):
+            raise ValueError(f"prompt embedding shape {cond.tokens.shape} is not"
+                             f" {(N_TOKENS, TOKEN_DIM)}")
         if isinstance(kv, KVInject):
-            kv.layers.fits(cfg.layer_count)
+            kv.layers.fits(self.config.layer_count)
         self.call_counts[route] += 1
         # An overflow raises where numpy would warn and run on with inf or
         # NaN; a NaN input sets no flag, hence the float64 check above.
@@ -351,9 +345,8 @@ class ToyDenoiser:
             raise NonFiniteError(f"non-finite float32 forward at t={t}: {exc}") from None
 
     def _forward(self, z, t, cond, kv, trace_to) -> np.ndarray:
-        cfg = self.config
-        c, h, w = cfg.latent_shape
-        p = cfg.patch_size
+        c, h, w = LATENT_SHAPE
+        p = PATCH_SIZE
         gh, gw = self.grid_shape
         lead = z.shape[:-3]
         x = np.moveaxis(z.reshape(*lead, c, gh, p, gw, p), (-4, -2), (-5, -4))
@@ -362,7 +355,7 @@ class ToyDenoiser:
         # ``hdd`` is a fresh array from here on, so the residual adds below
         # run in place, each keeping its expression's association.
         hdd = x @ self.w_in
-        hdd += _sinusoidal(float(t), cfg.model_dim).astype(np.float32) @ self.w_time
+        hdd += _sinusoidal(float(t), self.config.model_dim).astype(np.float32) @ self.w_time
         hdd += self.pos
 
         for layer, blk in enumerate(self.blocks):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import AttentionTrace, ConfigError, LayerRange, PromptEmbedding
+from .denoiser import LATENT_SHAPE, AttentionTrace, ConfigError, LayerRange, PromptEmbedding
 from .metrics import latent_loss, trajectory_loss_curve
 from .sampling import (
     KV_METHODS,
@@ -129,7 +129,7 @@ def run_edit(
     changed prompt with neither, and a blend word outside the edit
     prompt's token slots. A user mask that is empty or holds a value
     outside [0, 1] raises ``as_mask``'s ``ValueError``."""
-    grid = tuple(net.config.latent_shape[1:])
+    grid = LATENT_SHAPE[1:]
     if req.layer_range is not None:
         req.layer_range.fits(net.config.layer_count)
     refuse_unread((req.method,), mask=user_mask)
@@ -149,9 +149,8 @@ def run_edit(
     if req.method == "fec-noise" and not reconstruct and unmasked:
         raise ConfigError("a fec-noise edit needs a mask or a blend word, or it returns the source",
                           "edit_prompts")
-    ctx, edit_ctx = guidance_contexts(
-        net, (req.source_prompt, req.edit_prompt), req.guidance, embed_seed
-    )
+    ctx, edit_ctx = guidance_contexts((req.source_prompt, req.edit_prompt), req.guidance,
+                                      embed_seed)
     if req.blend_word is not None:
         edit_ctx.cond.word_index(req.blend_word)  # raises when absent or past the slots
     res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=req.method in KV_METHODS))

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoiser import ConfigError, DenoiserConfig, LayerRange, ToyDenoiser
+from .denoiser import LATENT_SHAPE, ConfigError, DenoiserConfig, LayerRange, ToyDenoiser
 from .editing import EDIT_METHODS, EditRequest, run_edit
-from .metrics import SSIM_WINDOW, latent_loss, psnr, ssim
+from .metrics import latent_loss, psnr, ssim
 from .sampling import (
     KV_METHODS,
     RECON_METHODS,
@@ -45,17 +45,15 @@ SYNTH_KINDS = ("gaussian", "blocks", "gradient")
 LIST_FIELDS = ("methods", "inv_guidances", "samp_guidances", "seeds", "prompts", "edit_prompts")
 
 
-def generate_synthetic_latent(
-    seed: int, kind: str = "gaussian", shape: tuple[int, int, int] = (4, 16, 16)
-) -> np.ndarray:
-    """Deterministic synthetic latent of the given kind."""
+def generate_synthetic_latent(seed: int, kind: str = "gaussian") -> np.ndarray:
+    """Deterministic synthetic latent of the given kind, of ``LATENT_SHAPE``."""
     rng = np.random.default_rng(seed)
-    c, h, w = shape
+    c, h, w = LATENT_SHAPE
     if kind == "gaussian":
-        return rng.standard_normal(shape)
+        return rng.standard_normal(LATENT_SHAPE)
     if kind == "blocks":
         # Quadrant blocks with per-channel constant values.
-        z = np.empty(shape)
+        z = np.empty(LATENT_SHAPE)
         levels = rng.standard_normal((c, 2, 2))
         z[:, : h // 2, : w // 2] = levels[:, 0, 0, None, None]
         z[:, : h // 2, w // 2 :] = levels[:, 0, 1, None, None]
@@ -180,7 +178,7 @@ def reconstruct_once(
     refuse_unread((method,), layers=layers)
     if layers is not None:
         layers.fits(net.config.layer_count)
-    (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)
+    (inv_ctx,) = guidance_contexts((prompt,), inv_scale, embed_seed)
     res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=method in KV_METHODS))
     samp_ctx = replace(inv_ctx, scale=samp_scale)
     out = sample_method(net, res, method, samp_ctx, plan, sched, layers, record=record)
@@ -210,15 +208,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     sampling and metrics, or for a row that shares them its lookup alone,
     not the shared inversion. Failures are recorded in the row, not
     raised; a failed inversion fails, and times, every row of its key.
-    An unread layer range (``refuse_unread``), or a latent grid too small
-    for the SSIM window, which fails every row alike, raises first."""
+    An unread layer range (``refuse_unread``) raises first."""
     refuse_unread(cfg.methods, layers=cfg.layers)
-    h, w = cfg.denoiser.latent_shape[1:]
-    if min(h, w) < SSIM_WINDOW:
-        raise ValueError(
-            f"latent grid {h}x{w} is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
-            " that scores every sweep row"
-        )
     net, sched, plan = cfg.components()
     capture = CaptureOptions(kv=any(m in KV_METHODS for m in cfg.methods))
     cells = itertools.product(
@@ -249,8 +240,8 @@ def _sweep_key(net, sched, plan, cfg, capture, inv_g, prompt, seed, rows):
     """Invert one key and fill in its rows."""
     t0 = time.perf_counter()
     try:
-        z0 = generate_synthetic_latent(seed, cfg.data_kind, net.config.latent_shape)
-        (inv_ctx,) = guidance_contexts(net, (prompt,), inv_g, cfg.embed_seed)
+        z0 = generate_synthetic_latent(seed, cfg.data_kind)
+        (inv_ctx,) = guidance_contexts((prompt,), inv_g, cfg.embed_seed)
         res = invert(net, z0, inv_ctx, plan, sched, capture)
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         failure = {"error": f"{type(exc).__name__}: {exc}", "time_s": time.perf_counter() - t0}
@@ -282,8 +273,8 @@ def check_batch_invariance(cfg: ExperimentConfig) -> dict:
     single run at both levels."""
     net, sched, plan = cfg.components()
     prompt, g = cfg.prompts[0], cfg.samp_guidances[0]
-    (ctx,) = guidance_contexts(net, (prompt,), g, cfg.embed_seed)
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
+    (ctx,) = guidance_contexts((prompt,), g, cfg.embed_seed)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
     stacked = np.stack([z0, z0])
 
     single = net.predict(z0, plan.timesteps[0], ctx.cond)
@@ -317,14 +308,14 @@ def report_timing(cfg: ExperimentConfig) -> dict:
     The kv-reuse edit injects over ``cfg.layers`` and makes no
     reconstruction-route calls."""
     net, sched, plan = cfg.components()
-    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind, net.config.latent_shape)
+    z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source
     guidance = cfg.samp_guidances[0]
     blend = cfg.blend_word or next((w for w in edit.split() if w not in source.split()), None)
 
     def direct_paired():
-        ctx, edit_ctx = guidance_contexts(net, (source, edit), guidance, cfg.embed_seed)
+        ctx, edit_ctx = guidance_contexts((source, edit), guidance, cfg.embed_seed)
         res = invert(net, z0, ctx, plan, sched)
         sample_method(net, res, "direct", ctx, plan, sched)
         sample_method(net, res, "direct", edit_ctx, plan, sched, route="edit")

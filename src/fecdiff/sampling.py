@@ -49,14 +49,12 @@ class GuidanceContext:
 
 
 def guidance_contexts(
-    net, prompts: tuple[str, ...], scale: float, embed_seed: int = 0
+    prompts: tuple[str, ...], scale: float, embed_seed: int = 0
 ) -> list[GuidanceContext]:
-    """One context per prompt at ``scale``, all sharing the null embedding,
-    with every embedding sized to the network's token shape."""
-    n_tokens, dim = net.config.n_tokens, net.config.token_dim
-    null = embed_prompt("", embed_seed, n_tokens, dim)
+    """One context per prompt at ``scale``, all sharing the null embedding."""
+    null = embed_prompt("", embed_seed)
     return [
-        GuidanceContext(scale=scale, cond=embed_prompt(p, embed_seed, n_tokens, dim), uncond=null)
+        GuidanceContext(scale=scale, cond=embed_prompt(p, embed_seed), uncond=null)
         for p in prompts
     ]
 

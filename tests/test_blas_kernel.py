@@ -44,7 +44,7 @@ def exactness_set() -> dict:
     fp = _fingerprint()
     cfg = ExperimentConfig(steps=10, prompts=("a cat",))
     net, sched, plan = cfg.components()
-    z0 = generate_synthetic_latent(1, "gaussian", net.config.latent_shape)
+    z0 = generate_synthetic_latent(1, "gaussian")
 
     def run(method):
         return reconstruct_once(net, sched, plan, z0, method, "a cat", 7.5, 7.5)[0]

@@ -9,6 +9,7 @@ from fecdiff.denoiser import (
     KVInject,
     LayerRange,
     NonFiniteError,
+    PromptEmbedding,
     ToyDenoiser,
     _gelu,
     _layer_norm,
@@ -93,7 +94,7 @@ def test_predict_input_validation(net, cond):
     with pytest.raises(NonFiniteError):
         net.predict(z, 500, cond)
     with pytest.raises(ValueError):
-        net.predict(_latent(0), 500, embed_prompt("x", 0, n_tokens=4))
+        net.predict(_latent(0), 500, PromptEmbedding(np.zeros((4, 64)), "x", 0))
 
 
 def test_weights_depend_on_init_seed(cond):
@@ -101,11 +102,6 @@ def test_weights_depend_on_init_seed(cond):
     a = ToyDenoiser(DenoiserConfig(init_seed=0)).predict(z, 500, cond)
     b = ToyDenoiser(DenoiserConfig(init_seed=1)).predict(z, 500, cond)
     assert not np.array_equal(a, b)
-
-
-def test_patch_size_validation():
-    with pytest.raises(ValueError):
-        ToyDenoiser(DenoiserConfig(latent_shape=(4, 15, 16)))
 
 
 def test_capture_is_observation_only(net, cond):
@@ -310,9 +306,8 @@ def _entries(cache):
     [
         DenoiserConfig(),
         DenoiserConfig(model_dim=48, head_count=3),
-        DenoiserConfig(latent_shape=(4, 12, 12)),
     ],
-    ids=["default", "dim48-3heads", "latent-12x12"],
+    ids=["default", "dim48-3heads"],
 )
 def test_predict_matches_the_reference_forward(config):
     net = ToyDenoiser(config)

@@ -175,7 +175,7 @@ def test_stacked_blend_word_descent_matches_each_single_descent(net, sched):
     # At the middle step the first row's mask is zero and the second's is not.
     keep = np.array([0.0, 1.0])
     for g in (7.5, 1.0):
-        ctx, edit_ctx = guidance_contexts(net, ("a cat on a mat", "a dog on a mat"), g)
+        ctx, edit_ctx = guidance_contexts(("a cat on a mat", "a dog on a mat"), g)
         stacked = invert(net, np.stack(z0s), ctx, plan, sched).trajectory
         mask = _blend_mask(edit_ctx.cond, grid, plan.timesteps[1], keep[:, None, None])
         out = sample_fec_noise(net, stacked, edit_ctx, plan, sched, mask)
@@ -227,7 +227,7 @@ def test_box_mask_edit_locality(net, sched, plan10, source, edit, guidance, insi
     out, report = run_edit(net, sched, plan10, z0, req, user_mask=mask)
     # Where the mask is 0 every step takes the desired noise itself, so
     # there the edit is the mask-free reconstruction, byte for byte.
-    (ctx,) = guidance_contexts(net, (source,), guidance)
+    (ctx,) = guidance_contexts((source,), guidance)
     recon = sample_fec_noise(net, invert(net, z0, ctx, plan10, sched).trajectory, ctx, plan10,
                              sched)
     keep = mask == 0.0
@@ -347,11 +347,3 @@ def test_kv_edit_empty_layer_range_injects_nothing(net, sched, plan10):
     out_ref, _ = run_edit(net, sched, plan10, z0, ref)
     assert out_none.tobytes() == out_ref.tobytes()
 
-
-def test_edit_embeds_prompts_at_the_network_token_shape(sched, plan10):
-    net = ToyDenoiser(DenoiserConfig(n_tokens=4))
-    z0 = generate_synthetic_latent(0, "gaussian")
-    req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise", blend_word="dog")
-    out, report = run_edit(net, sched, plan10, z0, req)
-    assert out.shape == z0.shape and np.all(np.isfinite(out))
-    assert report.locality is not None

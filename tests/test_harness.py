@@ -83,8 +83,7 @@ def test_experiment_config_validation():
                 dict(layer_end=3, denoiser=DenoiserConfig(layer_count=2))):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    for bad in (dict(head_count=3), dict(head_count=0),
-                dict(latent_shape=(4, 15, 16)), dict(model_dim=0), dict(model_dim=-4),
+    for bad in (dict(head_count=3), dict(head_count=0), dict(model_dim=0), dict(model_dim=-4),
                 dict(model_dim=5, head_count=5), dict(layer_count=-1), dict(init_seed=-1)):
         with pytest.raises(ValueError):
             DenoiserConfig(**bad)
@@ -95,6 +94,15 @@ def test_experiment_config_validation():
         cfg.steps = 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.denoiser.layer_count = 2
+
+
+def test_a_denoiser_config_holds_what_the_denoiser_keys_set():
+    # The network's shape is fixed; a configuration reads it, sets none of it.
+    keys = [name for section, _, _, name in CONFIG_KEYS if section == "denoiser"]
+    assert [f.name for f in dataclasses.fields(DenoiserConfig)] == keys
+    cfg = DenoiserConfig()
+    shape = (cfg.latent_shape, cfg.patch_size, cfg.n_tokens, cfg.token_dim)
+    assert shape == ((4, 16, 16), 2, 8, 64)
 
 
 @pytest.mark.parametrize(
@@ -216,7 +224,7 @@ def test_sweep_inverts_once_per_key_and_matches_single_cells(monkeypatch):
     cfg = ExperimentConfig(
         methods=RECON_METHODS, inv_guidances=(1.0, 7.5), samp_guidances=(1.0, 7.5),
         prompts=("a cat", ""), seeds=(0, 1), steps=10, data_kind="blocks",
-        denoiser=DenoiserConfig(latent_shape=(4, 12, 12), layer_count=2, model_dim=32),
+        denoiser=DenoiserConfig(layer_count=2, model_dim=32),
     )
     nets = _sweep_nets(monkeypatch)
     report = run_sweep(cfg)
@@ -242,7 +250,7 @@ def test_sweep_inverts_once_per_key_and_matches_single_cells(monkeypatch):
     _, sched, plan = cfg.components()
     for row in report.rows:
         assert not row["error"]
-        z0 = generate_synthetic_latent(row["seed"], cfg.data_kind, (4, 12, 12))
+        z0 = generate_synthetic_latent(row["seed"], cfg.data_kind)
         out, _ = reconstruct_once(
             net, sched, plan, z0, row["method"], row["prompt"], row["inv_guidance"],
             row["samp_guidance"], cfg.embed_seed, cfg.layers,
@@ -295,30 +303,11 @@ def test_sweep_records_a_failed_inversion_in_every_row(monkeypatch):
     # alone is handed one.
     real = harness.generate_synthetic_latent
     monkeypatch.setattr(harness, "generate_synthetic_latent",
-                        lambda seed, kind, shape: real(seed, "checkerboard", shape))
+                        lambda seed, kind: real(seed, "checkerboard"))
     report = run_sweep(_small_cfg(methods=RECON_METHODS, steps=2))
     assert [row["method"] for row in report.rows] == list(RECON_METHODS)
     for row in report.rows:
         assert row["error"].startswith("ValueError: unknown synthetic latent kind")
-
-
-def test_harness_draws_latents_at_the_network_shape():
-    # 12x12 is the smallest even grid the 11x11 SSIM window fits.
-    cfg = _small_cfg(
-        methods=RECON_METHODS, steps=2, edit_prompts=("a dog",),
-        denoiser=DenoiserConfig(latent_shape=(4, 12, 12)),
-    )
-    assert [row["error"] for row in run_sweep(cfg).rows] == [""] * len(RECON_METHODS)
-    assert check_batch_invariance(cfg)["passed"]
-    assert report_timing(cfg)["fec-kv-reuse"]["calls"]["edit"] == 2 * cfg.steps
-
-
-def test_sweep_rejects_a_grid_smaller_than_the_ssim_window(monkeypatch):
-    nets = _sweep_nets(monkeypatch)
-    cfg = _small_cfg(denoiser=DenoiserConfig(latent_shape=(4, 8, 8)))
-    with pytest.raises(ValueError, match="8x8 is smaller than the 11x11 SSIM window"):
-        run_sweep(cfg)
-    assert nets == []
 
 
 def test_ablation_includes_v_only(tmp_path):
@@ -570,8 +559,8 @@ def test_cli_invert_roundtrip(tmp_path):
                  "--kv-out", str(tmp_path / "k")]) == 0
     cfg = ExperimentConfig(steps=4)
     net, sched, plan = cfg.components()
-    z0 = generate_synthetic_latent(0, cfg.data_kind, net.config.latent_shape)
-    (ctx,) = sampling.guidance_contexts(net, cfg.prompts, cfg.inv_guidances[0])
+    z0 = generate_synthetic_latent(0, cfg.data_kind)
+    (ctx,) = sampling.guidance_contexts(cfg.prompts, cfg.inv_guidances[0])
     res = sampling.invert(net, z0, ctx, plan, sched, sampling.CaptureOptions(kv=True), seed=0)
     # The path at width 64: every latent byte-equal, so fec-ref from it is exact.
     traj = read_trajectory(tmp_path / "t")
@@ -798,7 +787,7 @@ _BAD_CONFIGS = {
         (["invert", "--out", "{tmp}/a.uncond.bin", "--kv-out", "{tmp}/a.bin"],
          "the trajectory and a K/V cache would both be written to"),
         (["invert", "--steps", "2", "--out", "{tmp}/t.fectraj", "--kv-out", ""],
-         "--kv-out is empty, so it names no file"),
+         "--kv-out: an empty path names no file"),
         (["edit", "--steps", "2", "--prompt", "a cat", "--edit-prompt", "a dog",
           "--blend-word", "dog", "--mask", ""], "[Errno 2] No such file or directory: ''"),
         (["edit", "--config", "{tmp}/layers-0.cfg", "--method", "fec-kv-reuse", "--prompt",
@@ -1155,23 +1144,38 @@ _WRITERS = (["reconstruct", "--method", "direct"], ["invert"],
             ["sweep", "--method", "direct", "--prompt", "a cat"], ["timing"])
 
 
+_MISSING = "{tmp}/missing/out: its directory does not exist"
+_EMPTY = "an empty path names no file"
+
+
 @pytest.mark.parametrize(
-    "argv, out",
-    [*(([*argv, "--out", out], out) for out in ("{tmp}/missing/out", "") for argv in _WRITERS),
-     (["invert", "--config", "{tmp}/out-empty.cfg"], "")],
+    "argv, fault",
+    [*(([*argv, "--out", "{tmp}/missing/out"], f"--out: {_MISSING}") for argv in _WRITERS),
+     *(([*argv, "--out", ""], f"--out: {_EMPTY}") for argv in _WRITERS),
+     *(([*argv, "--out", "{tmp}"], "--out: {tmp} is a directory") for argv in _WRITERS),
+     (["invert", "--config", "{tmp}/out-empty.cfg"], f"[run] out: {_EMPTY}"),
+     (["invert", "--config", "{tmp}/out-missing.cfg"],
+      "[run] out: missing/out: its directory does not exist"),
+     (["invert", "--out", "{tmp}/t", "--kv-out", "{tmp}/missing/out"], f"--kv-out: {_MISSING}"),
+     (["invert", "--out", "{tmp}/t", "--kv-out", "{tmp}"], "--kv-out: {tmp} is a directory")],
     ids=[*(argv[0] for argv in _WRITERS), *(f"{argv[0]}-out-empty" for argv in _WRITERS),
-         "invert-config-out-empty"],
+         *(f"{argv[0]}-out-directory" for argv in _WRITERS), "invert-config-out-empty",
+         "invert-config-out-missing", "invert-kv-out-missing", "invert-kv-out-directory"],
 )
-def test_cli_reports_an_out_path_the_os_refuses(argv, out, tmp_path, capsys, monkeypatch):
-    # Found when the write runs, after the computation. An empty path names
-    # no file, so no default file is written in its place.
+def test_cli_reports_an_out_path_the_os_refuses(argv, fault, tmp_path, capsys, monkeypatch):
+    # Refused before the run: no network call and no file, not even the
+    # trajectory ahead of a refused K/V cache. An empty path names no file,
+    # so no default file is written in its place.
     (tmp_path / "out-empty.cfg").write_text("[run]\nout =\n")
+    (tmp_path / "out-missing.cfg").write_text("[run]\nout = missing/out\n")
     monkeypatch.chdir(tmp_path)
-    out = out.replace("{tmp}", str(tmp_path))
+    calls = []
+    monkeypatch.setattr(ToyDenoiser, "predict", lambda *a, **k: calls.append(a))
     assert main([*(a.replace("{tmp}", str(tmp_path)) for a in argv), "--steps", "2"]) == 2
     (err,) = capsys.readouterr().err.splitlines()
-    assert err == f"fecdiff {argv[0]}: error: [Errno 2] No such file or directory: {out!r}"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out-empty.cfg"]
+    assert err == f"fecdiff {argv[0]}: error: {fault.replace('{tmp}', str(tmp_path))}"
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out-empty.cfg", "out-missing.cfg"]
 
 
 @pytest.mark.parametrize(

@@ -105,7 +105,7 @@ def test_kv_cache_roundtrip(tmp_path):
 def test_captured_kv_cache_is_lossless_at_width_32(tmp_path, net, sched):
     # The network computes K and V in float32, so width 32 stores them exactly.
     plan = timestep_plan(4, 1000)
-    ctx, edit_ctx = guidance_contexts(net, ("a cat on a mat", "a dog on a mat"), 7.5)
+    ctx, edit_ctx = guidance_contexts(("a cat on a mat", "a dog on a mat"), 7.5)
     res = invert(net, generate_synthetic_latent(3), ctx, plan, sched, CaptureOptions(kv=True))
     caches = (res.kv_cache, res.kv_cache_uncond)
     back = []

@@ -30,8 +30,9 @@ digests only under the same kernel. The areas:
   entries; of ``timing`` only the call counts;
 - ``refusals``: for each request of a fixed list that the toolkit must
   refuse (one or more per kind of exit-2 refusal, a file key that each
-  command does not read, and an ``--out`` under a missing directory for
-  every command that writes one, and an empty path for each path flag
+  command does not read, an ``--out`` under a missing directory and one
+  naming a directory for every command that writes one, the same two for
+  ``--kv-out`` and ``[run] out``, and an empty path for each path flag
   and for ``[run] out``), the argv, the exit code and the last stderr
   line, or the type name of an exception that escaped ``main``. They run
   in the scratch directory, so a tree that accepts a request writes there.
@@ -60,7 +61,7 @@ import numpy as np
 
 from fecdiff import io_formats
 from fecdiff.cli import main as cli_main
-from fecdiff.denoiser import KVCache
+from fecdiff.denoiser import KVCache, embed_prompt
 from fecdiff.editing import EditRequest, run_edit
 from fecdiff.harness import (
     ExperimentConfig,
@@ -71,8 +72,8 @@ from fecdiff.harness import (
 from fecdiff.sampling import (
     RECON_METHODS,
     CaptureOptions,
+    GuidanceContext,
     Trajectory,
-    guidance_contexts,
     invert,
 )
 
@@ -105,7 +106,7 @@ def edit(digest, calls):
     net, sched, plan = ExperimentConfig(steps=STEPS).components()
     box = _box(net.config.latent_shape[1:])
     for seed in SEEDS:
-        z0 = generate_synthetic_latent(seed, "gaussian", net.config.latent_shape)
+        z0 = generate_synthetic_latent(seed, "gaussian")
         for g in GUIDANCES:
             cases = (
                 ("fec-noise-box", EditRequest(SOURCE, EDIT, "fec-noise", guidance=g), box),
@@ -169,10 +170,10 @@ def _hash_read(digest, value):
 
 def files(digest, reads, calls, tmp):
     net, sched, plan = ExperimentConfig(steps=STEPS).components()
-    z0 = generate_synthetic_latent(2, "blocks", net.config.latent_shape)
+    z0 = generate_synthetic_latent(2, "blocks")
     box = _box(net.config.latent_shape[1:])
     for prompt in PROMPTS:
-        (ctx,) = guidance_contexts(net, (prompt,), 7.5)
+        ctx = GuidanceContext(7.5, embed_prompt(prompt, 0), embed_prompt("", 0))
         net.call_counts.clear()
         res = invert(net, z0, ctx, plan, sched, CaptureOptions(kv=True), seed=2)
         calls.update(_json(["invert", prompt, dict(net.call_counts)]))
@@ -325,6 +326,15 @@ _REFUSED = (
     "check-batch --steps 2 --guidance 1e300",
     "timing --steps 2 --guidance 1e300",
     "edit --method fec-kv-reuse --config {tmp}/constant-beta-40000.cfg",
+    "reconstruct --steps 2 --method direct --out {tmp}",
+    "invert --steps 2 --out {tmp}",
+    "edit --steps 2 --method fec-ref --prompt cat --edit-prompt dog --out {tmp}",
+    "sweep --steps 2 --method direct --out {tmp}",
+    "timing --steps 2 --out {tmp}",
+    "invert --steps 2 --config {tmp}/out-missing.cfg",
+    "invert --steps 2 --config {tmp}/out-directory.cfg",
+    "invert --steps 2 --out {tmp}/t.fectraj --kv-out {tmp}/missing/k.feckv",
+    "invert --steps 2 --out {tmp}/t.fectraj --kv-out {tmp}",
 )
 
 _REFUSAL_FILES = {
@@ -354,6 +364,8 @@ _REFUSAL_FILES = {
     "layer-start-0.cfg": b"[run]\nlayer_start = 0\n",
     "inv-guidances-1.cfg": b"[run]\ninv_guidances = 1\n",
     "out-empty.cfg": b"[run]\nout =\n",
+    "out-missing.cfg": b"[run]\nout = missing/t.fectraj\n",
+    "out-directory.cfg": b"[run]\nout = .\n",
     "constant-beta-40000.cfg": b"[schedule]\nkind = constant-beta\ntotal_steps = 40000\n",
     "bad-magic.fecmask": bytes(20),
 }

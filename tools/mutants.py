@@ -173,9 +173,9 @@ MUTANTS = [
      "reconstruct_once inverts before sample_method refuses a range its method does not read"),
     ("reconstruct-fits-after-inverting", "src/fecdiff/harness.py",
      "    if layers is not None:\n        layers.fits(net.config.layer_count)\n"
-     "    (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)\n"
+     "    (inv_ctx,) = guidance_contexts((prompt,), inv_scale, embed_seed)\n"
      "    res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=method in KV_METHODS))\n",
-     "    (inv_ctx,) = guidance_contexts(net, (prompt,), inv_scale, embed_seed)\n"
+     "    (inv_ctx,) = guidance_contexts((prompt,), inv_scale, embed_seed)\n"
      "    res = invert(net, z0, inv_ctx, plan, sched, CaptureOptions(kv=method in KV_METHODS))\n"
      "    if layers is not None:\n        layers.fits(net.config.layer_count)\n",
      "reconstruct_once inverts and captures before it finds a range that ends past the network"),
@@ -259,6 +259,10 @@ MUTANTS = [
      "{field for field, _ in fields} & reads", "{field for field, _ in fields[:1]} & reads",
      "a command takes a flag only when it reads the flag's first field, so invert loses"
      " --guidance"),
+    ("cli-out-path-unchecked", "src/fecdiff/cli.py",
+     "            _refuse_unwritable(path, name)\n", "            pass\n",
+     "the CLI runs a request whose output path no write could open, and fails only at the write"
+     " after the whole computation, or leaves the trajectory behind a refused K/V cache"),
     ("cli-os-error-uncaught", "src/fecdiff/cli.py",
      "except (ConfigError, FormatError, NonFiniteError, OSError) as exc:",
      "except (ConfigError, FormatError, NonFiniteError) as exc:",
