@@ -27,7 +27,6 @@ from .harness import (
     CONFIG_KEYS,
     LIST_FIELDS,
     ExperimentConfig,
-    _csv_value,
     check_batch_invariance,
     generate_synthetic_latent,
     load_config_file,
@@ -94,13 +93,15 @@ def _refuse_unwritable(path: str, name: str):
         raise ConfigError(f"{path}: its directory does not exist", name)
 
 
-def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
+def _config_from_args(args) -> ExperimentConfig:
     """The file's values with the flags laid over them, built once. A file
     key whose field the command does not read (``COMMANDS``) is refused,
     unless a flag overrides it. Every command but ``sweep`` runs one entry
-    of each list, so a list the user set must hold one; ``method`` is the
-    one a command runs when the user sets none. An output path, ``out`` or
-    ``--kv-out``, must be writable (``_refuse_unwritable``). Every refusal,
+    of each list, so a list the user set must hold one. An output path,
+    ``out`` or ``--kv-out``, must be writable (``_refuse_unwritable``); a
+    handler checks the paths it names itself (a sweep's ``.json`` report,
+    an inversion's ``.uncond`` cache and default trajectory) the same way,
+    before the run. Every refusal,
     here or in ``load_config_file`` and the config classes, is a
     ``ConfigError``, which ``main`` names by the ``args.sources`` entry
     (``[section] key`` or ``--flag``) of each field."""
@@ -120,8 +121,6 @@ def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
     for name, source in sources.items():
         if source.startswith("[") and name not in reads:
             raise ConfigError(f"{args.command} reads no {name}", name)
-    if method:
-        values.setdefault("methods", (method,))
     cfg = ExperimentConfig.from_fields(values)
     for name in LIST_FIELDS * (args.command != "sweep"):
         got = values.get(name, ())
@@ -134,16 +133,17 @@ def _config_from_args(args, method: str | None = None) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_invert(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_invert(args, cfg: ExperimentConfig) -> int:
     net, sched, plan = cfg.components()
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
     (ctx,) = guidance_contexts((cfg.prompts[0],), cfg.inv_guidances[0], cfg.embed_seed)
     out = "trajectory.fectraj" if cfg.out is None else cfg.out
+    _refuse_unwritable(out, "out")
     capture = args.kv_out is not None
     if capture:
         root, ext = os.path.splitext(args.kv_out)
         uncond_path = f"{root}.uncond{ext}"
+        _refuse_unwritable(uncond_path, "kv_out")
         for kv_path in (args.kv_out, uncond_path):
             if os.path.realpath(kv_path) == os.path.realpath(out):
                 raise ConfigError(f"the trajectory and a K/V cache would both be written to {out}")
@@ -160,8 +160,7 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _cmd_reconstruct(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_reconstruct(args, cfg: ExperimentConfig) -> int:
     net, sched, plan = cfg.components()
     method = cfg.methods[0]
     z0 = generate_synthetic_latent(cfg.seeds[0], cfg.data_kind)
@@ -173,24 +172,23 @@ def _cmd_reconstruct(args) -> int:
     )
     metrics = measure_reconstruction(z0, out)
     for key, value in metrics.items():
-        print(f"{key} = {_csv_value(value)}")
+        print(f"{key} = {value}")
     if cfg.out is not None:
         curve = trajectory_loss_curve(record, traj)
         lines = [*metrics.items(), *((f"step_loss[{t}]", loss) for t, loss in curve)]
         with open(cfg.out, "w") as f:
-            f.writelines(f"{key} = {_csv_value(value)}\n" for key, value in lines)
+            f.writelines(f"{key} = {value}\n" for key, value in lines)
         print(f"wrote report to {cfg.out}")
     return 0
 
 
-def _cmd_edit(args) -> int:
-    cfg = _config_from_args(args, EDIT_METHODS[0])
+def _cmd_edit(args, cfg: ExperimentConfig) -> int:
     source = cfg.prompts[0]
     edit = cfg.edit_prompts[0] if cfg.edit_prompts else source
     req = EditRequest(
         source_prompt=source,
         edit_prompt=edit,
-        method=cfg.methods[0],
+        method=cfg.methods[0] if "methods" in args.sources else EDIT_METHODS[0],
         blend_word=cfg.blend_word,
         layer_range=cfg.layers,
         guidance=cfg.samp_guidances[0],
@@ -213,8 +211,9 @@ def _cmd_edit(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
+    if cfg.out is not None:
+        _refuse_unwritable(cfg.out + ".json", "out")
     report = run_sweep(cfg)
     for agg in report.aggregate_means():
         print(
@@ -232,16 +231,14 @@ def _cmd_sweep(args) -> int:
     return 1 if errors else 0
 
 
-def _cmd_check_batch(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_check_batch(args, cfg: ExperimentConfig) -> int:
     result = check_batch_invariance(cfg)
     for key, value in result.items():
         print(f"{key} = {value}")
     return 0 if result["passed"] else 1
 
 
-def _cmd_timing(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_timing(args, cfg: ExperimentConfig) -> int:
     result = report_timing(cfg)
     print(json.dumps(result, indent=2))
     if cfg.out is not None:
@@ -289,7 +286,7 @@ def main(argv=None) -> int:
         # Reported with the usage that lists the flags this command takes.
         args.subparser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return args.fn(args)
+        return args.fn(args, _config_from_args(args))
     except (ConfigError, FormatError, NonFiniteError, OSError) as exc:
         message = " ".join(str(exc).split())  # one line, whatever raised it
         # A rejected value is reported under the key or flag that set it.

@@ -46,7 +46,6 @@ class PromptEmbedding:
 
     tokens: np.ndarray  # (N_TOKENS, TOKEN_DIM)
     source_text: str
-    seed: int
 
     def word_index(self, word: str) -> int:
         """Token slot of ``word``, a blend word: one absent or truncated away
@@ -73,7 +72,7 @@ def embed_prompt(text: str, seed: int) -> PromptEmbedding:
     for i, w in enumerate(words):
         tokens[i] = _word_rng(seed, w).standard_normal(TOKEN_DIM)
     tokens.setflags(write=False)
-    return PromptEmbedding(tokens=tokens, source_text=text, seed=seed)
+    return PromptEmbedding(tokens=tokens, source_text=text)
 
 
 @dataclass(frozen=True)

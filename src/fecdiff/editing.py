@@ -7,7 +7,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import LATENT_SHAPE, AttentionTrace, ConfigError, LayerRange, PromptEmbedding
+from .denoiser import (
+    LATENT_SHAPE,
+    PATCH_SIZE,
+    AttentionTrace,
+    ConfigError,
+    LayerRange,
+    PromptEmbedding,
+)
 from .metrics import latent_loss, trajectory_loss_curve
 from .sampling import (
     KV_METHODS,
@@ -46,39 +53,27 @@ class EditRequest:
         refuse_unread((self.method,), mask=self.blend_word, layers=self.layer_range)
 
 
-def _nearest_resize(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    h, w = m.shape[-2:]
-    rows = (np.arange(shape[0]) * h) // shape[0]
-    cols = (np.arange(shape[1]) * w) // shape[1]
-    return m[..., rows[:, None], cols]
-
-
 def derive_mask(
-    trace: AttentionTrace,
-    blend_word: str,
-    embedding: PromptEmbedding,
-    t: int,
-    spatial_shape: tuple[int, int],
+    trace: AttentionTrace, blend_word: str, embedding: PromptEmbedding, t: int
 ) -> np.ndarray:
-    """Binary mask over ``spatial_shape`` (1 = region to edit) from the
+    """Binary mask over the latent grid (1 = region to edit) from the
     blend word's averaged cross-attention map, one per latent of a stacked
     trace.
 
-    The map is averaged over heads and layers, resized (nearest neighbor)
-    to ``spatial_shape``, min-max normalized and thresholded at
-    ``MASK_THRESHOLD``. Its maximum normalizes to exactly 1, so the mask
-    is all zero, or degenerate, exactly when the map is constant and
-    cannot be normalized: the conservative "reconstruct everything" choice.
+    The map, on the patch grid, is averaged over heads and layers, min-max
+    normalized and thresholded at ``MASK_THRESHOLD``; each patch cell then
+    covers its ``PATCH_SIZE`` x ``PATCH_SIZE`` pixels. Its maximum
+    normalizes to exactly 1, so the mask is all zero, or degenerate,
+    exactly when the map is constant and cannot be normalized: the
+    conservative "reconstruct everything" choice.
     """
-    idx = embedding.word_index(blend_word)
-    m = trace.token_map(t, idx)
-    if m.shape[-2:] != tuple(spatial_shape):
-        m = _nearest_resize(m, tuple(spatial_shape))
+    m = trace.token_map(t, embedding.word_index(blend_word))
     lo = m.min(axis=(-2, -1), keepdims=True)
     span = m.max(axis=(-2, -1), keepdims=True) - lo
     live = span > 0
     m = (m - lo) / np.where(live, span, 1.0)
-    return ((m >= MASK_THRESHOLD) & live).astype(np.float64)
+    cells = ((m >= MASK_THRESHOLD) & live).astype(np.float64)
+    return cells.repeat(PATCH_SIZE, axis=-2).repeat(PATCH_SIZE, axis=-1)
 
 
 @dataclass
@@ -166,7 +161,7 @@ def run_edit(
     elif req.blend_word is not None:
 
         def mask(t, trace):
-            m = derive_mask(trace, req.blend_word, edit_ctx.cond, t, grid)
+            m = derive_mask(trace, req.blend_word, edit_ctx.cond, t)
             if not m.any():
                 report.mask_degenerate_steps.append(t)
             return m

@@ -347,11 +347,10 @@ def write_report_csv(report: SweepReport, path):
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fieldnames, restval="")
         writer.writeheader()
-        for row in report.rows:
-            writer.writerow({k: _csv_value(v) for k, v in row.items()})
+        writer.writerows(report.rows)
 
 
-def _csv_value(v):
+def _json_value(v):
     if isinstance(v, float) and np.isinf(v):
         return "inf" if v > 0 else "-inf"
     return v
@@ -360,7 +359,7 @@ def _csv_value(v):
 def write_report_json(report: SweepReport, path):
     payload = {
         "rows": [
-            {k: _csv_value(v) for k, v in row.items()}
+            {k: _json_value(v) for k, v in row.items()}
             for row in report.rows
         ],
         "aggregates": report.aggregate_means(),

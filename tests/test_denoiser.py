@@ -94,7 +94,7 @@ def test_predict_input_validation(net, cond):
     with pytest.raises(NonFiniteError):
         net.predict(z, 500, cond)
     with pytest.raises(ValueError):
-        net.predict(_latent(0), 500, PromptEmbedding(np.zeros((4, 64)), "x", 0))
+        net.predict(_latent(0), 500, PromptEmbedding(np.zeros((4, 64)), "x"))
 
 
 def test_weights_depend_on_init_seed(cond):

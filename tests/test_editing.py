@@ -47,77 +47,72 @@ def test_edit_request_validation():
     EditRequest("a cat", "a dog", method="fec-kv-reuse", layer_range=LayerRange(1, 2))
 
 
-def _trace_with_map(t, grid, col):
-    """One-layer trace whose token column is the given flat map."""
+def _trace_with_map(t, col):
+    """One-layer trace whose token column is the given flat map on the 8x8
+    patch grid."""
     trace = AttentionTrace()
-    weights = np.full((grid[0] * grid[1], 8), 1e-3)
+    weights = np.full((64, 8), 1e-3)
     weights[:, 1] = col
-    trace(t, 0, weights.reshape(*grid, 8))
+    trace(t, 0, weights.reshape(8, 8, 8))
     return trace
 
 
 def test_derive_mask_thresholds_known_map():
     emb = embed_prompt("a dog", 0)
-    col = np.zeros(16)
+    col = np.zeros(64)
     col[5] = 1.0
     col[6] = 0.4
     col[7] = 0.2
     col[8] = 0.3
-    trace = _trace_with_map(100, (4, 4), col)
-    mask = derive_mask(trace, "dog", emb, 100, (4, 4))
+    trace = _trace_with_map(100, col)
+    mask = derive_mask(trace, "dog", emb, 100)
     # Min-max normalization leaves the column unchanged here (min 0, max 1),
-    # so positions at or above the 0.3 threshold become ones.
-    expected = np.zeros((4, 4))
-    expected.flat[5] = 1.0
-    expected.flat[6] = 1.0
-    expected.flat[8] = 1.0
-    assert np.array_equal(mask, expected)
+    # so cells at or above the 0.3 threshold become ones, each over its patch.
+    cells = np.zeros((8, 8))
+    cells.flat[[5, 6, 8]] = 1.0
+    assert np.array_equal(mask, np.kron(cells, np.ones((2, 2))))
     assert mask.any()
 
 
 def test_derive_mask_resizes_to_latent_grid():
     emb = embed_prompt("a dog", 0)
-    col = np.zeros(16)
+    col = np.zeros(64)
     col[0] = 1.0
-    trace = _trace_with_map(100, (4, 4), col)
-    mask = derive_mask(trace, "dog", emb, 100, (8, 8))
-    assert mask.shape == (8, 8)
-    # Nearest-neighbor upsampling spreads the hot cell over a 2x2 block.
+    trace = _trace_with_map(100, col)
+    mask = derive_mask(trace, "dog", emb, 100)
+    assert mask.shape == (16, 16)
+    # The hot patch cell covers its 2x2 block of latent pixels.
     assert mask[:2, :2].sum() == 4.0
     assert mask.sum() == 4.0
 
 
 def test_derive_mask_degenerate_constant_map():
     emb = embed_prompt("a dog", 0)
-    trace = _trace_with_map(100, (4, 4), np.full(16, 0.25))
-    mask = derive_mask(trace, "dog", emb, 100, (4, 4))
-    assert mask.shape == (4, 4)
+    trace = _trace_with_map(100, np.full(64, 0.25))
+    mask = derive_mask(trace, "dog", emb, 100)
+    assert mask.shape == (16, 16)
     assert not mask.any()
 
 
 @st.composite
 def _maps(draw):
-    """A flat map on a small grid, random or within two ulps of a constant,
-    and a latent grid one or two times the map's."""
-    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    """A flat map on the 8x8 patch grid, random or within two ulps of a
+    constant."""
     if draw(st.booleans()):
-        col = draw(arrays(np.float64, h * w, elements=st.floats(0.0, 1.0)))
-    else:
-        col = np.full(h * w, draw(st.floats(0.0, 1.0)))
-        ulps = draw(arrays(np.int64, h * w, elements=st.integers(0, 2)))
-        for k in (1, 2):
-            col[ulps >= k] = np.nextafter(col[ulps >= k], np.inf)
-    scale = draw(st.sampled_from((1, 2)))
-    return (h, w), col, (h * scale, w * scale)
+        return draw(arrays(np.float64, 64, elements=st.floats(0.0, 1.0)))
+    col = np.full(64, draw(st.floats(0.0, 1.0)))
+    ulps = draw(arrays(np.int64, 64, elements=st.integers(0, 2)))
+    for k in (1, 2):
+        col[ulps >= k] = np.nextafter(col[ulps >= k], np.inf)
+    return col
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_maps())
-def test_derive_mask_is_all_zero_exactly_when_the_map_is_constant(case):
-    grid, col, shape = case
-    trace = _trace_with_map(100, grid, col)
-    mask = derive_mask(trace, "dog", embed_prompt("a dog", 0), 100, shape)
-    assert mask.shape == shape
+def test_derive_mask_is_all_zero_exactly_when_the_map_is_constant(col):
+    trace = _trace_with_map(100, col)
+    mask = derive_mask(trace, "dog", embed_prompt("a dog", 0), 100)
+    assert mask.shape == (16, 16)
     assert mask.any() == (col.min() != col.max())
 
 
@@ -125,17 +120,20 @@ def test_derive_mask_from_a_live_trace(net, cond):
     z = np.random.default_rng(0).standard_normal(net.config.latent_shape)
     trace = AttentionTrace()
     net.predict(z, 500, cond, trace_to=trace)
-    mask = derive_mask(trace, "cat", cond, 500, net.config.latent_shape[1:])
+    mask = derive_mask(trace, "cat", cond, 500)
     assert mask.shape == net.config.latent_shape[1:]
+    # Each patch cell covers its 2x2 pixels, and the mask is not uniform.
+    assert mask.any() and not mask.all()
+    assert np.array_equal(mask, np.kron(mask[::2, ::2], np.ones((2, 2))))
 
 
 def test_blend_word_mask_gets_a_trace_every_step(net, sched, plan10, monkeypatch):
     seen = {}
     real = editing.derive_mask
 
-    def logged(trace, blend_word, embedding, t, spatial_shape):
+    def logged(trace, blend_word, embedding, t):
         seen[t] = sorted(layer for tt, layer in trace.maps if tt == t)
-        return real(trace, blend_word, embedding, t, spatial_shape)
+        return real(trace, blend_word, embedding, t)
 
     monkeypatch.setattr(editing, "derive_mask", logged)
     req = EditRequest("a cat on a mat", "a dog on a mat", "fec-noise", blend_word="dog")
@@ -148,8 +146,8 @@ def test_blend_word_edit_reports_exactly_its_degenerate_steps(net, sched, plan10
     chosen = {plan10.timesteps[1], plan10.timesteps[4], plan10.timesteps[-1]}
     real = editing.derive_mask
 
-    def degenerate_at_chosen(trace, blend_word, embedding, t, spatial_shape):
-        mask = real(trace, blend_word, embedding, t, spatial_shape)
+    def degenerate_at_chosen(trace, blend_word, embedding, t):
+        mask = real(trace, blend_word, embedding, t)
         return np.zeros_like(mask) if t in chosen else mask
 
     monkeypatch.setattr(editing, "derive_mask", degenerate_at_chosen)
@@ -158,11 +156,11 @@ def test_blend_word_edit_reports_exactly_its_degenerate_steps(net, sched, plan10
     assert report.mask_degenerate_steps == sorted(chosen)
 
 
-def _blend_mask(cond, grid, degenerate_at, keep):
+def _blend_mask(cond, degenerate_at, keep):
     """The blend-word mask of "dog", times ``keep`` at step ``degenerate_at``."""
 
     def mask(t, trace):
-        m = derive_mask(trace, "dog", cond, t, grid)
+        m = derive_mask(trace, "dog", cond, t)
         return m * keep if t == degenerate_at else m
 
     return mask
@@ -170,18 +168,17 @@ def _blend_mask(cond, grid, degenerate_at, keep):
 
 def test_stacked_blend_word_descent_matches_each_single_descent(net, sched):
     plan = timestep_plan(3, 1000)
-    grid = net.config.latent_shape[1:]
     z0s = [generate_synthetic_latent(0, "gaussian"), generate_synthetic_latent(1, "blocks")]
     # At the middle step the first row's mask is zero and the second's is not.
     keep = np.array([0.0, 1.0])
     for g in (7.5, 1.0):
         ctx, edit_ctx = guidance_contexts(("a cat on a mat", "a dog on a mat"), g)
         stacked = invert(net, np.stack(z0s), ctx, plan, sched).trajectory
-        mask = _blend_mask(edit_ctx.cond, grid, plan.timesteps[1], keep[:, None, None])
+        mask = _blend_mask(edit_ctx.cond, plan.timesteps[1], keep[:, None, None])
         out = sample_fec_noise(net, stacked, edit_ctx, plan, sched, mask)
         for z0, row, k in zip(z0s, out, keep):
             single = invert(net, z0, ctx, plan, sched).trajectory
-            mask = _blend_mask(edit_ctx.cond, grid, plan.timesteps[1], k)
+            mask = _blend_mask(edit_ctx.cond, plan.timesteps[1], k)
             expected = sample_fec_noise(net, single, edit_ctx, plan, sched, mask)
             assert row.tobytes() == expected.tobytes(), (g, k)
 

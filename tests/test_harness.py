@@ -1157,10 +1157,17 @@ _EMPTY = "an empty path names no file"
      (["invert", "--config", "{tmp}/out-missing.cfg"],
       "[run] out: missing/out: its directory does not exist"),
      (["invert", "--out", "{tmp}/t", "--kv-out", "{tmp}/missing/out"], f"--kv-out: {_MISSING}"),
-     (["invert", "--out", "{tmp}/t", "--kv-out", "{tmp}"], "--kv-out: {tmp} is a directory")],
+     (["invert", "--out", "{tmp}/t", "--kv-out", "{tmp}"], "--kv-out: {tmp} is a directory"),
+     # The paths a command derives are checked before the run too.
+     (["sweep", "--method", "direct", "--out", "x.csv"], "--out: x.csv.json is a directory"),
+     (["invert", "--out", "t.fectraj", "--kv-out", "k.feckv"],
+      "--kv-out: k.uncond.feckv is a directory"),
+     (["invert"], "trajectory.fectraj is a directory")],
     ids=[*(argv[0] for argv in _WRITERS), *(f"{argv[0]}-out-empty" for argv in _WRITERS),
          *(f"{argv[0]}-out-directory" for argv in _WRITERS), "invert-config-out-empty",
-         "invert-config-out-missing", "invert-kv-out-missing", "invert-kv-out-directory"],
+         "invert-config-out-missing", "invert-kv-out-missing", "invert-kv-out-directory",
+         "sweep-json-sibling-directory", "invert-uncond-sibling-directory",
+         "invert-default-out-directory"],
 )
 def test_cli_reports_an_out_path_the_os_refuses(argv, fault, tmp_path, capsys, monkeypatch):
     # Refused before the run: no network call and no file, not even the
@@ -1168,6 +1175,11 @@ def test_cli_reports_an_out_path_the_os_refuses(argv, fault, tmp_path, capsys, m
     # so no default file is written in its place.
     (tmp_path / "out-empty.cfg").write_text("[run]\nout =\n")
     (tmp_path / "out-missing.cfg").write_text("[run]\nout = missing/out\n")
+    # Directories where a sweep's JSON report, an inversion's unconditional
+    # cache and invert's default trajectory would go.
+    siblings = ["k.uncond.feckv", "trajectory.fectraj", "x.csv.json"]
+    for name in siblings:
+        (tmp_path / name).mkdir()
     monkeypatch.chdir(tmp_path)
     calls = []
     monkeypatch.setattr(ToyDenoiser, "predict", lambda *a, **k: calls.append(a))
@@ -1175,7 +1187,8 @@ def test_cli_reports_an_out_path_the_os_refuses(argv, fault, tmp_path, capsys, m
     (err,) = capsys.readouterr().err.splitlines()
     assert err == f"fecdiff {argv[0]}: error: {fault.replace('{tmp}', str(tmp_path))}"
     assert calls == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out-empty.cfg", "out-missing.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["out-empty.cfg", "out-missing.cfg", *siblings])
 
 
 @pytest.mark.parametrize(

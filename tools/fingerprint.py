@@ -32,8 +32,9 @@ digests only under the same kernel. The areas:
   refuse (one or more per kind of exit-2 refusal, a file key that each
   command does not read, an ``--out`` under a missing directory and one
   naming a directory for every command that writes one, the same two for
-  ``--kv-out`` and ``[run] out``, and an empty path for each path flag
-  and for ``[run] out``), the argv, the exit code and the last stderr
+  ``--kv-out`` and ``[run] out``, an empty path for each path flag and
+  for ``[run] out``, and a sweep's ``.json`` report and an inversion's
+  ``.uncond`` cache whose path is a directory), the argv, the exit code and the last stderr
   line, or the type name of an exception that escaped ``main``. They run
   in the scratch directory, so a tree that accepts a request writes there.
 
@@ -335,7 +336,13 @@ _REFUSED = (
     "invert --steps 2 --config {tmp}/out-directory.cfg",
     "invert --steps 2 --out {tmp}/t.fectraj --kv-out {tmp}/missing/k.feckv",
     "invert --steps 2 --out {tmp}/t.fectraj --kv-out {tmp}",
+    "sweep --steps 2 --method direct --out {tmp}/siblings/x.csv",
+    "invert --steps 2 --out {tmp}/siblings/t.fectraj --kv-out {tmp}/siblings/k.feckv",
 )
+# Directories where the two requests above would write a derived path. They
+# sit in a subdirectory: every request runs in the scratch directory, so a
+# trajectory.fectraj there would change what invert without --out does.
+_REFUSAL_DIRS = ("siblings/x.csv.json", "siblings/k.uncond.feckv")
 
 _REFUSAL_FILES = {
     "headless.cfg": b"steps = 3\n",
@@ -387,6 +394,8 @@ def refusals(digest, tmp):
     for name, data in files.items():
         with open(os.path.join(tmp, name), "wb") as f:
             f.write(data)
+    for name in _REFUSAL_DIRS:
+        os.makedirs(os.path.join(tmp, name))
     cwd = os.getcwd()
     os.chdir(tmp)
     try:

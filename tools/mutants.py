@@ -45,6 +45,10 @@ MUTANTS = [
     ("mask-threshold-strict", "src/fecdiff/editing.py",
      "(m >= MASK_THRESHOLD)", "(m > MASK_THRESHOLD)",
      "derive_mask drops map values exactly at the threshold"),
+    ("mask-spread-one-axis", "src/fecdiff/editing.py",
+     ".repeat(PATCH_SIZE, axis=-2)", "",
+     "derive_mask spreads each patch cell along the width only, so the mask is off the latent"
+     " grid"),
     ("locality-fraction-kept", "src/fecdiff/editing.py",
      "keep = mask == 0.0", "keep = mask < 1.0",
      "_locality counts fractional mask values as the kept region"),
@@ -100,9 +104,9 @@ MUTANTS = [
     ("config-source-unnamed", "src/fecdiff/cli.py",
      '            message = f"{\', \'.join(named)}: {message}"\n', "            pass\n",
      "a rejected value's error does not name the file key or flag that set it"),
-    ("csv-inf-negative", "src/fecdiff/harness.py",
+    ("json-inf-negative", "src/fecdiff/harness.py",
      'return "inf" if v > 0 else "-inf"', 'return "-inf"',
-     "_csv_value writes +inf as -inf"),
+     "_json_value writes +inf as -inf"),
     ("writer-shape-unchecked", "src/fecdiff/io_formats.py",
      'raise ValueError(f"{what} has shape {arr.shape}, not the header\'s {shape}")', "pass",
      "the FECTRAJ1 and FECKV1 writers write an array whose shape differs from the header's"),
@@ -263,6 +267,21 @@ MUTANTS = [
      "            _refuse_unwritable(path, name)\n", "            pass\n",
      "the CLI runs a request whose output path no write could open, and fails only at the write"
      " after the whole computation, or leaves the trajectory behind a refused K/V cache"),
+    ("sweep-json-sibling-unchecked", "src/fecdiff/cli.py",
+     '        _refuse_unwritable(cfg.out + ".json", "out")\n', "        pass\n",
+     "fecdiff sweep runs every cell and writes the CSV before it finds that the .json report"
+     " path is a directory"),
+    ("invert-uncond-sibling-unchecked", "src/fecdiff/cli.py",
+     '        _refuse_unwritable(uncond_path, "kv_out")\n', "        pass\n",
+     "fecdiff invert runs and writes the trajectory and K/V cache before it finds that the"
+     " .uncond cache path is a directory"),
+    ("invert-default-out-unchecked", "src/fecdiff/cli.py",
+     '    _refuse_unwritable(out, "out")\n', "    pass\n",
+     "fecdiff invert without an out path runs before it finds that trajectory.fectraj is a"
+     " directory"),
+    ("edit-default-method-ignored", "src/fecdiff/cli.py",
+     '"methods" in args.sources', "True",
+     "a bare fecdiff edit runs the configuration's default method, direct, and is refused"),
     ("cli-os-error-uncaught", "src/fecdiff/cli.py",
      "except (ConfigError, FormatError, NonFiniteError, OSError) as exc:",
      "except (ConfigError, FormatError, NonFiniteError) as exc:",
