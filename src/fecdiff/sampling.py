@@ -191,15 +191,15 @@ def _finite(z: np.ndarray, t: int, stage: str) -> np.ndarray:
     return z
 
 
-def _walk(z, pairs, move, sched: NoiseSchedule, noise, record, stage: str):
-    """Step ``z`` along the ``(from, to)`` timestep ``pairs`` with
-    ``move(z, noise(z, from, to), from, to, sched)``, checking each new
-    latent and recording every latent, the start's included, into
-    ``record``."""
+def _walk(z, pairs, step, record, stage: str):
+    """Step ``z``, taken as float64, along the ``(from, to)`` timestep
+    ``pairs`` with one ``step(z, from, to)`` per pair, checking every
+    latent, the start's included, and recording each into ``record``."""
+    z = _finite(np.asarray(z, dtype=np.float64), pairs[0][0], stage)
     if record is not None:
         record[pairs[0][0]] = z.copy()
     for t_from, t_to in pairs:
-        z = _finite(move(z, noise(z, t_from, t_to), t_from, t_to, sched), t_to, stage)
+        z = _finite(step(z, t_from, t_to), t_to, stage)
         if record is not None:
             record[t_to] = z.copy()
     return z
@@ -222,7 +222,6 @@ def invert(
     ``kv_cache_uncond`` is ``kv_cache`` itself, so one evaluation fills it.
     """
     capture = capture or CaptureOptions()
-    z0 = _finite(np.asarray(z0, dtype=np.float64), 0, "inversion")
     latents: dict[int, np.ndarray] = {}
     cache = cache_u = None
     if capture.kv:
@@ -230,10 +229,11 @@ def invert(
         cache_u = cache if ctx.shared else KVCache()
     route = "capture" if capture.kv else "inversion"
 
-    def noise(z, t_prev, t):
-        return guided_noise(net, z, t, ctx, route=route, kv=cache, kv_uncond=cache_u)
+    def step(z, t_prev, t):
+        eps = guided_noise(net, z, t, ctx, route=route, kv=cache, kv_uncond=cache_u)
+        return ddim_invert_step(z, eps, t_prev, t, sched)
 
-    _walk(z0, plan.inversion_pairs(), ddim_invert_step, sched, noise, latents, "inversion")
+    _walk(z0, plan.inversion_pairs(), step, latents, "inversion")
     traj = Trajectory(
         latents=latents, timesteps=tuple(plan.timesteps), guidance=ctx.scale, seed=seed
     )
@@ -252,23 +252,24 @@ def sample_direct(
 ) -> np.ndarray:
     """Plain guided DDIM descent from the inversion endpoint."""
 
-    def noise(z, t, t_prev):
-        return guided_noise(net, z, t, ctx, route=route)
+    def step(z, t, t_prev):
+        return ddim_step(z, guided_noise(net, z, t, ctx, route=route), t, t_prev, sched)
 
-    z = np.asarray(traj_start, dtype=np.float64)
-    return _walk(z, plan.sampling_pairs(), ddim_step, sched, noise, record, "sampling")
+    return _walk(traj_start, plan.sampling_pairs(), step, record, "sampling")
 
 
 def sample_fec_ref(
     traj: Trajectory, plan: TimestepPlan, *, record: dict[int, np.ndarray] | None = None
 ) -> np.ndarray:
-    """Reference-path sampler: take the saved inversion latent at every
-    step, so the output is the encoded source exactly; no network runs."""
+    """Reference-path sampler: each step takes a copy of the saved latent it
+    steps to, so the output is the encoded source exactly; no network runs."""
     if not traj.covers(plan):
         raise ValueError("trajectory does not cover the timestep plan")
-    if record is not None:
-        record.update((t, traj[t].copy()) for t in (*plan.timesteps, 0))
-    return traj[0].copy()
+
+    def step(z, t, t_prev):
+        return traj[t_prev].copy()
+
+    return _walk(traj[plan.timesteps[0]], plan.sampling_pairs(), step, record, "fec-ref sampling")
 
 
 def as_mask(values) -> np.ndarray:
@@ -316,17 +317,16 @@ def sample_fec_noise(
         if not np.any(mask):
             mask = None
 
-    def noise(z, t, t_prev):
-        eps_des = desired_noise(z, traj[t_prev], t, t_prev, sched)
-        if mask is None:
-            return eps_des
-        trace = AttentionTrace() if callable(mask) else None
-        guided = guided_noise(net, z, t, ctx, route=route, trace_to=trace)
-        m = mask(t, trace)[..., None, :, :] if trace is not None else mask
-        return m * guided + (1.0 - m) * eps_des
+    def step(z, t, t_prev):
+        eps = desired_noise(z, traj[t_prev], t, t_prev, sched)
+        if mask is not None:
+            trace = AttentionTrace() if callable(mask) else None
+            guided = guided_noise(net, z, t, ctx, route=route, trace_to=trace)
+            m = mask(t, trace)[..., None, :, :] if trace is not None else mask
+            eps = m * guided + (1.0 - m) * eps
+        return ddim_step(z, eps, t, t_prev, sched)
 
-    z = traj[plan.timesteps[0]].copy()
-    return _walk(z, plan.sampling_pairs(), ddim_step, sched, noise, record, "fec-noise sampling")
+    return _walk(traj[plan.timesteps[0]], plan.sampling_pairs(), step, record, "fec-noise sampling")
 
 
 def sample_fec_kv_reuse(
@@ -358,11 +358,11 @@ def sample_fec_kv_reuse(
     kv = KVInject(cache, layers, v_only)
     kv_u = kv if cache_uncond is cache else KVInject(cache_uncond, layers, v_only)
 
-    def noise(z, t, t_prev):
-        return guided_noise(net, z, t, ctx, route=route, kv=kv, kv_uncond=kv_u)
+    def step(z, t, t_prev):
+        eps = guided_noise(net, z, t, ctx, route=route, kv=kv, kv_uncond=kv_u)
+        return ddim_step(z, eps, t, t_prev, sched)
 
-    z = np.asarray(traj_start, dtype=np.float64)
-    return _walk(z, plan.sampling_pairs(), ddim_step, sched, noise, record, "fec-kv-reuse sampling")
+    return _walk(traj_start, plan.sampling_pairs(), step, record, "fec-kv-reuse sampling")
 
 
 RECON_METHODS = ("direct", "neg-prompt", "fec-ref", "fec-noise", "fec-kv-reuse", "fec-v-reuse")

@@ -15,9 +15,13 @@ from fecdiff.denoiser import (
     embed_prompt,
 )
 from fecdiff.harness import ExperimentConfig, reconstruct_once, run_sweep
+from fecdiff.io_formats import read_trajectory, write_trajectory
 from fecdiff.sampling import (
+    RECON_METHODS,
     CaptureOptions,
     GuidanceContext,
+    InvertResult,
+    NonFiniteError,
     Trajectory,
     _uncond_known,
     as_mask,
@@ -255,8 +259,46 @@ def test_fec_ref_reconstruct_bit_identical(net, sched, plan10):
     record = {}
     out = sample_fec_ref(traj, plan10, record=record)
     assert out.tobytes() == z0.tobytes()
+    assert tuple(record) == (*plan10.timesteps, 0)
     for t, z in record.items():
         assert z.tobytes() == traj[t].tobytes()
+
+
+def test_every_method_is_one_walk_that_records_fresh_latents(net, sched):
+    # Each method's walk records the start and every latent it steps to,
+    # returns the last, and hands out no array of the trajectory it read.
+    plan = timestep_plan(2, 1000)
+    ctx = _ctx(7.5)
+    res = invert(net, _latent(0), ctx, plan, sched, CaptureOptions(kv=True))
+    saved = list(res.trajectory.latents.values())
+    for method in RECON_METHODS:
+        rec = {}
+        out = sample_method(net, res, method, ctx, plan, sched, record=rec)
+        assert tuple(rec) == (*plan.timesteps, 0), method
+        assert out.tobytes() == rec[0].tobytes(), method
+        for z in (out, *rec.values()):
+            assert not any(np.shares_memory(z, s) for s in saved), method
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["end", "middle", "start"])
+def test_a_non_finite_saved_path_fails_at_its_timestep(tmp_path, net, sched, plan10, where, bad):
+    # A FECTRAJ1 file holds whatever floats it was given; each sampler that
+    # reads the path refuses the first non-finite latent it meets, naming its t.
+    ctx = _ctx(7.5)
+    traj = invert(net, _latent(0), ctx, plan10, sched).trajectory
+    t = {"end": 0, "middle": plan10.timesteps[5], "start": plan10.timesteps[0]}[where]
+    traj[t][1, 2, 3] = bad
+    write_trajectory(tmp_path / "path.fectraj", traj)
+    read = read_trajectory(tmp_path / "path.fectraj")
+    res = InvertResult(read)
+    for sample in (lambda: sample_fec_ref(read, plan10),
+                   lambda: sample_method(net, res, "fec-ref", ctx, plan10, sched),
+                   lambda: sample_fec_noise(net, read, ctx, plan10, sched),
+                   lambda: sample_method(net, res, "fec-noise", ctx, plan10, sched)):
+        # fec-noise's move meets inf - inf, which numpy warns of, before the walk refuses it.
+        with pytest.raises(NonFiniteError, match=rf" at t={t}$"), np.errstate(invalid="ignore"):
+            sample()
 
 
 def test_fec_noise_reconstruct_machine_precision(net, sched, plan10):

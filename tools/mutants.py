@@ -144,12 +144,13 @@ MUTANTS = [
      "diff[..., keep]", "diff[:, keep]",
      "_locality indexes the mask on the axes after the first, so a stacked box edit fails"),
     ("capture-at-next-latent", "src/fecdiff/sampling.py",
-     "        return guided_noise(net, z, t, ctx, route=route, kv=cache, kv_uncond=cache_u)\n",
+     "        eps = guided_noise(net, z, t, ctx, route=route, kv=cache, kv_uncond=cache_u)\n"
+     "        return ddim_invert_step(z, eps, t_prev, t, sched)\n",
      "        eps = guided_noise(net, z, t, ctx, route=route)\n"
+     "        z_t = ddim_invert_step(z, eps, t_prev, t, sched)\n"
      "        if cache is not None:\n"
-     "            z_t = ddim_invert_step(z, eps, t_prev, t, sched)\n"
      "            guided_noise(net, z_t, t, ctx, route=route, kv=cache, kv_uncond=cache_u)\n"
-     "        return eps\n",
+     "        return z_t\n",
      "capture records each step's K/V at the latent the step makes, (z_t, t), in a second"
      " evaluation, not at the (z_{t_prev}, t) the step evaluates"),
     ("capture-uncond-hook-dropped", "src/fecdiff/sampling.py",
@@ -335,6 +336,17 @@ MUTANTS = [
      "guided_noise(net, z, t, ctx, route=route, kv=cache,",
      "guided_noise(net, z, t_prev, ctx, route=route, kv=cache,",
      "each inversion step evaluates the noise at t_prev instead of t"),
+    ("fec-ref-step-at-t", "src/fecdiff/sampling.py",
+     "return traj[t_prev].copy()", "return traj[t].copy()",
+     "each fec-ref step takes the saved latent it steps from, so fec-ref ends one step short"),
+    ("walk-start-unchecked", "src/fecdiff/sampling.py",
+     "z = _finite(np.asarray(z, dtype=np.float64), pairs[0][0], stage)",
+     "z = np.asarray(z, dtype=np.float64)",
+     "the walk takes its start unchecked, so fec-ref from a path non-finite at its first t"
+     " runs on"),
+    ("fec-ref-shares-the-path", "src/fecdiff/sampling.py",
+     "return traj[t_prev].copy()", "return traj[t_prev]",
+     "fec-ref's step hands out the saved latent itself, so its output aliases the trajectory"),
 ]
 
 def _test_args(root: Path) -> list[str]:
